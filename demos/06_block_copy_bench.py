@@ -1,9 +1,10 @@
-"""Timing the block-copy fast path against the element-wise path.
+"""Timing a block-copy scatter against its NumPy floor.
 
 The transformer remaps the leading axis and copies the two trailing axes,
-so each source row of 1024 contiguous floats moves as one slice
-assignment.  Both paths produce bit-identical results; only the speed
-differs.
+so the scatter moves rows of 1024 contiguous floats.  The floor is the
+hand-written NumPy code with the same semantics, ``out[sigma] = updates``
+on a copy of the background; the two results are checked bit for bit
+before either is timed.
 """
 
 import time
@@ -35,6 +36,12 @@ scattering = Scattering(
 )
 
 
+def numpy_floor():
+    out = scattering.background.copy()
+    out[sigma] = scattering.updates
+    return out
+
+
 def best_of(fn, n=5):
     times = []
     for _ in range(n):
@@ -44,12 +51,12 @@ def best_of(fn, n=5):
     return min(times)
 
 
-fast, _ = scatter(scattering, "last")
-slow, _ = scatter(scattering, "last", fast_path=False)
-print("outputs bit-identical:", fast.tobytes() == slow.tobytes())
+result, _ = scatter(scattering, "last")
+print("bit-identical to the NumPy floor:",
+      result.tobytes() == numpy_floor().tobytes())
 
-t_fast = best_of(lambda: scatter(scattering, "last"))
-t_slow = best_of(lambda: scatter(scattering, "last", fast_path=False))
-print(f"element-wise path: {t_slow * 1e3:7.2f} ms")
-print(f"block-copy path:   {t_fast * 1e3:7.2f} ms")
-print(f"speedup:           {t_slow / t_fast:7.1f}x")
+t_scatter = best_of(lambda: scatter(scattering, "last"))
+t_floor = best_of(numpy_floor)
+print(f"scatterkit scatter: {t_scatter * 1e3:7.2f} ms")
+print(f"NumPy floor:        {t_floor * 1e3:7.2f} ms")
+print(f"ratio to floor:     {t_scatter / t_floor:7.1f}x")

@@ -22,7 +22,7 @@ from .engine import (
     scatter_nd_update,
     torch_scatter,
 )
-from .errors import ArgumentError, CollisionError, FormatError, ValidationError
+from .errors import ArgumentError, CollisionError, FormatError
 from .serialize import (
     analysis_to_json,
     dump_document,
@@ -32,7 +32,7 @@ from .serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from .transform import ProvisionTensor, compose_provision, validate_provision
+from .transform import ProvisionTensor, check_provision_bounds, compose_provision
 
 POLICY_NAMES = [p.value for p in CollisionPolicy]
 
@@ -138,13 +138,7 @@ def cmd_analyze(args):
     else:
         target_shape = inferred_target_shape(table)
     provision = ProvisionTensor(table, target_shape)
-    bad = validate_provision(provision)
-    if bad:
-        index, axis = bad[0]
-        raise ValidationError(
-            f"{len(bad)} provision entries out of bounds; first at source "
-            f"index {index}, target axis {axis}"
-        )
+    check_provision_bounds(provision)
     return analysis_to_json(
         slicing_impossibility(provision), detect_collisions(provision)
     )

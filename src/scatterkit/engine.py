@@ -7,11 +7,11 @@ nothing.  The engine resolves the first ambiguity with a named
 :class:`CollisionPolicy` and the second by keeping the background value,
 so every run is deterministic.
 
-Two execution paths produce identical results: a vectorized element-wise
-path that works for every transformer, and a block-copy fast path used
-when the transformer carries a copied coordinate suffix (see
-:mod:`scatterkit.analysis`), which turns the scatter into a sequence of
-contiguous slice assignments.
+One kernel executes every scatter.  It splits the transformer into a
+leading map plus its largest copied coordinate suffix (see
+:mod:`scatterkit.analysis`), resolves the policy once per leading key, and
+moves whole rows of block width ``b = prod(trailing source extents)``.
+Without a copied suffix, ``b = 1`` and the rows are single elements.
 """
 
 from __future__ import annotations
@@ -30,15 +30,15 @@ from .core import (
     row_major_strides,
     shape_size,
 )
-from .errors import ArgumentError, CollisionError, ValidationError
+from .errors import ArgumentError, CollisionError
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
+    check_provision_bounds,
     compose_provision,
     tf_transformer,
     torch_transformer,
     transform,
-    validate_provision,
 )
 
 
@@ -60,7 +60,11 @@ class CollisionPolicy(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ScatterReport:
-    """Observability counters for one scatter execution."""
+    """Observability counters for one scatter execution.
+
+    ``fast_path_used`` is true when the scatter moved rows along a copied
+    suffix (r >= 1) rather than single elements.
+    """
 
     writes: int
     colliding_groups: int
@@ -98,147 +102,73 @@ class Scattering:
 def scatter(
     scattering: Scattering,
     policy: CollisionPolicy | str = CollisionPolicy.LAST_WINS,
-    *,
-    fast_path: bool | None = None,
 ) -> tuple[np.ndarray, ScatterReport]:
     """Execute a scattering, returning a fresh result tensor and a report.
 
-    ``fast_path=None`` lowers to block copies whenever the transformer
-    carries a copied suffix; ``True`` insists on it (ArgumentError when
-    there is none); ``False`` forces the element-wise path.  The two paths
-    are observationally identical.
+    The scatter moves whole rows along the largest copied suffix of the
+    transformer; without one, rows are single elements.
     """
     policy = CollisionPolicy(policy)
     provision = scattering.transformer
-    bad = validate_provision(provision)
-    if bad:
-        index, axis = bad[0]
-        raise ValidationError(
-            f"{len(bad)} provision entries out of bounds; first at source "
-            f"index {index}, target axis {axis}"
-        )
-    if fast_path is None or fast_path:
-        r, inner = max_sliceable_suffix(provision)
-        if r >= 1:
-            return _scatter_blocks(scattering, policy, r, inner)
-        if fast_path:
-            raise ArgumentError(
-                "fast path requested but the transformer has no copied suffix"
-            )
-    return _scatter_elementwise(scattering, policy)
+    check_provision_bounds(provision)
+    r, inner = max_sliceable_suffix(provision)
+    return _scatter_rows(scattering, policy, r, inner)
 
 
-def _first_collision_target(offs: np.ndarray, target_shape) -> Index:
-    # target of the first source (row-major) that re-hits a written cell
-    order = np.argsort(offs, kind="stable")
-    ordered = offs[order]
-    dup = ordered[1:] == ordered[:-1]
-    pos = int(order[1:][dup].min())
-    if not target_shape:
-        return ()
-    return tuple(int(c) for c in np.unravel_index(int(offs[pos]), target_shape))
-
-
-def _scatter_elementwise(scattering, policy):
+def _scatter_rows(scattering, policy, r, inner):
+    # (r, inner) is a suffix split of the transformer; (0, None) keys the
+    # whole table, so every row is a single element
     provision = scattering.transformer
-    target_shape = provision.target_shape
-    target_size = shape_size(target_shape)
-    out = scattering.background.copy().reshape(-1)
-    rows = provision.rows()
-    n = rows.shape[0]
-    if n == 0:
-        return (
-            out.reshape(target_shape),
-            ScatterReport(0, 0, target_size, False),
-        )
-    strides = np.asarray(row_major_strides(target_shape), dtype=np.int64)
-    offs = rows @ strides
-    vals = scattering.updates.reshape(-1)
-    uniq, first_pos, counts = np.unique(offs, return_index=True, return_counts=True)
-    colliding = int((counts >= 2).sum())
-    uncovered = target_size - len(uniq)
-    if policy is CollisionPolicy.ERROR and colliding:
-        raise CollisionError(_first_collision_target(offs, target_shape))
-    if policy is CollisionPolicy.FIRST_WINS:
-        out[uniq] = vals[first_pos]
-        writes = len(uniq)
-    elif policy is CollisionPolicy.SUM:
-        out[uniq] = 0.0
-        np.add.at(out, offs, vals)
-        writes = n
-    elif policy is CollisionPolicy.PROD:
-        out[uniq] = 1.0
-        np.multiply.at(out, offs, vals)
-        writes = n
-    else:  # LAST_WINS, or ERROR past the collision check
-        rev_uniq, rev_pos = np.unique(offs[::-1], return_index=True)
-        out[rev_uniq] = vals[n - 1 - rev_pos]
-        writes = n
-    return out.reshape(target_shape), ScatterReport(writes, colliding, uncovered, False)
+    fast = r >= 1
+    target_size = shape_size(provision.target_shape)
+    if scattering.updates.size == 0:
+        return scattering.background.copy(), ScatterReport(0, 0, target_size, fast)
+    keyed = provision if inner is None else inner
+    lead_rows = keyed.rows()
+    lead_shape = keyed.target_shape
+    source_trail = provision.source_shape[len(keyed.source_shape) :]
+    target_trail = provision.target_shape[len(lead_shape) :]
+    n = lead_rows.shape[0]
+    t = shape_size(lead_shape)
+    block = shape_size(source_trail)
+    keys = lead_rows @ np.asarray(row_major_strides(lead_shape), dtype=np.int64)
 
+    # last and first row position per key; one target-sized array at a time
+    pos_dtype = np.int32 if n < 2**31 else np.int64
+    pos = np.arange(n, dtype=pos_dtype)
+    last = np.full(t, -1, dtype=pos_dtype)
+    np.maximum.at(last, keys, pos)
+    hit = np.flatnonzero(last >= 0)
+    last = last[hit]
+    first = np.full(t, n, dtype=pos_dtype)
+    np.minimum.at(first, keys, pos)
+    repeat = first[keys] != pos  # rows whose key an earlier row already hit
+    first = first[hit]
+    if policy is CollisionPolicy.ERROR and repeat.any():
+        p = int(repeat.argmax())
+        raise CollisionError(tuple(int(c) for c in lead_rows[p]) + (0,) * r)
+    colliding = int(np.count_nonzero(first != last))
 
-def _scatter_blocks(scattering, policy, r, inner):
-    provision = scattering.transformer
-    k = len(provision.source_shape)
-    rank = provision.target_rank
-    target_shape = provision.target_shape
-    trail = provision.source_shape[k - r :]
-    block = shape_size(trail)
-    lead_rows = inner.rows()
-    n_lead = lead_rows.shape[0]
-    n = n_lead * block
     out = scattering.background.copy()
-    updates = scattering.updates.reshape((n_lead,) + trail)
-
-    pstrides = np.asarray(row_major_strides(target_shape[: rank - r]), dtype=np.int64)
-    poffs = lead_rows @ pstrides
-    uniq, counts = np.unique(poffs, return_counts=True)
-    colliding = int((counts >= 2).sum()) * block
-    covered = len(uniq) * block
-    uncovered = shape_size(target_shape) - covered
-
-    if policy is CollisionPolicy.ERROR and block and (counts >= 2).any():
-        order = np.argsort(poffs, kind="stable")
-        ordered = poffs[order]
-        g = int(order[1:][ordered[1:] == ordered[:-1]].min())
-        prefix = tuple(int(c) for c in lead_rows[g])
-        raise CollisionError(prefix + (0,) * r)
-
-    region = tuple(slice(0, e) for e in trail)
+    out_rows = out.reshape((t,) + target_trail)
+    updates = scattering.updates.reshape((n,) + source_trail)
+    region = tuple(slice(0, e) for e in source_trail)
+    writes = n * block
     if policy is CollisionPolicy.FIRST_WINS:
-        # reversed copy order makes the earliest write land last and survive
-        for g in range(n_lead - 1, -1, -1):
-            out[tuple(lead_rows[g])][region] = updates[g]
-        writes = covered if n else 0
+        out_rows[(hit,) + region] = updates[first]
+        writes = len(hit) * block
     elif policy is CollisionPolicy.SUM:
-        seen = set()
-        for g in range(n_lead):
-            key = int(poffs[g])
-            dst = out[tuple(lead_rows[g])]
-            if key in seen:
-                dst[region] += updates[g]
-            else:
-                # 0.0 + x, not plain assignment, to match the seeded
-                # element-wise accumulation bit for bit
-                dst[region] = 0.0 + updates[g]
-                seen.add(key)
-        writes = n
+        # 0.0 + x, not x: a lone -0.0 must sum to 0.0, as sequential
+        # accumulation from zero does; later rows then fold in row order
+        out_rows[(hit,) + region] = 0.0 + updates[first]
+        np.add.at(out_rows, (keys[repeat],) + region, updates[repeat])
     elif policy is CollisionPolicy.PROD:
-        seen = set()
-        for g in range(n_lead):
-            key = int(poffs[g])
-            dst = out[tuple(lead_rows[g])]
-            if key in seen:
-                dst[region] *= updates[g]
-            else:
-                dst[region] = 1.0 * updates[g]
-                seen.add(key)
-        writes = n
+        out_rows[(hit,) + region] = 1.0 * updates[first]
+        np.multiply.at(out_rows, (keys[repeat],) + region, updates[repeat])
     else:  # LAST_WINS, or ERROR past the collision check
-        for g in range(n_lead):
-            out[tuple(lead_rows[g])][region] = updates[g]
-        writes = n
-    return out, ScatterReport(writes, colliding, uncovered, True)
+        out_rows[(hit,) + region] = updates[last]
+    uncovered = target_size - len(hit) * block
+    return out, ScatterReport(writes, colliding * block, uncovered, fast)
 
 
 def scatter_x(
@@ -246,14 +176,10 @@ def scatter_x(
     updates,
     spec: XTransformerSpec,
     policy: CollisionPolicy | str = CollisionPolicy.LAST_WINS,
-    *,
-    fast_path: bool | None = None,
 ) -> tuple[np.ndarray, ScatterReport]:
     """Compose a factored transformer, then scatter through it."""
     provision = compose_provision(spec)
-    return scatter(
-        Scattering(provision, updates, target), policy, fast_path=fast_path
-    )
+    return scatter(Scattering(provision, updates, target), policy)
 
 
 def scatter_nd_update(

@@ -29,7 +29,7 @@ from .core import (
     shape_size,
     to_tuple,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +100,17 @@ def validate_provision(provision: ProvisionTensor) -> list[tuple[Index, int]]:
         cached = _validate_provision(provision)
         _validation_cache[provision] = cached
     return list(cached)
+
+
+def check_provision_bounds(provision: ProvisionTensor) -> None:
+    """Raise ValidationError unless every entry lies inside the target shape."""
+    bad = validate_provision(provision)
+    if bad:
+        index, axis = bad[0]
+        raise ValidationError(
+            f"{len(bad)} provision entries out of bounds; first at source "
+            f"index {index}, target axis {axis}"
+        )
 
 
 def _validate_provision(provision):

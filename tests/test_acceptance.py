@@ -10,7 +10,6 @@ import json
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from scatterkit import (
     weak_decomposition,
 )
 from scatterkit import fixtures as fx
+from scatterkit.engine import _scatter_rows
 from scatterkit.serialize import tensor_to_json
 
 from generators import (
@@ -51,7 +51,6 @@ from oracles import (
 )
 
 ALL_POLICIES = list(CollisionPolicy)
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def golden_provisions():
@@ -66,6 +65,11 @@ def golden_provisions():
 
 def bits(arr):
     return (arr.shape, arr.dtype.str, arr.tobytes())
+
+
+def element_view(scattering, policy):
+    """The kernel keyed on the whole table: every row a single element."""
+    return _scatter_rows(scattering, CollisionPolicy(policy), 0, None)
 
 
 def test_criterion_1_worked_example():
@@ -216,7 +220,7 @@ def test_criterion_6_background_preservation():
             )
 
 
-def test_criterion_7_fast_path_equivalence_and_bench(capsys):
+def test_criterion_7_fast_path_equivalence_and_bench(capsys, tmp_path):
     """criterion 7: block-copy path bit-identical to element-wise path; speedup recorded"""
     rng = np.random.default_rng(55)
     provisions = [fx.embed_provision(), fx.diag_provision(), identity_provision((4, 4))]
@@ -231,10 +235,13 @@ def test_criterion_7_fast_path_equivalence_and_bench(capsys):
         for policy in ALL_POLICIES:
             if policy is CollisionPolicy.ERROR and colliding:
                 continue
-            fast, frep = scatter(scattering, policy, fast_path=True)
-            slow, srep = scatter(scattering, policy, fast_path=False)
+            fast, frep = scatter(scattering, policy)
+            slow, srep = element_view(scattering, policy)
             assert frep.fast_path_used and not srep.fast_path_used
             assert bits(fast) == bits(slow)
+            assert (frep.writes, frep.colliding_groups, frep.uncovered_targets) == (
+                srep.writes, srep.colliding_groups, srep.uncovered_targets
+            )
 
     # bench on a >= 2**20 element target: leading dim remapped, suffix copied
     lead_src, lead_tgt, suffix = 512, 1024, (32, 32)
@@ -253,13 +260,12 @@ def test_criterion_7_fast_path_equivalence_and_bench(capsys):
         rng.standard_normal(target_shape),
     )
     fast, frep = scatter(scattering, "last")
-    slow, _ = scatter(scattering, "last", fast_path=False)
+    slow, _ = element_view(scattering, "last")
     assert frep.fast_path_used
     assert bits(fast) == bits(slow)
     t_fast = min(_timed(lambda: scatter(scattering, "last")) for _ in range(3))
     t_slow = min(
-        _timed(lambda: scatter(scattering, "last", fast_path=False))
-        for _ in range(3)
+        _timed(lambda: element_view(scattering, "last")) for _ in range(3)
     )
     bench = {
         "target_elements": shape_size(target_shape),
@@ -269,7 +275,7 @@ def test_criterion_7_fast_path_equivalence_and_bench(capsys):
         "block_copy_seconds": t_fast,
         "speedup": t_slow / t_fast,
     }
-    (REPO_ROOT / "bench_report.json").write_text(json.dumps(bench, indent=2) + "\n")
+    (tmp_path / "bench_report.json").write_text(json.dumps(bench, indent=2) + "\n")
     with capsys.disabled():
         print(
             f"\n[bench] block-copy path speedup on {bench['target_elements']} "
