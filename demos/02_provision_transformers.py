@@ -34,11 +34,13 @@ image = provision_image(embed)
 print(f"\nimage covers {len(image)} of 16 target cells, all in the low half:")
 print(" ", sorted(image)[:4], "...")
 
-# validation reports every entry escaping the declared target shape
-ok = validate_provision(embed)
-print("\nviolations against (2,2,2,2):", ok)
+# validation counts the entries escaping the declared target shape and
+# locates the first one as (source index, target axis)
+count, first = validate_provision(embed)
+print("\nviolations against (2,2,2,2):", count, first)
 narrowed = ProvisionTensor(embed.table, (2, 2, 2, 1))
-print("violations against (2,2,2,1):", validate_provision(narrowed))
+count, first = validate_provision(narrowed)
+print("violations against (2,2,2,1):", count, "first at", first)
 
 # factored form: inner table [[0,0],[1,1]] on coordinate 0, coordinates
 # 1 and 2 passed through, identity reassembly

@@ -11,7 +11,6 @@ obstruction.
 from scatterkit import (
     compose_provision,
     detect_collisions,
-    disseminate_slice,
     max_sliceable_suffix,
     pass_through_map,
     slicing_impossibility,
@@ -27,10 +26,6 @@ print("diag transformer (i,j,k) -> (i,i,j,k)")
 print("  max copied suffix:", r)
 print("  inner leading map:", inner.table.tolist())
 print("  verdict:", slicing_impossibility(diag).verdict)
-
-# its scatter therefore moves 2x2 blocks: one source class per leading i
-print("  footprint of the class fixing i=1:",
-      sorted(disseminate_slice(diag, [0], (1, 0, 0))))
 
 # the parity transformer (i,j) -> (i, j, i%2, j): no suffix exists
 parity = fx.parity_provision()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Index, index_matrix, row_major_strides, shape_size
+from .core import Index, flat_offsets, index_matrix, shape_size
 from .transform import ProvisionTensor, XTransformerSpec, trivial_spec
 
 SLICEABLE = "SLICEABLE"
@@ -49,25 +49,25 @@ def detect_collisions(provision: ProvisionTensor) -> CollisionReport:
     target_size = shape_size(provision.target_shape)
     if n == 0:
         return CollisionReport((), target_size)
-    strides = np.asarray(row_major_strides(provision.target_shape), dtype=np.int64)
-    offs = rows @ strides
-    uniq, counts = np.unique(offs, return_counts=True)
-    uncovered = target_size - len(uniq)
+    offs = flat_offsets(rows, provision.target_shape)
+    # stable, so each group lists its sources in row-major order
+    order = np.argsort(offs, kind="stable")
+    ordered = offs[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    colliding = sizes >= 2
     groups = []
-    if (counts >= 2).any():
-        src = index_matrix(provision.source_shape)
-        order = np.argsort(offs, kind="stable")
-        ordered = offs[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        ends = np.r_[starts[1:], len(ordered)]
-        for s, e in zip(starts, ends):
-            if e - s < 2:
-                continue
-            members = order[s:e]
-            target = tuple(int(c) for c in rows[members[0]])
-            sources = tuple(tuple(int(c) for c in src[m]) for m in members)
-            groups.append((target, sources))
-    return CollisionReport(tuple(groups), int(uncovered))
+    if colliding.any():
+        members = order[np.repeat(colliding, sizes)]
+        sources = np.column_stack(
+            np.unravel_index(members, provision.source_shape)
+        ).tolist()
+        targets = rows[order[starts[colliding]]].tolist()
+        end = 0
+        for target, size in zip(targets, sizes[colliding].tolist()):
+            begin, end = end, end + size
+            groups.append((tuple(target), tuple(map(tuple, sources[begin:end]))))
+    return CollisionReport(tuple(groups), target_size - len(starts))
 
 
 # provisions are immutable, so the suffix decision is cached per table
@@ -198,8 +198,7 @@ def weak_decomposition(provision: ProvisionTensor) -> XTransformerSpec:
         # representative index: projected coords on the picked dims, 0 elsewhere
         full = np.zeros((proj.shape[0], k), dtype=np.int64)
         full[:, list(inner_pick)] = proj
-        offs = full @ np.asarray(row_major_strides(shape), dtype=np.int64)
-        inner_rows = rows[offs][:, inner_outs]
+        inner_rows = rows[flat_offsets(full, shape)][:, inner_outs]
     else:
         inner_rows = np.zeros((proj.shape[0], 0), dtype=np.int64)
     inner = ProvisionTensor(

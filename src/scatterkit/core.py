@@ -1,4 +1,4 @@
-"""Dense row-major tensors, index tuples, and coordinate picks.
+"""Dense row-major tensors, index tuples, coordinate picks and flat offsets.
 
 Tensors are plain C-contiguous numpy arrays: float64 for data, int64 for
 index-valued tables.  An index is an ordinary python tuple of ints.  A pick
@@ -9,7 +9,6 @@ values immutable once built, so everything can be shared freely.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -45,20 +44,24 @@ def row_major_strides(shape) -> tuple[int, ...]:
     return tuple(strides)
 
 
+def flat_offsets(rows, shape) -> np.ndarray:
+    """Row-major offsets of the index rows ``rows`` (n, rank) within ``shape``.
+
+    Rows must lie inside ``shape``.  Raises ArgumentError when the shape
+    has 2**63 or more cells, where int64 offsets would wrap around.
+    """
+    if shape_size(shape) >= 2**63:
+        raise ArgumentError(
+            f"shape {tuple(shape)} has 2**63 or more cells; "
+            "its flat offsets overflow int64"
+        )
+    return rows @ np.asarray(row_major_strides(shape), dtype=np.int64)
+
+
 def is_valid_index(shape, index) -> bool:
     return len(index) == len(shape) and all(
         0 <= c < d for c, d in zip(index, shape)
     )
-
-
-def flat_offset(shape, index) -> int:
-    """Row-major offset of ``index`` within ``shape``."""
-    if not is_valid_index(shape, index):
-        raise IndexError(f"index {tuple(index)} invalid for shape {tuple(shape)}")
-    off = 0
-    for c, d in zip(index, shape):
-        off = off * d + c
-    return off
 
 
 def index_iter(shape) -> Iterator[Index]:
@@ -78,10 +81,6 @@ def index_matrix(shape) -> np.ndarray:
         return np.zeros((1, 0), dtype=np.int64)
     grid = np.indices(shape, dtype=np.int64)
     return grid.reshape(k, -1).T.copy()
-
-
-def concat_index(a, b) -> Index:
-    return tuple(a) + tuple(b)
 
 
 def as_data_tensor(values, shape=None) -> np.ndarray:
@@ -108,13 +107,6 @@ def identity_pick(n: int) -> Pick:
     return tuple(range(n))
 
 
-def range_pick(h: int, k: int) -> Pick:
-    """The consecutive positions h..k-1, materialized."""
-    if h > k:
-        raise ArgumentError(f"range pick needs h <= k, got {h} > {k}")
-    return tuple(range(h, k))
-
-
 def check_pick(pick, length: int, what: str = "index") -> Pick:
     """Validate that every pick value addresses a coordinate of ``length``.
 
@@ -129,94 +121,9 @@ def check_pick(pick, length: int, what: str = "index") -> Pick:
     return pick
 
 
-def apply_pick(pick, index) -> Index:
-    """Select coordinates: result[i] = index[pick[i]]."""
-    index = tuple(index)
-    pick = check_pick(pick, len(index))
-    return tuple(index[v] for v in pick)
-
-
-def is_smooth(pick) -> bool:
-    """True when values are consecutive increasing ints (vacuously for < 2)."""
-    p = as_pick(pick)
-    return all(p[i + 1] == p[i] + 1 for i in range(len(p) - 1))
-
-
-def pick_image(pick) -> set[int]:
-    """The set of distinct values the pick reads."""
-    return set(as_pick(pick))
-
-
-def is_shuffle(pick, n: int) -> bool:
-    """True when the pick permutes 0..n-1."""
-    p = as_pick(pick)
-    return len(p) == n and pick_image(p) == set(range(n))
-
-
-def slice_tensor(tensor, picks) -> np.ndarray:
-    """Gather along every axis: result[J] = tensor[p0[J0], ..., pk-1[Jk-1]].
-
-    Requires one pick per axis; each value must address a valid coordinate
-    of its axis.  Picks may repeat values, duplicating rows or columns.
-    """
-    tensor = np.asarray(tensor)
-    picks = [as_pick(p) for p in picks]
-    if len(picks) != tensor.ndim:
-        raise ArgumentError(
-            f"need one pick per axis: got {len(picks)} picks for rank {tensor.ndim}"
-        )
-    for axis, p in enumerate(picks):
-        check_pick(p, tensor.shape[axis], what=f"axis {axis}")
-    if tensor.ndim == 0:
-        return tensor.copy()
-    arrays = [np.asarray(p, dtype=np.intp) for p in picks]
-    return np.ascontiguousarray(tensor[np.ix_(*arrays)])
-
-
-def subtensor(tensor, prefix) -> np.ndarray:
-    """The trailing block at a leading partial index: H[J] = tensor[prefix + J]."""
-    tensor = np.asarray(tensor)
-    prefix = tuple(int(c) for c in prefix)
-    if len(prefix) > tensor.ndim:
-        raise IndexError(
-            f"prefix {prefix} longer than tensor rank {tensor.ndim}"
-        )
-    for axis, c in enumerate(prefix):
-        if not 0 <= c < tensor.shape[axis]:
-            raise IndexError(
-                f"prefix coordinate {c} out of range for axis {axis} "
-                f"(extent {tensor.shape[axis]})"
-            )
-    return np.array(tensor[prefix])
-
-
-def index_class(shape, pick, index) -> set[Index]:
-    """All indices agreeing with ``index`` on every coordinate the pick reads.
-
-    The classes over all base indices partition the index set of ``shape``;
-    an empty pick puts every index in one class.
-    """
-    shape = as_shape(shape)
-    index = tuple(int(c) for c in index)
-    if not is_valid_index(shape, index):
-        raise IndexError(f"index {index} invalid for shape {shape}")
-    pick = check_pick(pick, len(index))
-    pinned = pick_image(pick)
-    axes = [
-        (index[d],) if d in pinned else range(shape[d])
-        for d in range(len(shape))
-    ]
-    return set(itertools.product(*axes))
-
-
 def to_tuple(tensor) -> Index:
     """Read a rank-1 integer tensor out as an index tuple."""
     arr = np.asarray(tensor)
     if arr.ndim != 1:
         raise RankError(f"expected a rank-1 tensor, got rank {arr.ndim}")
     return tuple(int(v) for v in arr)
-
-
-def to_tensor(index) -> np.ndarray:
-    """Store an index tuple as a rank-1 int64 tensor."""
-    return np.asarray(tuple(index), dtype=np.int64).reshape(len(tuple(index)))

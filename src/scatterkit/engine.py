@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import max_sliceable_suffix
-from .core import (
-    Index,
-    as_data_tensor,
-    as_index_tensor,
-    index_class,
-    row_major_strides,
-    shape_size,
-)
+from .core import as_data_tensor, as_index_tensor, flat_offsets, shape_size
 from .errors import ArgumentError, CollisionError
 from .transform import (
     ProvisionTensor,
@@ -38,7 +31,6 @@ from .transform import (
     compose_provision,
     tf_transformer,
     torch_transformer,
-    transform,
 )
 
 
@@ -131,7 +123,7 @@ def _scatter_rows(scattering, policy, r, inner):
     n = lead_rows.shape[0]
     t = shape_size(lead_shape)
     block = shape_size(source_trail)
-    keys = lead_rows @ np.asarray(row_major_strides(lead_shape), dtype=np.int64)
+    keys = flat_offsets(lead_rows, lead_shape)
 
     # last and first row position per key; one target-sized array at a time
     pos_dtype = np.int32 if n < 2**31 else np.int64
@@ -228,14 +220,3 @@ def torch_scatter(
         )
     region = tuple(slice(0, e) for e in index.shape)
     return scatter(Scattering(provision, src[region], self_t), policy)
-
-
-def disseminate_slice(provision: ProvisionTensor, pass_pick, base_index) -> set[Index]:
-    """Target footprint of one source slice class under the transformer.
-
-    The class consists of every source index agreeing with ``base_index``
-    on the coordinates ``pass_pick`` reads; the footprint is the set of
-    their images.
-    """
-    cls = index_class(provision.source_shape, pass_pick, base_index)
-    return {transform(provision, member) for member in cls}

@@ -22,10 +22,10 @@ from .core import (
     as_pick,
     as_shape,
     check_pick,
+    flat_offsets,
     identity_pick,
     index_matrix,
     is_valid_index,
-    row_major_strides,
     shape_size,
     to_tuple,
 )
@@ -89,44 +89,42 @@ def transform(provision: ProvisionTensor, index) -> Index:
 _validation_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def validate_provision(provision: ProvisionTensor) -> list[tuple[Index, int]]:
-    """Every (source index, target axis) whose entry escapes the target shape.
+def validate_provision(
+    provision: ProvisionTensor,
+) -> tuple[int, tuple[Index, int] | None]:
+    """Count the entries escaping the target shape, and locate the first.
 
-    An empty list means the table is a total map into the target index set.
-    Memoized per provision object.
+    Returns ``(count, (source index, target axis))`` for the first bad
+    entry in row-major order, or ``(0, None)`` when the table is a total
+    map into the target index set.  Memoized per provision object.
     """
     cached = _validation_cache.get(provision)
     if cached is None:
         cached = _validate_provision(provision)
         _validation_cache[provision] = cached
-    return list(cached)
+    return cached
 
 
 def check_provision_bounds(provision: ProvisionTensor) -> None:
     """Raise ValidationError unless every entry lies inside the target shape."""
-    bad = validate_provision(provision)
-    if bad:
-        index, axis = bad[0]
+    count, first = validate_provision(provision)
+    if count:
+        index, axis = first
         raise ValidationError(
-            f"{len(bad)} provision entries out of bounds; first at source "
+            f"{count} provision entries out of bounds; first at source "
             f"index {index}, target axis {axis}"
         )
 
 
 def _validate_provision(provision):
-    rows = provision.rows()
-    n, rank = rows.shape
-    if n == 0 or rank == 0:
-        return []
+    table = provision.table
     bounds = np.asarray(provision.target_shape, dtype=np.int64)
-    bad = (rows < 0) | (rows >= bounds)
-    if not bad.any():
-        return []
-    src = index_matrix(provision.source_shape)
-    return [
-        (tuple(int(c) for c in src[flat]), int(axis))
-        for flat, axis in zip(*np.nonzero(bad))
-    ]
+    bad = (table < 0) | (table >= bounds)
+    count = int(np.count_nonzero(bad))
+    if count == 0:
+        return 0, None
+    *index, axis = np.unravel_index(int(bad.argmax()), bad.shape)
+    return count, (tuple(int(c) for c in index), int(axis))
 
 
 def provision_image(provision: ProvisionTensor) -> set[Index]:
@@ -218,8 +216,7 @@ def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
                 "inner pick selects indices outside the inner source shape "
                 f"{inner_src}"
             )
-    offs = picked @ np.asarray(row_major_strides(inner_src), dtype=np.int64)
-    inner_rows = spec.inner.rows()[offs]
+    inner_rows = spec.inner.rows()[flat_offsets(picked, inner_src)]
     passed = idx[:, list(spec.pass_pick)]
     cat = np.concatenate([inner_rows, passed], axis=1)
     out = cat[:, list(spec.out_pick)]

@@ -3,6 +3,7 @@ import pytest
 
 from scatterkit import (
     SLICEABLE,
+    ArgumentError,
     TRIVIAL_ONLY,
     WEAKLY_SLICEABLE_ONLY,
     ProvisionTensor,
@@ -44,6 +45,13 @@ def test_detect_collisions_full_image():
     report = detect_collisions(identity_provision((3, 2)))
     assert report.groups == ()
     assert report.uncovered_count == 0
+
+
+def test_detect_collisions_refuses_offset_wrap():
+    # 2**61 * 8 wraps to 0 in int64, so int64 offsets would alias the two rows
+    prov = ProvisionTensor([[0, 0], [2**61, 0]], (2**62, 8))
+    with pytest.raises(ArgumentError):
+        detect_collisions(prov)
 
 
 def test_detect_collisions_accounting():

@@ -237,6 +237,16 @@ def test_analyze_invalid_provision_exits_2(fixture_dir):
     assert proc.returncode == 2
 
 
+def test_analyze_offset_overflow_exits_2(tmp_path):
+    table = np.array([[0, 0], [2**61, 0]], dtype=np.int64)
+    prov = write_doc(tmp_path / "wide.json", tensor_to_json(table))
+    proc = run_cli(
+        "analyze", "--provision", prov, "--target-shape", f"{2**62},8"
+    )
+    assert proc.returncode == 2
+    assert stdout_doc(proc)["exit_code"] == 2
+
+
 def test_analyze_malformed_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")

@@ -5,39 +5,17 @@ from hypothesis import strategies as st
 
 from scatterkit import (
     ArgumentError,
-    PickRangeError,
     RankError,
-    apply_pick,
-    concat_index,
-    flat_offset,
-    identity_pick,
-    index_class,
     index_iter,
     index_matrix,
-    is_shuffle,
-    is_smooth,
     is_valid_index,
-    pick_image,
-    range_pick,
     row_major_strides,
     shape_size,
-    slice_tensor,
-    subtensor,
-    to_tensor,
     to_tuple,
 )
+from scatterkit.core import flat_offsets
 
 from oracles import literal_traversal
-
-# a (3, 3, 2) tensor whose row at (i, j) is the pair (i, j)
-GRID = np.array(
-    [
-        [[0, 0], [0, 1], [0, 2]],
-        [[1, 0], [1, 1], [1, 2]],
-        [[2, 0], [2, 1], [2, 2]],
-    ],
-    dtype=np.int64,
-)
 
 small_shapes = st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple)
 
@@ -75,7 +53,7 @@ def test_index_iter_distinct_valid_increasing(shape):
     seq = list(index_iter(shape))
     assert len(seq) == shape_size(shape)
     assert len(set(seq)) == len(seq)
-    offsets = [flat_offset(shape, i) for i in seq]
+    offsets = flat_offsets(index_matrix(shape), shape).tolist()
     assert all(is_valid_index(shape, i) for i in seq)
     assert offsets == sorted(offsets)
     assert offsets == list(range(len(seq)))
@@ -88,168 +66,10 @@ def test_index_matrix_agrees_with_iter(shape):
     assert [tuple(int(c) for c in row) for row in mat] == list(index_iter(shape))
 
 
-def test_concat_index():
-    assert concat_index((1, 2, 3), (4, 5)) == (1, 2, 3, 4, 5)
-    assert concat_index((1, 2, 3), ()) == (1, 2, 3)
-    assert concat_index((), ()) == ()
-
-
-def test_apply_pick_selects_coordinates():
-    assert apply_pick([4, 6, 7], (9, 8, 7, 6, 5, 4, 3, 2)) == (5, 3, 2)
-    assert apply_pick(identity_pick(3), (7, 8, 9)) == (7, 8, 9)
-    assert apply_pick([], (1, 2)) == ()
-
-
-def test_apply_pick_rejects_bad_values():
-    with pytest.raises(PickRangeError):
-        apply_pick([2], (1, 2))
-    with pytest.raises(PickRangeError):
-        apply_pick([-1], (1, 2))
-
-
-@given(st.lists(st.integers(0, 20), min_size=0, max_size=6))
-def test_apply_pick_identity(coords):
-    index = tuple(coords)
-    assert apply_pick(identity_pick(len(index)), index) == index
-
-
-@given(
-    st.lists(st.integers(0, 20), min_size=1, max_size=8),
-    st.data(),
-)
-def test_smooth_pick_is_contiguous_subsequence(coords, data):
-    index = tuple(coords)
-    h = data.draw(st.integers(0, len(index)))
-    k = data.draw(st.integers(h, len(index)))
-    pick = range_pick(h, k)
-    assert is_smooth(pick)
-    assert apply_pick(pick, index) == index[h:k]
-
-
-def test_is_smooth():
-    assert is_smooth([1, 2])
-    assert not is_smooth([0, 2])
-    assert is_smooth([])
-    assert is_smooth([5])
-
-
-def test_pick_image():
-    assert pick_image([4, 6, 7]) == {4, 6, 7}
-    assert pick_image([1, 1, 0]) == {0, 1}
-    assert pick_image([]) == set()
-
-
-def test_is_shuffle():
-    assert is_shuffle([2, 0, 1], 3)
-    assert not is_shuffle([0, 0, 1], 3)
-    assert is_shuffle(identity_pick(4), 4)
-
-
-def test_slice_picks_block():
-    block = slice_tensor(GRID, ([0], [0, 1, 2], [0, 1]))
-    assert block.shape == (1, 3, 2)
-    assert np.array_equal(block[0], [[0, 0], [0, 1], [0, 2]])
-
-
-def test_slice_identity_picks():
-    picks = [identity_pick(e) for e in GRID.shape]
-    assert np.array_equal(slice_tensor(GRID, picks), GRID)
-
-
-def test_slice_single_cell():
-    t = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(slice_tensor(t, ([1], [0])), [[3.0]])
-
-
-def test_slice_errors():
-    with pytest.raises(ArgumentError):
-        slice_tensor(GRID, ([0], [0]))
-    with pytest.raises(PickRangeError):
-        slice_tensor(GRID, ([3], [0], [0]))
-
-
-def test_slice_composes_like_picks():
-    # slicing twice equals slicing once with per-axis composed picks,
-    # checked exhaustively over random pick pairs on shapes of size <= 256
-    rng = np.random.default_rng(7)
-    for shape in [(4, 4, 4, 4), (2, 3, 5), (6,), (2, 2)]:
-        tensor = rng.standard_normal(shape)
-        for _ in range(20):
-            outer = [
-                [int(v) for v in rng.integers(0, e, size=rng.integers(0, e + 1))]
-                for e in shape
-            ]
-            inner = [
-                [int(v) for v in rng.integers(0, len(p), size=rng.integers(0, 4))]
-                if p
-                else []
-                for p in outer
-            ]
-            twice = slice_tensor(slice_tensor(tensor, outer), inner)
-            composed = [[p[q] for q in qs] for p, qs in zip(outer, inner)]
-            assert np.array_equal(twice, slice_tensor(tensor, composed))
-
-
-def test_subtensor():
-    assert np.array_equal(subtensor(GRID, (1,)), [[1, 0], [1, 1], [1, 2]])
-    assert np.array_equal(subtensor(GRID, ()), GRID)
-    assert np.array_equal(subtensor(GRID, (2, 1)), [2, 1])
-
-
-def test_subtensor_full_prefix_gives_rank0():
-    out = subtensor(GRID, (2, 1, 0))
-    assert out.shape == () and int(out) == 2
-
-
-def test_subtensor_errors():
-    with pytest.raises(IndexError):
-        subtensor(GRID, (3,))
-    with pytest.raises(IndexError):
-        subtensor(GRID, (0, 0, 0, 0))
-
-
-def test_index_class_examples():
-    assert index_class((2, 2), [0], (1, 0)) == {(1, 0), (1, 1)}
-    assert index_class((2, 2), [0, 1], (1, 0)) == {(1, 0)}
-    assert index_class((2, 3), [], (0, 0)) == set(index_iter((2, 3)))
-
-
-def test_index_class_invalid_index():
-    with pytest.raises(IndexError):
-        index_class((2, 2), [0], (2, 0))
-
-
-@given(
-    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
-    st.data(),
-)
-@settings(max_examples=60)
-def test_index_class_partitions(shape, data):
-    pick = data.draw(
-        st.lists(st.integers(0, len(shape) - 1), min_size=0, max_size=3)
-    )
-    cells = {}
-    for index in index_iter(shape):
-        cell = frozenset(index_class(shape, pick, index))
-        assert index in cell
-        cells[index] = cell
-    seen = set()
-    union = set()
-    for cell in cells.values():
-        key = tuple(sorted(cell))
-        if key in seen:
-            continue
-        assert not (union & cell)
-        union |= cell
-        seen.add(key)
-    assert union == set(index_iter(shape))
-
-
 def test_tuple_tensor_round_trip():
     assert to_tuple(np.array([4, 6, 7])) == (4, 6, 7)
-    empty = to_tensor(())
-    assert empty.shape == (0,)
-    assert to_tuple(to_tensor((0, 1, 1, 0))) == (0, 1, 1, 0)
+    assert to_tuple(np.zeros(0, dtype=np.int64)) == ()
+    assert to_tuple(np.array([0, 1, 1, 0], dtype=np.int64)) == (0, 1, 1, 0)
 
 
 def test_to_tuple_requires_rank1():
@@ -257,6 +77,14 @@ def test_to_tuple_requires_rank1():
         to_tuple(np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(RankError):
         to_tuple(np.int64(3))
+
+
+def test_flat_offsets_refuse_int64_wrap():
+    # the largest offset of a shape with 2**63 - 1 cells still fits int64
+    last = np.array([[2**63 - 2]], dtype=np.int64)
+    assert flat_offsets(last, (2**63 - 1,)).tolist() == [2**63 - 2]
+    with pytest.raises(ArgumentError):
+        flat_offsets(np.zeros((1, 2), dtype=np.int64), (2**62, 2))
 
 
 def test_row_major_strides():

@@ -11,7 +11,6 @@ from scatterkit import (
     Scattering,
     ValidationError,
     detect_collisions,
-    disseminate_slice,
     provision_image,
     scatter,
     scatter_nd_update,
@@ -221,15 +220,6 @@ def test_scatter_x_block_diagonal():
     for i in range(2):
         expected[i, i] = updates[i]
     assert np.array_equal(result, expected)
-
-
-def test_disseminate_slice():
-    diag = fx.diag_provision()
-    assert disseminate_slice(diag, [0], (1, 0, 0)) == {
-        (1, 1, j, k) for j in range(2) for k in range(2)
-    }
-    assert disseminate_slice(diag, [0, 1, 2], (1, 0, 1)) == {(1, 1, 0, 1)}
-    assert disseminate_slice(diag, [], (0, 0, 0)) == provision_image(diag)
 
 
 def test_policies_match_brute_force_random():

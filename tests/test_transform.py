@@ -52,13 +52,13 @@ def test_provision_table_shape_checked():
 
 def test_validate_provision():
     emb = fx.embed_provision()
-    assert validate_provision(emb) == []
+    assert validate_provision(emb) == (0, None)
     narrowed = ProvisionTensor(emb.table, (2, 2, 2, 1))
-    bad = validate_provision(narrowed)
-    # rows whose final coordinate is 1: one per source pair (i, 1)
-    assert bad == [((0, 1), 3), ((1, 1), 3), ((2, 1), 3), ((3, 1), 3)]
+    # rows whose final coordinate is 1: one per source pair (i, 1); the
+    # first in row-major order is (0, 1)
+    assert validate_provision(narrowed) == (4, ((0, 1), 3))
     empty = ProvisionTensor(np.zeros((0, 3), dtype=np.int64), (2, 2, 2))
-    assert validate_provision(empty) == []
+    assert validate_provision(empty) == (0, None)
 
 
 def test_image():
@@ -200,7 +200,7 @@ def test_torch_transformer_valid_and_preserving():
         )
         index = rng.integers(0, target[dim], size=idx_shape)
         prov = torch_transformer(index, dim, target)
-        assert validate_provision(prov) == []
+        assert validate_provision(prov) == (0, None)
         for source in index_iter(idx_shape):
             image = transform(prov, source)
             assert image[:dim] == source[:dim]
