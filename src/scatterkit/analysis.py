@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Index, flat_offsets, index_matrix, shape_size
-from .transform import ProvisionTensor, XTransformerSpec, trivial_spec
+from .transform import (
+    ProvisionTensor,
+    XTransformerSpec,
+    check_provision_bounds,
+    trivial_spec,
+)
 
 SLICEABLE = "SLICEABLE"
 WEAKLY_SLICEABLE_ONLY = "WEAKLY_SLICEABLE_ONLY"
@@ -44,6 +49,7 @@ class CollisionReport:
 
 def detect_collisions(provision: ProvisionTensor) -> CollisionReport:
     """Group source indices whose targets coincide; count uncovered targets."""
+    check_provision_bounds(provision)  # a bad entry would alias an offset
     rows = provision.rows()
     n = rows.shape[0]
     target_size = shape_size(provision.target_shape)

@@ -32,7 +32,7 @@ from .serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from .transform import ProvisionTensor, check_provision_bounds, compose_provision
+from .transform import ProvisionTensor, compose_provision
 
 POLICY_NAMES = [p.value for p in CollisionPolicy]
 
@@ -138,10 +138,8 @@ def cmd_analyze(args):
     else:
         target_shape = inferred_target_shape(table)
     provision = ProvisionTensor(table, target_shape)
-    check_provision_bounds(provision)
-    return analysis_to_json(
-        slicing_impossibility(provision), detect_collisions(provision)
-    )
+    collisions = detect_collisions(provision)  # rejects bad entries first
+    return analysis_to_json(slicing_impossibility(provision), collisions)
 
 
 def cmd_compose(args):

@@ -7,11 +7,12 @@ nothing.  The engine resolves the first ambiguity with a named
 :class:`CollisionPolicy` and the second by keeping the background value,
 so every run is deterministic.
 
-One kernel executes every scatter.  It splits the transformer into a
-leading map plus its largest copied coordinate suffix (see
+One kernel executes every scatter.  It keys on the leading map left by
+splitting off the largest copied coordinate suffix (see
 :mod:`scatterkit.analysis`), resolves the policy once per leading key, and
-moves whole rows of block width ``b = prod(trailing source extents)``.
-Without a copied suffix, ``b = 1`` and the rows are single elements.
+moves whole rows of block width ``b = prod(trailing source extents)``;
+without a suffix, ``b = 1``.  :func:`scatter_nd_update` splits its indices
+table, not the tabulated map: its trailing target axes are copied verbatim.
 """
 
 from __future__ import annotations
@@ -101,25 +102,28 @@ def scatter(
     transformer; without one, rows are single elements.
     """
     policy = CollisionPolicy(policy)
-    provision = scattering.transformer
+    s = scattering
+    return _scatter_rows(_lead_map(s.transformer), s.updates, s.background, policy)
+
+
+def _lead_map(provision):
+    # the leading map of the largest copied-suffix split, else the table
     check_provision_bounds(provision)
-    r, inner = max_sliceable_suffix(provision)
-    return _scatter_rows(scattering, policy, r, inner)
+    _, inner = max_sliceable_suffix(provision)
+    return provision if inner is None else inner
 
 
-def _scatter_rows(scattering, policy, r, inner):
-    # (r, inner) is a suffix split of the transformer; (0, None) keys the
-    # whole table, so every row is a single element
-    provision = scattering.transformer
+def _scatter_rows(keyed, updates, background, policy):
+    # keyed maps the leading axes of updates to those of background; the
+    # r trailing axes are copied, so each row is a block of b elements
+    r = background.ndim - keyed.target_rank
     fast = r >= 1
-    target_size = shape_size(provision.target_shape)
-    if scattering.updates.size == 0:
-        return scattering.background.copy(), ScatterReport(0, 0, target_size, fast)
-    keyed = provision if inner is None else inner
+    if updates.size == 0:
+        return background.copy(), ScatterReport(0, 0, background.size, fast)
     lead_rows = keyed.rows()
     lead_shape = keyed.target_shape
-    source_trail = provision.source_shape[len(keyed.source_shape) :]
-    target_trail = provision.target_shape[len(lead_shape) :]
+    source_trail = updates.shape[len(keyed.source_shape) :]
+    target_trail = background.shape[len(lead_shape) :]
     n = lead_rows.shape[0]
     t = shape_size(lead_shape)
     block = shape_size(source_trail)
@@ -141,9 +145,9 @@ def _scatter_rows(scattering, policy, r, inner):
         raise CollisionError(tuple(int(c) for c in lead_rows[p]) + (0,) * r)
     colliding = int(np.count_nonzero(first != last))
 
-    out = scattering.background.copy()
+    out = background.copy()
     out_rows = out.reshape((t,) + target_trail)
-    updates = scattering.updates.reshape((n,) + source_trail)
+    updates = updates.reshape((n,) + source_trail)
     region = tuple(slice(0, e) for e in source_trail)
     writes = n * block
     if policy is CollisionPolicy.FIRST_WINS:
@@ -159,7 +163,7 @@ def _scatter_rows(scattering, policy, r, inner):
         np.multiply.at(out_rows, (keys[repeat],) + region, updates[repeat])
     else:  # LAST_WINS, or ERROR past the collision check
         out_rows[(hit,) + region] = updates[last]
-    uncovered = target_size - len(hit) * block
+    uncovered = background.size - len(hit) * block
     return out, ScatterReport(writes, colliding * block, uncovered, fast)
 
 
@@ -193,7 +197,8 @@ def scatter_nd_update(
             f"updates shape {updates.shape} does not match the derived "
             f"source shape {spec.source_shape}"
         )
-    return scatter_x(ts, updates, spec, policy)
+    policy = CollisionPolicy(policy)
+    return _scatter_rows(_lead_map(spec.inner), updates, ts, policy)
 
 
 def torch_scatter(

@@ -1,12 +1,11 @@
-"""JSON wire formats for tensors, picks, factored transformers, and reports.
+"""JSON wire formats for tensors, factored transformers, and reports.
 
 Tensor documents are the bit-exact interchange contract shared by every
 entry point::
 
     {"dtype": "f64" | "i64", "shape": [ints >= 0], "data": [row-major]}
 
-Picks serialize as ``{"pick": [ints]}``.  Factored transformers carry their
-inner table inline as a tensor document.
+Factored transformers carry their inner table inline as a tensor document.
 """
 
 from __future__ import annotations
@@ -76,14 +75,6 @@ def tensor_from_json(doc) -> np.ndarray:
             raise FormatError("f64 tensor data must be numbers")
         arr = np.array([float(v) for v in data], dtype=np.float64)
     return arr.reshape(tuple(shape))
-
-
-def pick_to_json(pick) -> dict:
-    return {"pick": [int(v) for v in pick]}
-
-
-def pick_from_json(doc) -> tuple[int, ...]:
-    return tuple(_int_list(_require(doc, "pick", "pick document"), "pick values"))
 
 
 def inferred_target_shape(table: np.ndarray) -> tuple[int, ...]:

@@ -69,7 +69,10 @@ def bits(arr):
 
 def element_view(scattering, policy):
     """The kernel keyed on the whole table: every row a single element."""
-    return _scatter_rows(scattering, CollisionPolicy(policy), 0, None)
+    s = scattering
+    return _scatter_rows(
+        s.transformer, s.updates, s.background, CollisionPolicy(policy)
+    )
 
 
 def test_criterion_1_worked_example():

@@ -7,6 +7,7 @@ from scatterkit import (
     TRIVIAL_ONLY,
     WEAKLY_SLICEABLE_ONLY,
     ProvisionTensor,
+    ValidationError,
     compose_provision,
     detect_collisions,
     identity_provision,
@@ -52,6 +53,15 @@ def test_detect_collisions_refuses_offset_wrap():
     prov = ProvisionTensor([[0, 0], [2**61, 0]], (2**62, 8))
     with pytest.raises(ArgumentError):
         detect_collisions(prov)
+
+
+def test_detect_collisions_rejects_out_of_bounds_table():
+    # (0, 5) would share flat offset 5 with (1, 0) in a (2, 5) target
+    with pytest.raises(ValidationError):
+        detect_collisions(ProvisionTensor([[0, 5], [1, 0]], (2, 5)))
+    # two distinct hits in a one-cell target would leave -1 cells uncovered
+    with pytest.raises(ValidationError):
+        detect_collisions(ProvisionTensor([[5], [6]], (1,)))
 
 
 def test_detect_collisions_accounting():

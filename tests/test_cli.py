@@ -177,6 +177,20 @@ def test_tf_scatter_command(fixture_dir, tmp_path):
     assert doc["result"]["data"] == [1.0, 2.0, 0.0, 0.0, 3.0, 4.0]
 
 
+def test_tf_scatter_out_of_bounds_exits_2(tmp_path):
+    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((4, 3))))
+    indices = write_doc(
+        tmp_path / "idx.json", tensor_to_json(np.array([[1], [5]], dtype=np.int64))
+    )
+    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.zeros((2, 3))))
+    proc = run_cli("tf-scatter", "--tensor", ts, "--indices", indices, "--updates", updates)
+    assert proc.returncode == 2
+    assert stdout_doc(proc)["error"] == (
+        "1 provision entries out of bounds; first at source index (1,), "
+        "target axis 0"
+    )
+
+
 def test_torch_scatter_command(tmp_path):
     self_t = write_doc(tmp_path / "self.json", tensor_to_json(np.zeros((2, 2))))
     index = write_doc(

@@ -15,9 +15,11 @@ from scatterkit import (
     scatter,
     scatter_nd_update,
     scatter_x,
+    tf_transformer,
     torch_scatter,
     trivial_spec,
 )
+from scatterkit import engine
 from scatterkit import fixtures as fx
 from scatterkit.engine import _scatter_rows
 
@@ -25,6 +27,7 @@ from generators import (
     random_provision,
     random_scattering,
     random_suffix_provision,
+    random_tf_instance,
 )
 from oracles import brute_force_scatter
 
@@ -277,7 +280,10 @@ def test_background_preserved_outside_image(data):
 
 def element_view(scattering, policy):
     """The kernel keyed on the whole table: every row a single element."""
-    return _scatter_rows(scattering, CollisionPolicy(policy), 0, None)
+    s = scattering
+    return _scatter_rows(
+        s.transformer, s.updates, s.background, CollisionPolicy(policy)
+    )
 
 
 def test_fast_path_equals_elementwise_on_goldens():
@@ -353,3 +359,97 @@ def test_inputs_not_mutated():
     scatter(scattering, "sum")
     assert np.array_equal(updates, updates_before)
     assert np.array_equal(background, background_before)
+
+    # scatter_nd_update hands float64 inputs to the kernel without copying
+    ts = np.arange(8, dtype=np.float64).reshape(4, 2)
+    indices = np.array([[2], [0], [2]], dtype=np.int64)
+    tf_updates = -np.arange(6, dtype=np.float64).reshape(3, 2)
+    before = [a.copy() for a in (ts, indices, tf_updates)]
+    for policy in ALL_POLICIES:
+        if policy is CollisionPolicy.ERROR:
+            with pytest.raises(CollisionError):
+                scatter_nd_update(ts, indices, tf_updates, policy)
+        else:
+            scatter_nd_update(ts, indices, tf_updates, policy)
+        for arr, old in zip((ts, indices, tf_updates), before):
+            assert bits(arr) == bits(old), policy
+
+
+def tf_outcome(call):
+    """Result bits and report counters, or the error a tf scatter raised."""
+    try:
+        result, report = call()
+    except CollisionError as exc:
+        return ("collision", exc.target)
+    except ValidationError:
+        return ("out of bounds",)
+    counters = (
+        report.writes,
+        report.colliding_groups,
+        report.uncovered_targets,
+        report.fast_path_used,
+    )
+    return ("ok", bits(result), counters)
+
+
+def tf_cases(rng):
+    for case in range(300):
+        ts, indices, updates = random_tf_instance(rng, collision_free=case % 2 == 0)
+        if case % 5 == 4 and indices.size:
+            # push one coordinate just past its axis, or below zero
+            indices = indices.copy()
+            p = int(rng.integers(indices.size))
+            extent = ts.shape[p % indices.shape[-1]]
+            indices.reshape(-1)[p] = -1 if case % 3 == 0 else extent
+        yield ts, indices, updates
+    # arange(n)[:, None] is itself a copied suffix, so the largest suffix is
+    # one axis longer than the declared rank - q (q == rank in the first)
+    arange = np.arange(5)[:, None]
+    yield rng.standard_normal(7), arange, rng.standard_normal(5)
+    yield rng.standard_normal((5, 3)), arange, rng.standard_normal((5, 3))
+    # q == 0: every index row addresses the whole tensor
+    no_axes = np.zeros((4, 0), dtype=np.int64)
+    yield rng.standard_normal((2, 3)), no_axes, rng.standard_normal((4, 2, 3))
+    yield rng.standard_normal(3), no_axes[:0], np.zeros((0, 3))
+
+
+def test_scatter_nd_update_matches_compose_then_scatter():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for case, (ts, indices, updates) in enumerate(tf_cases(rng)):
+        spec = tf_transformer(indices, ts.shape)
+        for policy in ALL_POLICIES:
+            direct = tf_outcome(lambda: scatter_nd_update(ts, indices, updates, policy))
+            composed = tf_outcome(lambda: scatter_x(ts, updates, spec, policy))
+            assert direct == composed, (case, policy)
+            kinds.add(direct[0])
+    assert kinds == {"ok", "collision", "out of bounds"}
+
+
+def test_scatter_nd_update_tabulates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scatter_nd_update tabulated or copied its inputs")
+
+    for name in ("compose_provision", "Scattering", "scatter_x"):
+        monkeypatch.setattr(engine, name, refuse)
+    rng = np.random.default_rng(8)
+    ts = rng.standard_normal((64, 256))
+    indices = rng.permutation(64)[:32, None]
+    updates = rng.standard_normal((32, 256))
+    result, report = scatter_nd_update(ts, indices, updates, "last")
+    expected = ts.copy()
+    expected[indices[:, 0]] = updates
+    assert bits(result) == bits(expected)
+    assert report.fast_path_used
+
+
+def test_scatter_nd_update_out_of_bounds_names_indices_row():
+    with pytest.raises(ValidationError) as info:
+        scatter_nd_update(np.zeros((4, 3)), [[1], [5]], np.zeros((2, 3)))
+    assert str(info.value) == (
+        "1 provision entries out of bounds; first at source index (1,), "
+        "target axis 0"
+    )
+    # the index is checked even where the slices it addresses are empty
+    with pytest.raises(ValidationError):
+        scatter_nd_update(np.zeros((3, 0)), [[5]], np.zeros((1, 0)))

@@ -11,8 +11,6 @@ from scatterkit.serialize import (
     analysis_to_json,
     dump_document,
     inferred_target_shape,
-    pick_from_json,
-    pick_to_json,
     provision_from_json,
     scatter_report_to_json,
     spec_from_json,
@@ -85,12 +83,6 @@ def test_tensor_round_trip_is_bit_exact(values):
 def test_tensor_from_json_rejects_malformed(doc):
     with pytest.raises(FormatError):
         tensor_from_json(doc)
-
-
-def test_pick_round_trip():
-    assert pick_from_json(pick_to_json((0, 2, 2))) == (0, 2, 2)
-    with pytest.raises(FormatError):
-        pick_from_json({"values": [0]})
 
 
 def test_inferred_target_shape():
