@@ -12,7 +12,6 @@ from scatterkit import (
     tf_transformer,
     torch_scatter,
     torch_transformer,
-    transform,
 )
 
 # batched row update: each index row names a leading cell whose trailing
@@ -40,7 +39,7 @@ print(result)
 prov = torch_transformer(index, 0, self_t.shape)
 print("\nthe substitution transformer row by row:")
 for source in np.ndindex(*index.shape):
-    print(f"  {source} -> {transform(prov, source)}")
+    print(f"  {source} -> {tuple(prov.table[source].tolist())}")
 
 # duplicate index values collide; policies resolve them explicitly
 index = np.array([[0], [0]], dtype=np.int64)

@@ -21,12 +21,9 @@ from .core import (
     as_pick,
     as_shape,
     identity_pick,
-    index_iter,
     index_matrix,
-    is_valid_index,
     row_major_strides,
     shape_size,
-    to_tuple,
 )
 from .engine import (
     CollisionPolicy,
@@ -42,18 +39,14 @@ from .errors import (
     CollisionError,
     FormatError,
     PickRangeError,
-    RankError,
     ValidationError,
 )
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
     compose_provision,
-    identity_provision,
-    provision_image,
     tf_transformer,
     torch_transformer,
-    transform,
     trivial_spec,
     validate_provision,
     validate_spec,
@@ -69,7 +62,6 @@ __all__ = [
     "FormatError",
     "PickRangeError",
     "ProvisionTensor",
-    "RankError",
     "SLICEABLE",
     "ScatterReport",
     "Scattering",
@@ -85,13 +77,9 @@ __all__ = [
     "compose_provision",
     "detect_collisions",
     "identity_pick",
-    "identity_provision",
-    "index_iter",
     "index_matrix",
-    "is_valid_index",
     "max_sliceable_suffix",
     "pass_through_map",
-    "provision_image",
     "representation_overlap",
     "row_major_strides",
     "scatter",
@@ -100,10 +88,8 @@ __all__ = [
     "shape_size",
     "slicing_impossibility",
     "tf_transformer",
-    "to_tuple",
     "torch_scatter",
     "torch_transformer",
-    "transform",
     "trivial_spec",
     "validate_provision",
     "validate_spec",

@@ -9,11 +9,9 @@ values immutable once built, so everything can be shared freely.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
-from .errors import ArgumentError, PickRangeError, RankError
+from .errors import ArgumentError, PickRangeError
 
 Shape = tuple[int, ...]
 Index = tuple[int, ...]
@@ -56,21 +54,6 @@ def flat_offsets(rows, shape) -> np.ndarray:
             "its flat offsets overflow int64"
         )
     return rows @ np.asarray(row_major_strides(shape), dtype=np.int64)
-
-
-def is_valid_index(shape, index) -> bool:
-    return len(index) == len(shape) and all(
-        0 <= c < d for c, d in zip(index, shape)
-    )
-
-
-def index_iter(shape) -> Iterator[Index]:
-    """Every valid index in row-major order (last axis fastest).
-
-    Rank-0 shapes yield the single empty index; zero-size shapes yield
-    nothing.
-    """
-    return iter(np.ndindex(*as_shape(shape)))
 
 
 def index_matrix(shape) -> np.ndarray:
@@ -119,11 +102,3 @@ def check_pick(pick, length: int, what: str = "index") -> Pick:
                 f"pick value {v} out of range for {what} of length {length}"
             )
     return pick
-
-
-def to_tuple(tensor) -> Index:
-    """Read a rank-1 integer tensor out as an index tuple."""
-    arr = np.asarray(tensor)
-    if arr.ndim != 1:
-        raise RankError(f"expected a rank-1 tensor, got rank {arr.ndim}")
-    return tuple(int(v) for v in arr)

@@ -11,8 +11,10 @@ One kernel executes every scatter.  It keys on the leading map left by
 splitting off the largest copied coordinate suffix (see
 :mod:`scatterkit.analysis`), resolves the policy once per leading key, and
 moves whole rows of block width ``b = prod(trailing source extents)``;
-without a suffix, ``b = 1``.  :func:`scatter_nd_update` splits its indices
-table, not the tabulated map: its trailing target axes are copied verbatim.
+without a suffix, ``b = 1``.  :func:`scatter_x` first splits off the copied
+suffix a factored spec declares and tabulates only the leading map left
+over; :func:`scatter_nd_update` is :func:`scatter_x` on its tf spec, whose
+leading map is the indices table itself.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from .errors import ArgumentError, CollisionError
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
+    _split_declared_suffix,
     check_provision_bounds,
     compose_provision,
     tf_transformer,
     torch_transformer,
+    validate_spec,
 )
 
 
@@ -173,9 +177,25 @@ def scatter_x(
     spec: XTransformerSpec,
     policy: CollisionPolicy | str = CollisionPolicy.LAST_WINS,
 ) -> tuple[np.ndarray, ScatterReport]:
-    """Compose a factored transformer, then scatter through it."""
-    provision = compose_provision(spec)
-    return scatter(Scattering(provision, updates, target), policy)
+    """Scatter through a factored transformer without tabulating its
+    declared copied suffix.
+
+    Only the leading map left after splitting off that suffix is composed;
+    the kernel then splits the largest copied suffix off that table too.
+    """
+    validate_spec(spec)
+    _, lead = _split_declared_suffix(spec)
+    keyed = compose_provision(lead)
+    target = as_data_tensor(target)
+    updates = as_data_tensor(updates)
+    if updates.shape != spec.source_shape or target.shape != spec.target_shape:
+        raise ArgumentError(
+            f"updates shape {updates.shape} and target shape {target.shape} "
+            f"must equal the spec's source shape {spec.source_shape} and "
+            f"target shape {spec.target_shape}"
+        )
+    policy = CollisionPolicy(policy)
+    return _scatter_rows(_lead_map(keyed), updates, target, policy)
 
 
 def scatter_nd_update(
@@ -190,15 +210,7 @@ def scatter_nd_update(
     trailing block is replaced by the matching slice of ``updates``.
     """
     ts = as_data_tensor(ts)
-    spec = tf_transformer(indices, ts.shape)
-    updates = as_data_tensor(updates)
-    if updates.shape != spec.source_shape:
-        raise ArgumentError(
-            f"updates shape {updates.shape} does not match the derived "
-            f"source shape {spec.source_shape}"
-        )
-    policy = CollisionPolicy(policy)
-    return _scatter_rows(_lead_map(spec.inner), updates, ts, policy)
+    return scatter_x(ts, updates, tf_transformer(indices, ts.shape), policy)
 
 
 def torch_scatter(

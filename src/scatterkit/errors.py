@@ -9,10 +9,6 @@ class PickRangeError(ArgumentError):
     """A pick value falls outside the coordinates it must select from."""
 
 
-class RankError(ArgumentError):
-    """A tensor has the wrong rank for the requested conversion."""
-
-
 class ValidationError(ArgumentError):
     """A provision table holds entries outside its declared target shape."""
 

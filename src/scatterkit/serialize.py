@@ -25,13 +25,11 @@ def tensor_to_json(arr) -> dict:
     arr = np.asarray(arr)
     if arr.dtype == np.float64:
         dtype = "f64"
-        data = [float(v) for v in arr.reshape(-1)]
     elif arr.dtype == np.int64:
         dtype = "i64"
-        data = [int(v) for v in arr.reshape(-1)]
     else:
         raise FormatError(f"unsupported dtype {arr.dtype}; use float64 or int64")
-    return {"dtype": dtype, "shape": list(arr.shape), "data": data}
+    return {"dtype": dtype, "shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
 
 def _require(doc, key, what):
@@ -163,5 +161,5 @@ def analysis_to_json(
 
 
 def dump_document(doc) -> str:
-    """Fixed-format serialization so identical documents give identical bytes."""
-    return json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
+    """Fixed compact serialization so identical documents give identical bytes."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -4,7 +4,10 @@ A provision tensor stores an index-to-index map extensionally: the int row
 at source index I is the target index I maps to.  A factored transformer
 (:class:`XTransformerSpec`) builds the same kind of map out of an inner
 provision plus three picks and can be flattened back into a single table
-with :func:`compose_provision`.
+with :func:`compose_provision`.  When its trailing outputs are passed
+copies of its trailing source dims that nothing else reads, the spec
+declares a copied suffix; :func:`_split_declared_suffix` drops those axes,
+so a scatter tabulates only the leading map.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ from .core import (
     flat_offsets,
     identity_pick,
     index_matrix,
-    is_valid_index,
     shape_size,
-    to_tuple,
 )
 from .errors import ArgumentError, ValidationError
 
@@ -75,16 +76,6 @@ class ProvisionTensor:
         return self.table.reshape(self.source_size, self.target_rank)
 
 
-def transform(provision: ProvisionTensor, index) -> Index:
-    """Map one source index through the table."""
-    index = tuple(int(c) for c in index)
-    if not is_valid_index(provision.source_shape, index):
-        raise IndexError(
-            f"index {index} invalid for source shape {provision.source_shape}"
-        )
-    return to_tuple(provision.table[index])
-
-
 # tables are immutable, so validation verdicts are cached per object
 _validation_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -125,18 +116,6 @@ def _validate_provision(provision):
         return 0, None
     *index, axis = np.unravel_index(int(bad.argmax()), bad.shape)
     return count, (tuple(int(c) for c in index), int(axis))
-
-
-def provision_image(provision: ProvisionTensor) -> set[Index]:
-    """Distinct target indices the transformer reaches."""
-    return {tuple(int(c) for c in row) for row in provision.rows()}
-
-
-def identity_provision(shape) -> ProvisionTensor:
-    """The transformer mapping every index of ``shape`` to itself."""
-    shape = as_shape(shape)
-    table = index_matrix(shape).reshape(shape + (len(shape),))
-    return ProvisionTensor(table, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +177,66 @@ def trivial_spec(provision: ProvisionTensor) -> XTransformerSpec:
     )
 
 
+def _split_declared_suffix(
+    spec: XTransformerSpec,
+) -> tuple[int, XTransformerSpec]:
+    """Split off the copied coordinate suffix a validated spec declares.
+
+    The suffix is the largest r0 such that the last r0 outputs are passed
+    copies of the last r0 source dims, in order, each no wider than its
+    target axis, and neither the inner pick nor an earlier output reads
+    those dims.  Returns ``(r0, lead)``: ``lead`` factors the map of the
+    remaining leading axes, or is the spec itself when r0 == 0.
+    """
+    k = len(spec.source_shape)
+    m = spec.inner.target_rank
+    rank = len(spec.target_shape)
+    r0 = 0
+    while r0 < min(k, rank):
+        dim, out = k - 1 - r0, rank - 1 - r0
+        v = spec.out_pick[out] - m
+        if (
+            v < 0
+            or spec.pass_pick[v] != dim
+            or spec.source_shape[dim] > spec.target_shape[out]
+            or dim in spec.inner_pick
+            or any(
+                w >= m and spec.pass_pick[w - m] == dim for w in spec.out_pick[:out]
+            )
+        ):
+            break
+        r0 += 1
+    if r0 == 0:
+        return 0, spec
+    kept = [p for p, d in enumerate(spec.pass_pick) if d < k - r0]
+    moved = {m + p: m + q for q, p in enumerate(kept)}
+    return r0, XTransformerSpec(
+        inner=spec.inner,
+        inner_pick=spec.inner_pick,
+        pass_pick=[spec.pass_pick[p] for p in kept],
+        out_pick=[moved.get(v, v) for v in spec.out_pick[: rank - r0]],
+        source_shape=spec.source_shape[: k - r0],
+        target_shape=spec.target_shape[: rank - r0],
+    )
+
+
 def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
     """Flatten a factored transformer into a single provision table.
 
     Tabulates out_pick(inner(inner_pick(I)) + pass_pick(I)) over the whole
-    source index set.  Raises IndexError when the inner pick produces an
+    source index set, or returns the inner table itself when the spec is
+    trivial over it.  Raises IndexError when the inner pick produces an
     index outside the inner transformer's source shape.
     """
     validate_spec(spec)
+    if (
+        not spec.pass_pick
+        and spec.inner_pick == identity_pick(len(spec.source_shape))
+        and spec.out_pick == identity_pick(len(spec.out_pick))
+        and spec.inner.source_shape == spec.source_shape
+        and spec.inner.target_shape == spec.target_shape
+    ):
+        return spec.inner
     idx = index_matrix(spec.source_shape)
     inner_src = spec.inner.source_shape
     picked = idx[:, list(spec.inner_pick)]

@@ -94,6 +94,37 @@ def random_spec(rng, max_rank=3, max_extent=4):
     )
 
 
+def random_suffix_spec(rng):
+    """random_spec with 1-2 passed-through source dims appended as its last
+    outputs, which declares a copied suffix unless a variant breaks it.
+
+    Appended extents may be 0, and their target axes may be wider, or
+    narrower (out of bounds); sometimes an earlier output also reads the
+    last appended dim, which the suffix must then exclude.
+    """
+    spec = random_spec(rng)
+    m = spec.inner.target_rank
+    source_shape, target_shape = list(spec.source_shape), list(spec.target_shape)
+    pass_pick, out_pick = list(spec.pass_pick), list(spec.out_pick)
+    for _ in range(int(rng.integers(1, 3))):
+        extent = int(rng.integers(0, 4))
+        pass_pick.append(len(source_shape))
+        source_shape.append(extent)
+        out_pick.append(m + len(pass_pick) - 1)
+        target_shape.append(max(extent + int(rng.choice([0, 0, 0, 1, 1, -1])), 0))
+    if rng.random() < 0.2:
+        out_pick.insert(0, out_pick[-1])
+        target_shape.insert(0, source_shape[-1])
+    return XTransformerSpec(
+        inner=spec.inner,
+        inner_pick=spec.inner_pick,
+        pass_pick=pass_pick,
+        out_pick=out_pick,
+        source_shape=source_shape,
+        target_shape=target_shape,
+    )
+
+
 def random_suffix_provision(rng, *, collisions=False):
     """A provision guaranteed to carry a copied suffix of length >= 1."""
     r = int(rng.integers(1, 3))

@@ -2,13 +2,16 @@
 
 Everything here is deliberately written from the definitions with plain
 python loops and dicts, sharing no code path with the package: sequential
-row-major traversal, a collision-tracking scatter, and the documented
-framework semantics for the two adapter entry points.
+row-major traversal, a collision-tracking scatter, the documented
+framework semantics for the two adapter entry points, and the map a table
+tabulates, read one source index at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from scatterkit import ProvisionTensor
 
 
 class OracleCollision(Exception):
@@ -28,6 +31,23 @@ def literal_traversal(shape):
             yield from rec(prefix + [j], dims[1:])
 
     return list(rec([], list(shape)))
+
+
+def transform(provision, index):
+    """The target index the table stores at one source index."""
+    return tuple(int(c) for c in provision.table[tuple(index)])
+
+
+def provision_image(provision):
+    """Distinct target indices the table reaches."""
+    return {transform(provision, s) for s in literal_traversal(provision.source_shape)}
+
+
+def identity_provision(shape):
+    """The table mapping every index of ``shape`` to itself."""
+    shape = tuple(shape)
+    rows = np.array(literal_traversal(shape), dtype=np.int64)
+    return ProvisionTensor(rows.reshape(shape + (len(shape),)), shape)
 
 
 def brute_force_scatter(table, target_shape, updates, background, policy):

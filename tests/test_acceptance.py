@@ -21,9 +21,7 @@ from scatterkit import (
     Scattering,
     compose_provision,
     detect_collisions,
-    identity_provision,
     max_sliceable_suffix,
-    provision_image,
     scatter,
     scatter_nd_update,
     scatter_x,
@@ -46,6 +44,8 @@ from generators import (
 from oracles import (
     OracleCollision,
     brute_force_scatter,
+    identity_provision,
+    provision_image,
     tf_scatter_reference,
     torch_scatter_reference,
 )

@@ -10,21 +10,18 @@ from scatterkit import (
     ValidationError,
     compose_provision,
     detect_collisions,
-    identity_provision,
-    index_iter,
     max_sliceable_suffix,
     pass_through_map,
-    provision_image,
     representation_overlap,
     shape_size,
     slicing_impossibility,
     torch_transformer,
-    transform,
     weak_decomposition,
 )
 from scatterkit import fixtures as fx
 
 from generators import random_provision, random_suffix_provision
+from oracles import identity_provision, literal_traversal, provision_image, transform
 
 
 def test_detect_collisions_injective():
@@ -81,10 +78,10 @@ def test_detect_collisions_accounting():
             seen_sources |= set(sources)
         total_colliding = sum(
             1
-            for source in index_iter(provision.source_shape)
+            for source in literal_traversal(provision.source_shape)
             if sum(
                 transform(provision, other) == transform(provision, source)
-                for other in index_iter(provision.source_shape)
+                for other in literal_traversal(provision.source_shape)
             )
             >= 2
         )
@@ -131,7 +128,7 @@ def test_suffix_soundness_and_maximality():
         r, inner = max_sliceable_suffix(provision)
         k = len(provision.source_shape)
         if r:
-            for index in index_iter(provision.source_shape):
+            for index in literal_traversal(provision.source_shape):
                 lead = transform(inner, index[: k - r])
                 assert transform(provision, index) == lead + index[k - r :]
         if r < min(k, provision.target_rank) and provision.source_size:
@@ -141,7 +138,7 @@ def test_suffix_soundness_and_maximality():
             rank = provision.target_rank
             broken = False
             leads = {}
-            for index in index_iter(provision.source_shape):
+            for index in literal_traversal(provision.source_shape):
                 image = transform(provision, index)
                 if image[rank - bigger :] != index[k - bigger :]:
                     broken = True
@@ -179,7 +176,7 @@ def test_pass_through_is_brute_scan():
             for j in range(provision.target_rank):
                 if all(
                     transform(provision, index)[j] == index[i]
-                    for index in index_iter(provision.source_shape)
+                    for index in literal_traversal(provision.source_shape)
                 ):
                     expected.add((i, j))
         assert pass_through_map(provision) == expected

@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 from scatterkit import (
     ArgumentError,
-    RankError,
-    index_iter,
     index_matrix,
-    is_valid_index,
     row_major_strides,
     shape_size,
-    to_tuple,
 )
 from scatterkit.core import flat_offsets
 
@@ -28,55 +24,13 @@ def test_shape_size(shape, expected):
     assert shape_size(shape) == expected
 
 
-def test_index_iter_row_major():
-    assert list(index_iter((2, 2))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert list(index_iter((3,))) == [(0,), (1,), (2,)]
-    seq = list(index_iter((4, 2)))
-    assert len(seq) == 8
-    assert seq[0] == (0, 0) and seq[-1] == (3, 1)
-
-
-def test_index_iter_degenerate_shapes():
-    assert list(index_iter(())) == [()]
-    assert list(index_iter((2, 0, 3))) == []
-
-
-@given(small_shapes)
-@settings(max_examples=100)
-def test_index_iter_matches_nested_loops(shape):
-    assert list(index_iter(shape)) == literal_traversal(shape)
-
-
-@given(small_shapes)
-@settings(max_examples=100)
-def test_index_iter_distinct_valid_increasing(shape):
-    seq = list(index_iter(shape))
-    assert len(seq) == shape_size(shape)
-    assert len(set(seq)) == len(seq)
-    offsets = flat_offsets(index_matrix(shape), shape).tolist()
-    assert all(is_valid_index(shape, i) for i in seq)
-    assert offsets == sorted(offsets)
-    assert offsets == list(range(len(seq)))
-
-
 @given(small_shapes)
 @settings(max_examples=50)
 def test_index_matrix_agrees_with_iter(shape):
     mat = index_matrix(shape)
-    assert [tuple(int(c) for c in row) for row in mat] == list(index_iter(shape))
-
-
-def test_tuple_tensor_round_trip():
-    assert to_tuple(np.array([4, 6, 7])) == (4, 6, 7)
-    assert to_tuple(np.zeros(0, dtype=np.int64)) == ()
-    assert to_tuple(np.array([0, 1, 1, 0], dtype=np.int64)) == (0, 1, 1, 0)
-
-
-def test_to_tuple_requires_rank1():
-    with pytest.raises(RankError):
-        to_tuple(np.zeros((2, 2), dtype=np.int64))
-    with pytest.raises(RankError):
-        to_tuple(np.int64(3))
+    assert [tuple(int(c) for c in row) for row in mat] == literal_traversal(shape)
+    offsets = flat_offsets(mat, shape).tolist()
+    assert offsets == list(range(shape_size(shape)))
 
 
 def test_flat_offsets_refuse_int64_wrap():

@@ -10,8 +10,10 @@ from scatterkit import (
     ProvisionTensor,
     Scattering,
     ValidationError,
+    XTransformerSpec,
+    compose_provision,
     detect_collisions,
-    provision_image,
+    max_sliceable_suffix,
     scatter,
     scatter_nd_update,
     scatter_x,
@@ -19,17 +21,19 @@ from scatterkit import (
     torch_scatter,
     trivial_spec,
 )
-from scatterkit import engine
+from scatterkit import engine, transform
 from scatterkit import fixtures as fx
 from scatterkit.engine import _scatter_rows
+from scatterkit.transform import _split_declared_suffix, validate_spec
 
 from generators import (
     random_provision,
     random_scattering,
     random_suffix_provision,
+    random_suffix_spec,
     random_tf_instance,
 )
-from oracles import brute_force_scatter
+from oracles import brute_force_scatter, provision_image
 
 ALL_POLICIES = list(CollisionPolicy)
 
@@ -207,7 +211,7 @@ def test_scatter_x_matches_compose_then_scatter():
 
 
 def test_scatter_x_block_diagonal():
-    from scatterkit import XTransformerSpec, identity_pick
+    from scatterkit import identity_pick
 
     spec = XTransformerSpec(
         inner=fx.diag_inner(),
@@ -375,8 +379,8 @@ def test_inputs_not_mutated():
             assert bits(arr) == bits(old), policy
 
 
-def tf_outcome(call):
-    """Result bits and report counters, or the error a tf scatter raised."""
+def outcome(call):
+    """Result bits and report counters, or the error a scatter raised."""
     try:
         result, report = call()
     except CollisionError as exc:
@@ -390,6 +394,49 @@ def tf_outcome(call):
         report.fast_path_used,
     )
     return ("ok", bits(result), counters)
+
+
+def tabulated(target, updates, spec, policy):
+    """The reference for scatter_x: compose the whole map, then scatter."""
+    return scatter(Scattering(compose_provision(spec), updates, target), policy)
+
+
+def test_scatter_x_matches_tabulated_scatter():
+    rng = np.random.default_rng(606)
+    kinds = set()
+    declared = 0
+    for case in range(400):
+        spec = random_suffix_spec(rng)
+        validate_spec(spec)
+        declared += _split_declared_suffix(spec)[0] > 0
+        updates = rng.standard_normal(spec.source_shape)
+        target = rng.standard_normal(spec.target_shape)
+        for policy in ALL_POLICIES:
+            got = outcome(lambda: scatter_x(target, updates, spec, policy))
+            want = outcome(lambda: tabulated(target, updates, spec, policy))
+            if got != want:
+                # the one documented difference: an out-of-bounds lead entry
+                # whose copied slices are empty, which the table never holds
+                assert got == ("out of bounds",) and want[0] == "ok", (case, policy)
+                assert 0 in spec.source_shape, (case, policy)
+            kinds.add(got[0])
+    assert kinds == {"ok", "collision", "out of bounds"}
+    assert declared > 200
+
+
+def test_declared_suffix_plus_lead_suffix_is_max_suffix():
+    # the copied suffix of the whole map is the declared one followed by
+    # the largest copied suffix of the leading map
+    rng = np.random.default_rng(607)
+    for case in range(400):
+        spec = random_suffix_spec(rng)
+        validate_spec(spec)
+        r0, lead = _split_declared_suffix(spec)
+        if 0 in spec.source_shape:
+            continue
+        whole, _ = max_sliceable_suffix(compose_provision(spec))
+        rest, _ = max_sliceable_suffix(compose_provision(lead))
+        assert whole == r0 + rest, case
 
 
 def tf_cases(rng):
@@ -419,8 +466,8 @@ def test_scatter_nd_update_matches_compose_then_scatter():
     for case, (ts, indices, updates) in enumerate(tf_cases(rng)):
         spec = tf_transformer(indices, ts.shape)
         for policy in ALL_POLICIES:
-            direct = tf_outcome(lambda: scatter_nd_update(ts, indices, updates, policy))
-            composed = tf_outcome(lambda: scatter_x(ts, updates, spec, policy))
+            direct = outcome(lambda: scatter_nd_update(ts, indices, updates, policy))
+            composed = outcome(lambda: tabulated(ts, updates, spec, policy))
             assert direct == composed, (case, policy)
             kinds.add(direct[0])
     assert kinds == {"ok", "collision", "out of bounds"}
@@ -428,10 +475,10 @@ def test_scatter_nd_update_matches_compose_then_scatter():
 
 def test_scatter_nd_update_tabulates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("scatter_nd_update tabulated or copied its inputs")
+        raise AssertionError("a scatter tabulated its whole map or copied its inputs")
 
-    for name in ("compose_provision", "Scattering", "scatter_x"):
-        monkeypatch.setattr(engine, name, refuse)
+    monkeypatch.setattr(engine, "Scattering", refuse)
+    monkeypatch.setattr(transform, "index_matrix", refuse)
     rng = np.random.default_rng(8)
     ts = rng.standard_normal((64, 256))
     indices = rng.permutation(64)[:32, None]
@@ -439,6 +486,24 @@ def test_scatter_nd_update_tabulates_nothing(monkeypatch):
     result, report = scatter_nd_update(ts, indices, updates, "last")
     expected = ts.copy()
     expected[indices[:, 0]] = updates
+    assert bits(result) == bits(expected)
+    assert report.fast_path_used
+
+    # (i, j) -> (i, i, j): the diag map widened, with its last axis declared
+    # copied, so only the (64, 2) inner table is read
+    diag = np.repeat(np.arange(64)[:, None], 2, axis=1)
+    spec = XTransformerSpec(
+        inner=ProvisionTensor(diag, (64, 64)),
+        inner_pick=(0,),
+        pass_pick=(1,),
+        out_pick=(0, 1, 2),
+        source_shape=(64, 256),
+        target_shape=(64, 64, 256),
+    )
+    updates = rng.standard_normal((64, 256))
+    result, report = scatter_x(np.zeros((64, 64, 256)), updates, spec, "sum")
+    expected = np.zeros((64, 64, 256))
+    expected[np.arange(64), np.arange(64)] = updates
     assert bits(result) == bits(expected)
     assert report.fast_path_used
 
@@ -453,3 +518,25 @@ def test_scatter_nd_update_out_of_bounds_names_indices_row():
     # the index is checked even where the slices it addresses are empty
     with pytest.raises(ValidationError):
         scatter_nd_update(np.zeros((3, 0)), [[5]], np.zeros((1, 0)))
+
+
+def test_scatter_x_out_of_bounds_names_lead_entry():
+    def diag(width):
+        # (i, j) -> (d(i), d(i), j) with d(1) = 5 outside the target
+        return XTransformerSpec(
+            inner=ProvisionTensor([[0, 0], [5, 5]], (2, 2)),
+            inner_pick=(0,),
+            pass_pick=(1,),
+            out_pick=(0, 1, 2),
+            source_shape=(2, width),
+            target_shape=(2, 2, width),
+        )
+
+    with pytest.raises(ValidationError) as info:
+        scatter_x(np.zeros((2, 2, 3)), np.zeros((2, 3)), diag(3))
+    assert str(info.value) == (
+        "2 provision entries out of bounds; first at source index (1,), "
+        "target axis 0"
+    )
+    with pytest.raises(ValidationError):
+        scatter_x(np.zeros((2, 2, 0)), np.zeros((2, 0)), diag(0))

@@ -142,3 +142,7 @@ def test_dump_document_stable():
     doc = tensor_to_json(fx.embed_updates())
     assert dump_document(doc) == dump_document(doc)
     assert dump_document(doc).endswith("\n")
+    small = tensor_to_json(np.array([[1.5, -0.0]]))
+    assert dump_document(small) == (
+        '{"dtype":"f64","shape":[1,2],"data":[1.5,-0.0]}\n'
+    )

@@ -8,12 +8,8 @@ from scatterkit import (
     XTransformerSpec,
     compose_provision,
     identity_pick,
-    identity_provision,
-    index_iter,
-    provision_image,
     tf_transformer,
     torch_transformer,
-    transform,
     trivial_spec,
     validate_provision,
     validate_spec,
@@ -21,26 +17,7 @@ from scatterkit import (
 from scatterkit import fixtures as fx
 
 from generators import random_spec
-from oracles import direct_xtransform
-
-
-def test_transform_reads_table_rows():
-    emb = fx.embed_provision()
-    assert transform(emb, (3, 0)) == (0, 1, 1, 0)
-    assert transform(emb, (0, 0)) == (0, 0, 0, 0)
-
-
-def test_transform_identity_provision():
-    ident = identity_provision((3, 2))
-    for index in index_iter((3, 2)):
-        assert transform(ident, index) == index
-
-
-def test_transform_invalid_index():
-    with pytest.raises(IndexError):
-        transform(fx.embed_provision(), (4, 0))
-    with pytest.raises(IndexError):
-        transform(fx.embed_provision(), (0,))
+from oracles import direct_xtransform, identity_provision, literal_traversal, transform
 
 
 def test_provision_table_shape_checked():
@@ -61,26 +38,18 @@ def test_validate_provision():
     assert validate_provision(empty) == (0, None)
 
 
-def test_image():
-    emb = fx.embed_provision()
-    image = provision_image(emb)
-    assert len(image) == 8
-    assert all(t[0] == 0 for t in image)
-
-    constant = ProvisionTensor(np.ones((3, 2, 2), dtype=np.int64), (2, 2))
-    assert provision_image(constant) == {(1, 1)}
-
-    diag = fx.diag_provision()
-    assert provision_image(diag) == {
-        (i, i, j, k) for i in range(2) for j in range(2) for k in range(2)
-    }
-
-
 def test_trivial_spec_reproduces_table():
     for provision in (fx.embed_provision(), fx.diag_provision(), fx.parity_provision()):
         composed = compose_provision(trivial_spec(provision))
         assert np.array_equal(composed.table, provision.table)
         assert composed.target_shape == provision.target_shape
+    # identity picks over an inner of another shape still tabulate the spec's
+    inner = ProvisionTensor([[0], [1], [2], [3]], (4,))
+    for source_shape, target_shape in [((2,), (4,)), ((4,), (6,))]:
+        spec = XTransformerSpec(inner, (0,), (), (0,), source_shape, target_shape)
+        composed = compose_provision(spec)
+        assert composed.table.tolist() == inner.table.tolist()[: source_shape[0]]
+        assert composed.target_shape == target_shape
 
 
 def test_compose_diag_structure():
@@ -94,7 +63,7 @@ def test_compose_diag_structure():
     )
     composed = compose_provision(spec)
     assert np.array_equal(composed.table, fx.diag_provision().table)
-    for i, j, k in index_iter((2, 2, 2)):
+    for i, j, k in literal_traversal((2, 2, 2)):
         assert transform(composed, (i, j, k)) == (i, i, j, k)
 
 
@@ -108,7 +77,7 @@ def test_compose_interleaving_out_pick():
         target_shape=(4, 2, 4, 2),
     )
     composed = compose_provision(spec)
-    for i, j in index_iter((4, 2)):
+    for i, j in literal_traversal((4, 2)):
         assert transform(composed, (i, j)) == (i, j, i, j)
 
 
@@ -146,7 +115,7 @@ def test_compose_matches_direct_evaluation():
     for _ in range(200):
         spec = random_spec(rng)
         composed = compose_provision(spec)
-        for index in index_iter(spec.source_shape):
+        for index in literal_traversal(spec.source_shape):
             expected = direct_xtransform(
                 spec.inner.table,
                 spec.inner_pick,
@@ -167,7 +136,7 @@ def test_torch_transformer_substitutes_dim():
 
 def test_torch_transformer_zero_index_collides():
     prov = torch_transformer(np.zeros((3, 2), dtype=np.int64), 0, (3, 2))
-    assert all(transform(prov, i)[0] == 0 for i in index_iter((3, 2)))
+    assert all(transform(prov, i)[0] == 0 for i in literal_traversal((3, 2)))
 
 
 def test_torch_transformer_dim1():
@@ -201,7 +170,7 @@ def test_torch_transformer_valid_and_preserving():
         index = rng.integers(0, target[dim], size=idx_shape)
         prov = torch_transformer(index, dim, target)
         assert validate_provision(prov) == (0, None)
-        for source in index_iter(idx_shape):
+        for source in literal_traversal(idx_shape):
             image = transform(prov, source)
             assert image[:dim] == source[:dim]
             assert image[dim + 1 :] == source[dim + 1 :]
@@ -222,7 +191,7 @@ def test_tf_transformer_row_update():
     assert spec.source_shape == (2, 2)
     composed = compose_provision(spec)
     indices = [[0], [2]]
-    for i, j in index_iter((2, 2)):
+    for i, j in literal_traversal((2, 2)):
         assert transform(composed, (i, j)) == (indices[i][0], j)
 
 
@@ -254,7 +223,7 @@ def test_tf_transformer_trailing_passthrough():
         spec = tf_transformer(indices, target)
         composed = compose_provision(spec)
         b = len(batch_shape)
-        for source in index_iter(spec.source_shape):
+        for source in literal_traversal(spec.source_shape):
             image = transform(composed, source)
             assert image[q:] == source[b:]
 
