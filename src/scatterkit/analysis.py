@@ -13,12 +13,11 @@ pass-through structure cannot be straightened into a copied suffix.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Index, flat_offsets, index_matrix, shape_size
+from .core import Index, flat_offsets, shape_size
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
@@ -76,9 +75,28 @@ def detect_collisions(provision: ProvisionTensor) -> CollisionReport:
     return CollisionReport(tuple(groups), target_size - len(starts))
 
 
-# provisions are immutable, so the suffix decision is cached per table
-# object; weak keys keep the cache from pinning large tables alive
-_suffix_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _copies(table, i, j) -> bool:
+    """Output j equals source coordinate i at every source index."""
+    k = table.ndim - 1
+    coord = np.arange(table.shape[i]).reshape((-1,) + (1,) * (k - 1 - i))
+    return bool((table[..., j] == coord).all())
+
+
+def _varies(table, j, i) -> bool:
+    """Output j changes along source dim i."""
+    col = np.moveaxis(table[..., j], i, 0)
+    return bool((col[1:] != col[:1]).any())
+
+
+def _corner(table, dims, outs) -> np.ndarray:
+    # outputs `outs` over the source dims `dims` (ascending), with every
+    # other source coordinate at 0; zeros when the source is empty
+    k = table.ndim - 1
+    shape = tuple(table.shape[d] for d in dims) + (len(outs),)
+    if table.size == 0:
+        return np.zeros(shape, dtype=np.int64)
+    corner = tuple(slice(None) if d in dims else 0 for d in range(k))
+    return table[corner][..., list(outs)]
 
 
 def max_sliceable_suffix(
@@ -91,51 +109,21 @@ def max_sliceable_suffix(
     last r input coordinates and (b) the leading output coordinates are a
     function of the leading input coordinates alone.  Returns (0, None)
     when no nonempty suffix works; otherwise (r, inner) with inner
-    tabulating the leading map over the leading source dims.  Memoized per
-    provision object.
+    tabulating the leading map over the leading source dims.
     """
-    cached = _suffix_cache.get(provision)
-    if cached is None:
-        cached = _max_sliceable_suffix(provision)
-        _suffix_cache[provision] = cached
-    return cached
-
-
-def _max_sliceable_suffix(provision):
+    table = provision.table
     k = len(provision.source_shape)
     rank = provision.target_rank
-    rows = provision.rows()
-    n = rows.shape[0]
-    idx = index_matrix(provision.source_shape)
-    best = 0
-    for r in range(min(k, rank), 0, -1):
-        if n:
-            if not (rows[:, rank - r :] == idx[:, k - r :]).all():
-                continue
-            lead_size = shape_size(provision.source_shape[: k - r])
-            trail_size = shape_size(provision.source_shape[k - r :])
-            lead = rows[:, : rank - r].reshape(lead_size, trail_size, rank - r)
-            if not (lead == lead[:, :1, :]).all():
-                continue
-        best = r
-        break
-    if best == 0:
-        return 0, None
-    r = best
-    lead_shape = provision.source_shape[: k - r]
-    lead_size = shape_size(lead_shape)
-    trail_size = shape_size(provision.source_shape[k - r :])
-    if n:
-        inner_rows = rows[:, : rank - r].reshape(lead_size, trail_size, rank - r)[
-            :, 0, :
-        ]
-    else:
-        inner_rows = np.zeros((lead_size, rank - r), dtype=np.int64)
-    inner = ProvisionTensor(
-        inner_rows.reshape(lead_shape + (rank - r,)),
-        provision.target_shape[: rank - r],
-    )
-    return r, inner
+    copied = 0  # (a) holds exactly for r <= copied
+    while copied < min(k, rank) and _copies(table, k - 1 - copied, rank - 1 - copied):
+        copied += 1
+    for r in range(copied, 0, -1):
+        if not any(
+            _varies(table, j, i) for j in range(rank - r) for i in range(k - r, k)
+        ):
+            lead = _corner(table, range(k - r), range(rank - r))
+            return r, ProvisionTensor(lead, provision.target_shape[: rank - r])
+    return 0, None
 
 
 def pass_through_map(provision: ProvisionTensor) -> set[tuple[int, int]]:
@@ -146,15 +134,13 @@ def pass_through_map(provision: ProvisionTensor) -> set[tuple[int, int]]:
     any constantly-zero output coordinate; decomposition treats those
     degenerate pairs as a last resort.
     """
-    rows = provision.rows()
-    idx = index_matrix(provision.source_shape)
-    pairs = set()
-    for i in range(len(provision.source_shape)):
-        col = idx[:, i]
-        for j in range(provision.target_rank):
-            if (rows[:, j] == col).all():
-                pairs.add((i, j))
-    return pairs
+    table = provision.table
+    return {
+        (i, j)
+        for i in range(len(provision.source_shape))
+        for j in range(provision.target_rank)
+        if _copies(table, i, j)
+    }
 
 
 def weak_decomposition(provision: ProvisionTensor) -> XTransformerSpec:
@@ -163,15 +149,16 @@ def weak_decomposition(provision: ProvisionTensor) -> XTransformerSpec:
     Output coordinates with a pass-through partner are routed around the
     inner transformer (preferring partners of extent >= 2, then the
     smallest dim); the remaining outputs are tabulated over exactly the
-    source dims they depend on.  Recomposing the result reproduces the
+    source dims they vary along.  Recomposing the result reproduces the
     table bit for bit.  Falls back to the trivial factoring when nothing
     passes through.
     """
-    shape = provision.source_shape
-    k = len(shape)
-    rank = provision.target_rank
-    pairs = pass_through_map(provision)
+    return _decompose(provision, pass_through_map(provision))
 
+
+def _decompose(provision, pairs):
+    shape = provision.source_shape
+    rank = provision.target_rank
     source_for: dict[int, int] = {}
     for j in range(rank):
         partners = sorted(i for i, jj in pairs if jj == j)
@@ -185,30 +172,15 @@ def weak_decomposition(provision: ProvisionTensor) -> XTransformerSpec:
 
     pass_pick = tuple(sorted(set(source_for.values())))
     inner_outs = [j for j in range(rank) if j not in source_for]
-
-    rows = provision.rows()
-    dep_dims: set[int] = set()
-    for j in inner_outs:
-        col = rows[:, j].reshape(shape)
-        for i in range(k):
-            if shape[i] <= 1:
-                continue
-            if not (col == np.take(col, [0], axis=i)).all():
-                dep_dims.add(i)
-    inner_pick = tuple(sorted(dep_dims))
-    inner_shape = tuple(shape[i] for i in inner_pick)
-    inner_target = tuple(provision.target_shape[j] for j in inner_outs)
-
-    proj = index_matrix(inner_shape)
-    if inner_outs:
-        # representative index: projected coords on the picked dims, 0 elsewhere
-        full = np.zeros((proj.shape[0], k), dtype=np.int64)
-        full[:, list(inner_pick)] = proj
-        inner_rows = rows[flat_offsets(full, shape)][:, inner_outs]
-    else:
-        inner_rows = np.zeros((proj.shape[0], 0), dtype=np.int64)
+    table = provision.table
+    inner_pick = tuple(
+        i
+        for i in range(len(shape))
+        if any(_varies(table, j, i) for j in inner_outs)
+    )
     inner = ProvisionTensor(
-        inner_rows.reshape(inner_shape + (len(inner_outs),)), inner_target
+        _corner(table, inner_pick, inner_outs),
+        tuple(provision.target_shape[j] for j in inner_outs),
     )
 
     inner_pos = {j: t for t, j in enumerate(inner_outs)}
@@ -263,7 +235,8 @@ def slicing_impossibility(provision: ProvisionTensor) -> SliceabilityReport:
     TRIVIAL_ONLY: no suffix and no pass-through structure at all.
     """
     r, inner = max_sliceable_suffix(provision)
-    canonical = weak_decomposition(provision)
+    pairs = pass_through_map(provision)
+    canonical = _decompose(provision, pairs)
     overlap = frozenset(representation_overlap(canonical))
     if r >= 1:
         verdict = SLICEABLE
@@ -274,7 +247,7 @@ def slicing_impossibility(provision: ProvisionTensor) -> SliceabilityReport:
     return SliceabilityReport(
         max_suffix=r,
         suffix_inner=inner,
-        pass_through=frozenset(pass_through_map(provision)),
+        pass_through=frozenset(pairs),
         canonical=canonical,
         overlap=overlap,
         verdict=verdict,

@@ -19,10 +19,10 @@ Pick = tuple[int, ...]
 
 
 def as_shape(dims) -> Shape:
-    """Normalize to a tuple of nonnegative ints."""
+    """Normalize to a tuple of ints in [0, 2**63), the extents int64 holds."""
     shape = tuple(int(d) for d in dims)
-    if any(d < 0 for d in shape):
-        raise ArgumentError(f"shape extents must be nonnegative, got {shape}")
+    if any(not 0 <= d < 2**63 for d in shape):
+        raise ArgumentError(f"shape extents must lie in [0, 2**63), got {shape}")
     return shape
 
 

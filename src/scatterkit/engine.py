@@ -222,7 +222,8 @@ def torch_scatter(
 ) -> tuple[np.ndarray, ScatterReport]:
     """Torch-style elementwise scatter of ``src`` into ``self_t`` along ``dim``.
 
-    Only the leading ``index.shape`` corner of ``src`` is read.
+    Only the leading ``index.shape`` corner of ``src`` is read.  Float64
+    ``src`` and ``self_t`` reach the kernel without a copy.
     """
     self_t = as_data_tensor(self_t)
     index = as_index_tensor(index)
@@ -235,5 +236,6 @@ def torch_scatter(
             f"src shape {src.shape} must cover the index shape {index.shape} "
             "elementwise"
         )
+    policy = CollisionPolicy(policy)
     region = tuple(slice(0, e) for e in index.shape)
-    return scatter(Scattering(provision, src[region], self_t), policy)
+    return _scatter_rows(_lead_map(provision), src[region], self_t, policy)

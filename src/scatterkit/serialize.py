@@ -64,15 +64,19 @@ def tensor_from_json(doc) -> np.ndarray:
             f"tensor data length {len(data)} does not match shape {shape}"
         )
     if dtype == "i64":
-        values = _int_list(data, "i64 tensor data")
-        arr = np.array(values, dtype=np.int64)
-    else:
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
-        ):
-            raise FormatError("f64 tensor data must be numbers")
-        arr = np.array([float(v) for v in data], dtype=np.float64)
-    return arr.reshape(tuple(shape))
+        _int_list(data, "i64 tensor data")
+    elif not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
+    ):
+        raise FormatError("f64 tensor data must be numbers")
+    try:
+        if dtype == "i64":
+            arr = np.array(data, dtype=np.int64)
+        else:
+            arr = np.array([float(v) for v in data], dtype=np.float64)
+        return arr.reshape(tuple(shape))
+    except (OverflowError, ValueError) as exc:
+        raise FormatError(f"tensor document out of range: {exc}") from exc
 
 
 def inferred_target_shape(table: np.ndarray) -> tuple[int, ...]:

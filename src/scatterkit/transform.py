@@ -12,7 +12,6 @@ so a scatter tabulates only the leading map.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +75,6 @@ class ProvisionTensor:
         return self.table.reshape(self.source_size, self.target_rank)
 
 
-# tables are immutable, so validation verdicts are cached per object
-_validation_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def validate_provision(
     provision: ProvisionTensor,
 ) -> tuple[int, tuple[Index, int] | None]:
@@ -87,13 +82,16 @@ def validate_provision(
 
     Returns ``(count, (source index, target axis))`` for the first bad
     entry in row-major order, or ``(0, None)`` when the table is a total
-    map into the target index set.  Memoized per provision object.
+    map into the target index set.
     """
-    cached = _validation_cache.get(provision)
-    if cached is None:
-        cached = _validate_provision(provision)
-        _validation_cache[provision] = cached
-    return cached
+    table = provision.table
+    bounds = np.asarray(provision.target_shape, dtype=np.int64)
+    bad = (table < 0) | (table >= bounds)
+    count = int(np.count_nonzero(bad))
+    if count == 0:
+        return 0, None
+    *index, axis = np.unravel_index(int(bad.argmax()), bad.shape)
+    return count, (tuple(int(c) for c in index), int(axis))
 
 
 def check_provision_bounds(provision: ProvisionTensor) -> None:
@@ -105,17 +103,6 @@ def check_provision_bounds(provision: ProvisionTensor) -> None:
             f"{count} provision entries out of bounds; first at source "
             f"index {index}, target axis {axis}"
         )
-
-
-def _validate_provision(provision):
-    table = provision.table
-    bounds = np.asarray(provision.target_shape, dtype=np.int64)
-    bad = (table < 0) | (table >= bounds)
-    count = int(np.count_nonzero(bad))
-    if count == 0:
-        return 0, None
-    *index, axis = np.unravel_index(int(bad.argmax()), bad.shape)
-    return count, (tuple(int(c) for c in index), int(axis))
 
 
 @dataclass(frozen=True, eq=False)

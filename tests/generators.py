@@ -34,10 +34,12 @@ def force_collisions(rng, rows):
 
 
 def random_provision(rng, *, collisions=False, max_source_rank=3,
-                     max_source_extent=4, max_target_rank=4, max_target_extent=5):
+                     min_source_extent=1, max_source_extent=4, max_target_rank=4,
+                     max_target_extent=5):
     while True:
         source_shape = random_shape(
-            rng, max_rank=max_source_rank, max_extent=max_source_extent
+            rng, max_rank=max_source_rank, min_extent=min_source_extent,
+            max_extent=max_source_extent,
         )
         if not collisions or shape_size(source_shape) >= 5:
             break

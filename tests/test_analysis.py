@@ -114,6 +114,15 @@ def test_max_suffix_embed():
     assert np.array_equal(inner.table, [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]])
 
 
+def empty_provisions():
+    """Tables over zero-size sources, into targets of rank 1, 2 and 4."""
+    return [
+        ProvisionTensor(np.zeros(shape + (len(target),), dtype=np.int64), target)
+        for shape in [(0,), (2, 0), (0, 3, 2)]
+        for target in [(3,), (2, 4), (1, 2, 3, 4)]
+    ]
+
+
 def test_suffix_soundness_and_maximality():
     rng = np.random.default_rng(31)
     provisions = [
@@ -121,12 +130,19 @@ def test_suffix_soundness_and_maximality():
         fx.diag_provision(),
         fx.parity_provision(),
         identity_provision((2, 2)),
-    ] + [random_suffix_provision(rng) for _ in range(30)] + [
+    ] + empty_provisions() + [random_suffix_provision(rng) for _ in range(30)] + [
         random_provision(rng) for _ in range(30)
     ]
     for provision in provisions:
         r, inner = max_sliceable_suffix(provision)
         k = len(provision.source_shape)
+        if provision.source_size == 0:
+            # every condition holds vacuously, so the suffix is as long as
+            # both ranks allow, and the leading map is all zeros
+            rank = provision.target_rank
+            assert r == min(k, rank)
+            assert inner.table.shape == provision.source_shape[: k - r] + (rank - r,)
+            assert not inner.table.any()
         if r:
             for index in literal_traversal(provision.source_shape):
                 lead = transform(inner, index[: k - r])
@@ -169,8 +185,8 @@ def test_pass_through_degenerate_extent1():
 
 def test_pass_through_is_brute_scan():
     rng = np.random.default_rng(41)
-    for _ in range(30):
-        provision = random_provision(rng)
+    provisions = empty_provisions() + [random_provision(rng) for _ in range(30)]
+    for provision in provisions:
         expected = set()
         for i in range(len(provision.source_shape)):
             for j in range(provision.target_rank):
@@ -277,3 +293,37 @@ def test_sliceability_report_fields():
     assert np.array_equal(report.suffix_inner.table, [[0, 0], [1, 1]])
     assert report.pass_through == {(0, 0), (0, 1), (1, 2), (2, 3)}
     assert report.overlap == frozenset()
+
+
+def provision_fields(provision):
+    if provision is None:
+        return None
+    return provision.table.shape, provision.table.tobytes(), provision.target_shape
+
+
+def spec_fields(spec):
+    return (
+        provision_fields(spec.inner), spec.inner_pick, spec.pass_pick,
+        spec.out_pick, spec.source_shape, spec.target_shape,
+    )
+
+
+def test_sliceability_report_matches_standalone_functions():
+    rng = np.random.default_rng(71)
+    empty = rank0 = 0
+    for case in range(150):
+        if case % 3 == 2:
+            provision = random_suffix_provision(rng, collisions=case % 2 == 0)
+        else:
+            provision = random_provision(rng, min_source_extent=0)
+        empty += provision.source_size == 0
+        rank0 += len(provision.source_shape) == 0
+        report = slicing_impossibility(provision)
+        r, inner = max_sliceable_suffix(provision)
+        assert report.max_suffix == r
+        assert provision_fields(report.suffix_inner) == provision_fields(inner)
+        assert report.pass_through == pass_through_map(provision)
+        canonical = weak_decomposition(provision)
+        assert spec_fields(report.canonical) == spec_fields(canonical)
+        assert report.overlap == representation_overlap(canonical)
+    assert empty >= 5 and rank0 >= 5

@@ -261,6 +261,40 @@ def test_analyze_offset_overflow_exits_2(tmp_path):
     assert stdout_doc(proc)["exit_code"] == 2
 
 
+OUT_OF_RANGE = {
+    # an i64 entry int64 cannot hold
+    "i64_entry": (1, {"dtype": "i64", "shape": [1, 1], "data": [2**63]}, None),
+    # an f64 entry beyond the largest double
+    "f64_entry": (1, {"dtype": "f64", "shape": [1], "data": [10**400]}, None),
+    # a zero-size shape whose extent numpy cannot allocate
+    "shape_extent": (1, {"dtype": "i64", "shape": [2**63, 0], "data": []}, None),
+    # a target extent beyond int64
+    "target_shape": (
+        2, {"dtype": "i64", "shape": [1, 1], "data": [0]}, "99999999999999999999"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_numbers_exit_with_one_document(tmp_path, case):
+    code, doc, target_shape = OUT_OF_RANGE[case]
+    path = write_doc(tmp_path / "doc.json", doc)
+    if case == "f64_entry":
+        provision = write_doc(
+            tmp_path / "p.json", tensor_to_json(np.zeros((1, 1), np.int64))
+        )
+        background = write_doc(tmp_path / "b.json", tensor_to_json(np.zeros(1)))
+        args = ["scatter", "--provision", provision, "--updates", path,
+                "--background", background]
+    else:
+        args = ["analyze", "--provision", path]
+        if target_shape is not None:
+            args += ["--target-shape", target_shape]
+    proc = run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    assert stdout_doc(proc)["exit_code"] == code  # the whole stream is one document
+
+
 def test_analyze_malformed_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")

@@ -19,6 +19,7 @@ from scatterkit import (
     scatter_x,
     tf_transformer,
     torch_scatter,
+    torch_transformer,
     trivial_spec,
 )
 from scatterkit import engine, transform
@@ -378,6 +379,20 @@ def test_inputs_not_mutated():
         for arr, old in zip((ts, indices, tf_updates), before):
             assert bits(arr) == bits(old), policy
 
+    # torch_scatter hands self_t and a view of src's corner to the kernel
+    self_t = np.arange(6, dtype=np.float64).reshape(3, 2)
+    index = np.array([[2, 0], [2, 1]], dtype=np.int64)
+    src = -np.arange(6, dtype=np.float64).reshape(2, 3)
+    before = [a.copy() for a in (self_t, index, src)]
+    for policy in ALL_POLICIES:
+        if policy is CollisionPolicy.ERROR:
+            with pytest.raises(CollisionError):
+                torch_scatter(self_t, 0, index, src, policy)
+        else:
+            torch_scatter(self_t, 0, index, src, policy)
+        for arr, old in zip((self_t, index, src), before):
+            assert bits(arr) == bits(old), policy
+
 
 def outcome(call):
     """Result bits and report counters, or the error a scatter raised."""
@@ -506,6 +521,29 @@ def test_scatter_nd_update_tabulates_nothing(monkeypatch):
     expected[np.arange(64), np.arange(64)] = updates
     assert bits(result) == bits(expected)
     assert report.fast_path_used
+
+
+def test_torch_scatter_builds_no_scattering(monkeypatch):
+    rng = np.random.default_rng(9)
+    self_t = rng.standard_normal((6, 5))
+    index = rng.integers(0, 6, size=(4, 3))
+    src = rng.standard_normal((5, 4))
+    provision = torch_transformer(index, 0, self_t.shape)
+    expected = {
+        policy: outcome(
+            lambda: scatter(Scattering(provision, src[:4, :3], self_t), policy)
+        )
+        for policy in ALL_POLICIES
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("torch_scatter copied its inputs into a Scattering")
+
+    monkeypatch.setattr(engine, "Scattering", refuse)
+    for policy in ALL_POLICIES:
+        got = outcome(lambda: torch_scatter(self_t, 0, index, src, policy))
+        assert got == expected[policy], policy
+    assert expected[CollisionPolicy.ERROR][0] == "collision"
 
 
 def test_scatter_nd_update_out_of_bounds_names_indices_row():
