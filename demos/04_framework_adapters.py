@@ -1,18 +1,14 @@
 """The two mainstream scatter APIs expressed as transformers.
 
-Both adapters build a provision tensor and run the same engine, so their
-semantics differ only in how the transformer is formed: batched rows of
-target coordinates versus per-element substitution of one axis.
+Both adapters run the same engine, so their semantics differ only in the
+index map: batched rows of target coordinates versus per-element
+substitution of one axis.  The tf adapter states its map as a factored
+spec; the torch adapter keys straight from ``index`` and ``dim``.
 """
 
 import numpy as np
 
-from scatterkit import (
-    scatter_nd_update,
-    tf_transformer,
-    torch_scatter,
-    torch_transformer,
-)
+from scatterkit import scatter_nd_update, tf_transformer, torch_scatter
 
 # batched row update: each index row names a leading cell whose trailing
 # slice is replaced by the matching updates slice
@@ -36,10 +32,10 @@ result, _ = torch_scatter(self_t, 0, index, src)
 print("\nscatter along dim 0 with index [[0,1],[1,0]]:")
 print(result)
 
-prov = torch_transformer(index, 0, self_t.shape)
-print("\nthe substitution transformer row by row:")
+print("\nthe substitution map, read from index: coordinate 0 becomes index[I]")
 for source in np.ndindex(*index.shape):
-    print(f"  {source} -> {tuple(prov.table[source].tolist())}")
+    target = (int(index[source]),) + source[1:]
+    print(f"  {source} -> {target}")
 
 # duplicate index values collide; policies resolve them explicitly
 index = np.array([[0], [0]], dtype=np.int64)

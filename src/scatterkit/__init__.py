@@ -46,7 +46,6 @@ from .transform import (
     XTransformerSpec,
     compose_provision,
     tf_transformer,
-    torch_transformer,
     trivial_spec,
     validate_provision,
     validate_spec,
@@ -89,7 +88,6 @@ __all__ = [
     "slicing_impossibility",
     "tf_transformer",
     "torch_scatter",
-    "torch_transformer",
     "trivial_spec",
     "validate_provision",
     "validate_spec",

@@ -54,7 +54,7 @@ def detect_collisions(provision: ProvisionTensor) -> CollisionReport:
     target_size = shape_size(provision.target_shape)
     if n == 0:
         return CollisionReport((), target_size)
-    offs = flat_offsets(rows, provision.target_shape)
+    offs = np.broadcast_to(flat_offsets(rows.T, provision.target_shape), n)
     # stable, so each group lists its sources in row-major order
     order = np.argsort(offs, kind="stable")
     ordered = offs[order]

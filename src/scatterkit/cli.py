@@ -57,8 +57,9 @@ def _load_index_tensor(path):
 
 
 def _write_tensor(path, arr):
+    text = dump_document(tensor_to_json(arr))  # a refused tensor leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_document(tensor_to_json(arr)))
+        fh.write(text)
 
 
 def _replace_file(path, arr):

@@ -42,18 +42,23 @@ def row_major_strides(shape) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def flat_offsets(rows, shape) -> np.ndarray:
-    """Row-major offsets of the index rows ``rows`` (n, rank) within ``shape``.
+def flat_offsets(coords, shape) -> np.ndarray:
+    """Row-major offsets within ``shape`` of per-axis coordinate arrays.
 
-    Rows must lie inside ``shape``.  Raises ArgumentError when the shape
-    has 2**63 or more cells, where int64 offsets would wrap around.
+    ``coords`` holds one array per axis (``rows.T`` for an (n, rank) table),
+    broadcasting together and lying inside ``shape``.  Raises ArgumentError
+    when ``shape`` has 2**63 or more cells, where int64 offsets would wrap.
     """
     if shape_size(shape) >= 2**63:
         raise ArgumentError(
             f"shape {tuple(shape)} has 2**63 or more cells; "
             "its flat offsets overflow int64"
         )
-    return rows @ np.asarray(row_major_strides(shape), dtype=np.int64)
+    offsets = np.zeros(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
+    for coord, extent in zip(coords, shape):
+        offsets *= extent  # Horner's rule: every partial offset is in range
+        offsets += coord
+    return offsets
 
 
 def index_matrix(shape) -> np.ndarray:

@@ -7,14 +7,13 @@ nothing.  The engine resolves the first ambiguity with a named
 :class:`CollisionPolicy` and the second by keeping the background value,
 so every run is deterministic.
 
-One kernel executes every scatter.  It keys on the leading map left by
-splitting off the largest copied coordinate suffix (see
-:mod:`scatterkit.analysis`), resolves the policy once per leading key, and
-moves whole rows of block width ``b = prod(trailing source extents)``;
-without a suffix, ``b = 1``.  :func:`scatter_x` first splits off the copied
-suffix a factored spec declares and tabulates only the leading map left
-over; :func:`scatter_nd_update` is :func:`scatter_x` on its tf spec, whose
-leading map is the indices table itself.
+One kernel executes every scatter: given the flat keys of the leading map
+left by splitting off a copied coordinate suffix, it resolves the policy
+once per key and moves rows of ``b = prod(trailing source extents)``
+elements (``b = 1`` without a suffix).  :func:`scatter` splits off the
+largest suffix of a table (see :mod:`scatterkit.analysis`),
+:func:`scatter_x` and so :func:`scatter_nd_update` the one a factored spec
+declares, and :func:`torch_scatter` the one ``(index, dim)`` shows.
 """
 
 from __future__ import annotations
@@ -24,17 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import max_sliceable_suffix
+from .analysis import _copies, _varies, max_sliceable_suffix
 from .core import as_data_tensor, as_index_tensor, flat_offsets, shape_size
 from .errors import ArgumentError, CollisionError
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
+    _bounds_error,
     _split_declared_suffix,
     check_provision_bounds,
     compose_provision,
     tf_transformer,
-    torch_transformer,
     validate_spec,
 )
 
@@ -107,31 +106,30 @@ def scatter(
     """
     policy = CollisionPolicy(policy)
     s = scattering
-    return _scatter_rows(_lead_map(s.transformer), s.updates, s.background, policy)
+    return _scatter_rows(*_lead_keys(s.transformer), s.updates, s.background, policy)
 
 
-def _lead_map(provision):
-    # the leading map of the largest copied-suffix split, else the table
+def _lead_keys(provision):
     check_provision_bounds(provision)
     _, inner = max_sliceable_suffix(provision)
-    return provision if inner is None else inner
+    lead = provision if inner is None else inner
+    coords = [lead.table[..., j] for j in range(lead.target_rank)]
+    return flat_offsets(coords, lead.target_shape), lead.target_shape
 
 
-def _scatter_rows(keyed, updates, background, policy):
-    # keyed maps the leading axes of updates to those of background; the
-    # r trailing axes are copied, so each row is a block of b elements
-    r = background.ndim - keyed.target_rank
+def _scatter_rows(keys, lead_shape, updates, background, policy):
+    # keys, broadcast over the leading axes of updates, are flat offsets in
+    # lead_shape; the r trailing axes are copied, so a row is a block of b
+    r = background.ndim - len(lead_shape)
     fast = r >= 1
     if updates.size == 0:
         return background.copy(), ScatterReport(0, 0, background.size, fast)
-    lead_rows = keyed.rows()
-    lead_shape = keyed.target_shape
-    source_trail = updates.shape[len(keyed.source_shape) :]
+    source_trail = updates.shape[updates.ndim - r :]
     target_trail = background.shape[len(lead_shape) :]
-    n = lead_rows.shape[0]
+    keys = np.broadcast_to(keys, updates.shape[: updates.ndim - r]).reshape(-1)
+    n = len(keys)
     t = shape_size(lead_shape)
     block = shape_size(source_trail)
-    keys = flat_offsets(lead_rows, lead_shape)
 
     # last and first row position per key; one target-sized array at a time
     pos_dtype = np.int32 if n < 2**31 else np.int64
@@ -146,7 +144,7 @@ def _scatter_rows(keyed, updates, background, policy):
     first = first[hit]
     if policy is CollisionPolicy.ERROR and repeat.any():
         p = int(repeat.argmax())
-        raise CollisionError(tuple(int(c) for c in lead_rows[p]) + (0,) * r)
+        raise CollisionError(np.unravel_index(keys[p], lead_shape) + (0,) * r)
     colliding = int(np.count_nonzero(first != last))
 
     out = background.copy()
@@ -195,7 +193,7 @@ def scatter_x(
             f"target shape {spec.target_shape}"
         )
     policy = CollisionPolicy(policy)
-    return _scatter_rows(_lead_map(keyed), updates, target, policy)
+    return _scatter_rows(*_lead_keys(keyed), updates, target, policy)
 
 
 def scatter_nd_update(
@@ -228,14 +226,37 @@ def torch_scatter(
     self_t = as_data_tensor(self_t)
     index = as_index_tensor(index)
     src = as_data_tensor(src)
-    provision = torch_transformer(index, dim, self_t.shape)
-    if src.ndim != index.ndim or any(
-        s < i for s, i in zip(src.shape, index.shape)
-    ):
+    k = index.ndim
+    if k != self_t.ndim:
+        raise ArgumentError(f"index rank {k} must equal target rank {self_t.ndim}")
+    if not 0 <= dim < k:
+        raise ArgumentError(f"dim {dim} out of range for rank {k}")
+    for d in range(k):
+        if d != dim and index.shape[d] > self_t.shape[d]:
+            raise ArgumentError(
+                f"index extent {index.shape[d]} exceeds target extent "
+                f"{self_t.shape[d]} on axis {d}"
+            )
+    if src.ndim != k or any(s < i for s, i in zip(src.shape, index.shape)):
         raise ArgumentError(
             f"src shape {src.shape} must cover the index shape {index.shape} "
             "elementwise"
         )
     policy = CollisionPolicy(policy)
+    bad = (index < 0) | (index >= self_t.shape[dim])
+    count = int(np.count_nonzero(bad))
+    if count:
+        first = np.unravel_index(int(bad.argmax()), bad.shape)
+        raise _bounds_error(count, tuple(int(c) for c in first), dim)
+    # the copied suffix: every axis when index is the identity along dim,
+    # else the trailing axes after dim along which index is constant
+    r = k if _copies(index[..., None], dim, 0) else 0
+    while r < k - 1 - dim and not _varies(index[..., None], 0, k - 1 - r):
+        r += 1
+    lead = k - r
+    coords = list(np.indices(index.shape[:lead], sparse=True))
+    if dim < lead:
+        coords[dim] = index[(...,) + (0,) * r]
+    keys = flat_offsets(coords, self_t.shape[:lead])
     region = tuple(slice(0, e) for e in index.shape)
-    return _scatter_rows(_lead_map(provision), src[region], self_t, policy)
+    return _scatter_rows(keys, self_t.shape[:lead], src[region], self_t, policy)

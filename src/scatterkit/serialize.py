@@ -29,6 +29,8 @@ def tensor_to_json(arr) -> dict:
         dtype = "i64"
     else:
         raise FormatError(f"unsupported dtype {arr.dtype}; use float64 or int64")
+    if not np.isfinite(arr).all():
+        raise FormatError("tensor data is not finite; JSON has no NaN or infinity")
     return {"dtype": dtype, "shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
 
@@ -63,20 +65,17 @@ def tensor_from_json(doc) -> np.ndarray:
         raise FormatError(
             f"tensor data length {len(data)} does not match shape {shape}"
         )
-    if dtype == "i64":
-        _int_list(data, "i64 tensor data")
-    elif not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
-    ):
-        raise FormatError("f64 tensor data must be numbers")
+    integral = dtype == "i64"
+    # json reads true and false as bool, which is not int here
+    if not set(map(type, data)) <= ({int} if integral else {int, float}):
+        raise FormatError(f"{dtype} tensor data must be numbers, integers for i64")
     try:
-        if dtype == "i64":
-            arr = np.array(data, dtype=np.int64)
-        else:
-            arr = np.array([float(v) for v in data], dtype=np.float64)
-        return arr.reshape(tuple(shape))
+        arr = np.array(data, dtype=np.int64 if integral else np.float64).reshape(shape)
     except (OverflowError, ValueError) as exc:
         raise FormatError(f"tensor document out of range: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise FormatError("f64 tensor data must be finite")
+    return arr
 
 
 def inferred_target_shape(table: np.ndarray) -> tuple[int, ...]:

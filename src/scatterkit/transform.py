@@ -98,11 +98,14 @@ def check_provision_bounds(provision: ProvisionTensor) -> None:
     """Raise ValidationError unless every entry lies inside the target shape."""
     count, first = validate_provision(provision)
     if count:
-        index, axis = first
-        raise ValidationError(
-            f"{count} provision entries out of bounds; first at source "
-            f"index {index}, target axis {axis}"
-        )
+        raise _bounds_error(count, *first)
+
+
+def _bounds_error(count, index, axis) -> ValidationError:
+    return ValidationError(
+        f"{count} provision entries out of bounds; first at source "
+        f"index {index}, target axis {axis}"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,40 +237,13 @@ def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
                 "inner pick selects indices outside the inner source shape "
                 f"{inner_src}"
             )
-    inner_rows = spec.inner.rows()[flat_offsets(picked, inner_src)]
+    offsets = np.broadcast_to(flat_offsets(picked.T, inner_src), len(idx))
+    inner_rows = spec.inner.rows()[offsets]
     passed = idx[:, list(spec.pass_pick)]
     cat = np.concatenate([inner_rows, passed], axis=1)
     out = cat[:, list(spec.out_pick)]
     table = out.reshape(spec.source_shape + (len(spec.target_shape),))
     return ProvisionTensor(table, spec.target_shape)
-
-
-def torch_transformer(index, dim: int, target_shape) -> ProvisionTensor:
-    """Axis-substitution transformer behind torch-style scatter.
-
-    Source indices are the positions of ``index``; each maps to itself with
-    coordinate ``dim`` replaced by the stored index value.  ``index`` must
-    have the target's rank and must not exceed the target extent on any
-    other axis.
-    """
-    index = as_index_tensor(index)
-    target_shape = as_shape(target_shape)
-    k = index.ndim
-    if k != len(target_shape):
-        raise ArgumentError(
-            f"index rank {k} must equal target rank {len(target_shape)}"
-        )
-    if not 0 <= dim < k:
-        raise ArgumentError(f"dim {dim} out of range for rank {k}")
-    for d in range(k):
-        if d != dim and index.shape[d] > target_shape[d]:
-            raise ArgumentError(
-                f"index extent {index.shape[d]} exceeds target extent "
-                f"{target_shape[d]} on axis {d}"
-            )
-    rows = index_matrix(index.shape)
-    rows[:, dim] = index.reshape(-1)
-    return ProvisionTensor(rows.reshape(index.shape + (k,)), target_shape)
 
 
 def tf_transformer(indices, target_shape) -> XTransformerSpec:

@@ -217,3 +217,37 @@ def random_torch_instance(rng, *, collision_free=True):
     src = rng.standard_normal(src_shape)
     self_t = rng.standard_normal(target_shape)
     return self_t, dim, index, src
+
+
+def random_torch_case(rng, case):
+    """(self_t, dim, index, src) of rank 1-3; src is wider than index.
+
+    case % 5 picks the index: 0 random, 1 constant along a run of trailing
+    axes after dim, 2 the identity along dim, 3 one entry at -1 and 4 one
+    entry at the target extent along dim.  Extents may be 0.
+    """
+    k = int(rng.integers(1, 4))
+    target = tuple(int(rng.integers(0, 4)) for _ in range(k))
+    dim = int(rng.integers(0, k))
+    shape = [int(rng.integers(0, target[d] + 1)) for d in range(k)]
+    shape[dim] = int(rng.integers(0, 5))
+    kind = case % 5
+    if kind == 1:
+        cut = int(rng.integers(dim + 1, k + 1))
+        drawn = shape[:cut] + [1] * (k - cut)
+        index = rng.integers(0, max(target[dim], 1), size=drawn)
+        index = np.broadcast_to(index, shape)
+    elif kind == 2:
+        shape[dim] = int(rng.integers(0, target[dim] + 1))
+        line = np.arange(shape[dim]).reshape((-1,) + (1,) * (k - 1 - dim))
+        index = np.broadcast_to(line, shape)
+    else:
+        index = rng.integers(0, max(target[dim], 1), size=shape)
+        if kind >= 3 and index.size:
+            index = index.copy()
+            index.reshape(-1)[int(rng.integers(index.size))] = (
+                -1 if kind == 3 else target[dim]
+            )
+    src = rng.standard_normal([e + int(rng.integers(0, 2)) for e in shape])
+    src.reshape(-1)[::3] = -0.0  # signed zeros expose the sum/prod seeding
+    return rng.standard_normal(target), dim, np.asarray(index), src

@@ -3,8 +3,8 @@
 Everything here is deliberately written from the definitions with plain
 python loops and dicts, sharing no code path with the package: sequential
 row-major traversal, a collision-tracking scatter, the documented
-framework semantics for the two adapter entry points, and the map a table
-tabulates, read one source index at a time.
+framework semantics for the two adapter entry points, the table of the
+torch map, and the map a table tabulates, read one source index at a time.
 """
 
 from __future__ import annotations
@@ -110,6 +110,16 @@ def torch_scatter_reference(self_t, dim, index, src):
         tgt = pos[:dim] + (int(index[pos]),) + pos[dim + 1 :]
         out[tgt] = src[pos]
     return out
+
+
+def torch_table(index, dim):
+    """The table of the map behind torch-style scatter: position ``pos`` of
+    ``index`` maps to ``pos`` with coordinate ``dim`` replaced by index[pos]."""
+    index = np.asarray(index)
+    table = np.zeros(index.shape + (index.ndim,), dtype=np.int64)
+    for pos in literal_traversal(index.shape):
+        table[pos] = pos[:dim] + (int(index[pos]),) + pos[dim + 1 :]
+    return table
 
 
 def direct_xtransform(inner_table, inner_pick, pass_pick, out_pick, index):

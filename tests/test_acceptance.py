@@ -31,6 +31,7 @@ from scatterkit import (
     weak_decomposition,
 )
 from scatterkit import fixtures as fx
+from scatterkit.core import flat_offsets
 from scatterkit.engine import _scatter_rows
 from scatterkit.serialize import tensor_to_json
 
@@ -70,9 +71,9 @@ def bits(arr):
 def element_view(scattering, policy):
     """The kernel keyed on the whole table: every row a single element."""
     s = scattering
-    return _scatter_rows(
-        s.transformer, s.updates, s.background, CollisionPolicy(policy)
-    )
+    shape = s.transformer.target_shape
+    keys = flat_offsets(np.moveaxis(s.transformer.table, -1, 0), shape)
+    return _scatter_rows(keys, shape, s.updates, s.background, CollisionPolicy(policy))
 
 
 def test_criterion_1_worked_example():

@@ -15,13 +15,18 @@ from scatterkit import (
     representation_overlap,
     shape_size,
     slicing_impossibility,
-    torch_transformer,
     weak_decomposition,
 )
 from scatterkit import fixtures as fx
 
 from generators import random_provision, random_suffix_provision
-from oracles import identity_provision, literal_traversal, provision_image, transform
+from oracles import (
+    identity_provision,
+    literal_traversal,
+    provision_image,
+    torch_table,
+    transform,
+)
 
 
 def test_detect_collisions_injective():
@@ -31,7 +36,7 @@ def test_detect_collisions_injective():
 
 
 def test_detect_collisions_torch_dup():
-    prov = torch_transformer(np.array([[0], [0]], dtype=np.int64), 0, (2, 1))
+    prov = ProvisionTensor(torch_table([[0], [0]], 0), (2, 1))
     report = detect_collisions(prov)
     assert len(report.groups) == 1
     target, sources = report.groups[0]

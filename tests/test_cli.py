@@ -295,6 +295,39 @@ def test_out_of_range_numbers_exit_with_one_document(tmp_path, case):
     assert stdout_doc(proc)["exit_code"] == code  # the whole stream is one document
 
 
+def strict_doc(proc):
+    """The one stdout document, refusing the NaN and Infinity extensions."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(proc.stdout, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("case", ["update_1e400", "sum_overflow"])
+def test_non_finite_numbers_exit_1_with_strict_json(tmp_path, case):
+    dup = write_doc(
+        tmp_path / "dup.json", tensor_to_json(np.array([[0], [0]], dtype=np.int64))
+    )
+    updates = tmp_path / "u.json"
+    if case == "update_1e400":
+        # json reads 1e400 as inf, which no tensor document may hold
+        updates.write_text('{"dtype":"f64","shape":[2],"data":[1e400,0.0]}\n')
+    else:
+        # two finite updates whose sum overflows to inf
+        write_doc(updates, tensor_to_json(np.array([1e308, 1e308])))
+    background = write_doc(tmp_path / "bg.json", tensor_to_json(np.zeros(1)))
+    args = ["scatter", "--provision", dup, "--updates", updates,
+            "--background", background, "--policy", "sum"]
+    proc = run_cli(*args)
+    assert proc.returncode == 1, proc.stderr
+    assert strict_doc(proc)["exit_code"] == 1
+    # a refused result leaves no --out file behind
+    proc = run_cli(*args, "--out", tmp_path / "out.json")
+    assert proc.returncode == 1 and strict_doc(proc)["exit_code"] == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_analyze_malformed_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")

@@ -29,16 +29,27 @@ def test_shape_size(shape, expected):
 def test_index_matrix_agrees_with_iter(shape):
     mat = index_matrix(shape)
     assert [tuple(int(c) for c in row) for row in mat] == literal_traversal(shape)
-    offsets = flat_offsets(mat, shape).tolist()
+    offsets = np.broadcast_to(flat_offsets(mat.T, shape), len(mat)).tolist()
     assert offsets == list(range(shape_size(shape)))
+    # an open grid broadcasts to the same offsets, laid out in ``shape``
+    grid = flat_offsets(np.indices(shape, sparse=True), shape)
+    assert grid.shape == shape and grid.reshape(-1).tolist() == offsets
 
 
 def test_flat_offsets_refuse_int64_wrap():
     # the largest offset of a shape with 2**63 - 1 cells still fits int64
     last = np.array([[2**63 - 2]], dtype=np.int64)
-    assert flat_offsets(last, (2**63 - 1,)).tolist() == [2**63 - 2]
+    assert flat_offsets(last.T, (2**63 - 1,)).tolist() == [2**63 - 2]
     with pytest.raises(ArgumentError):
-        flat_offsets(np.zeros((1, 2), dtype=np.int64), (2**62, 2))
+        flat_offsets(np.zeros((2, 1), dtype=np.int64), (2**62, 2))
+
+
+def test_flat_offsets_of_more_axes_than_numpy_broadcasts_at_once():
+    # a table may name more target axes than np.broadcast takes arrays (64)
+    rows = np.zeros((3, 70), dtype=np.int64)
+    rows[1, -1] = 1
+    shape = (1,) * 69 + (2,)
+    assert flat_offsets(rows.T, shape).tolist() == [0, 1, 0]
 
 
 def test_row_major_strides():

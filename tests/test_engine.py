@@ -19,11 +19,11 @@ from scatterkit import (
     scatter_x,
     tf_transformer,
     torch_scatter,
-    torch_transformer,
     trivial_spec,
 )
-from scatterkit import engine, transform
+from scatterkit import analysis, core, engine, transform
 from scatterkit import fixtures as fx
+from scatterkit.core import flat_offsets
 from scatterkit.engine import _scatter_rows
 from scatterkit.transform import _split_declared_suffix, validate_spec
 
@@ -33,8 +33,9 @@ from generators import (
     random_suffix_provision,
     random_suffix_spec,
     random_tf_instance,
+    random_torch_case,
 )
-from oracles import brute_force_scatter, provision_image
+from oracles import brute_force_scatter, provision_image, torch_table
 
 ALL_POLICIES = list(CollisionPolicy)
 
@@ -193,13 +194,34 @@ def test_torch_scatter_reads_src_corner_only():
     assert np.array_equal(result, [[5, 0], [0, 0]])
 
 
+def test_torch_scatter_map_errors():
+    # the substitution map itself is refused: dim outside the target rank,
+    # index rank differing from it, or index wider than it off dim
+    for dim in (2, -1):
+        with pytest.raises(ArgumentError):
+            torch_scatter(np.zeros((2, 2)), dim, np.zeros((2, 2), dtype=np.int64),
+                          np.zeros((2, 2)), "last")
+    with pytest.raises(ArgumentError):
+        torch_scatter(np.zeros((2, 2)), 0, [0, 0], np.zeros(2), "last")
+    with pytest.raises(ArgumentError):
+        torch_scatter(np.zeros((2, 2)), 0, np.zeros((2, 3), dtype=np.int64),
+                      np.zeros((2, 3)), "last")
+
+
 def test_torch_scatter_errors():
+    zeros = np.zeros((2, 2), dtype=np.int64)
     with pytest.raises(ArgumentError):
-        torch_scatter(np.zeros((2, 2)), 5, np.zeros((2, 2), dtype=np.int64),
-                      np.zeros((2, 2)), "last")
+        torch_scatter(np.zeros((2, 2)), 5, zeros, np.zeros((2, 2)), "last")
+    # src narrower than index
     with pytest.raises(ArgumentError):
-        torch_scatter(np.zeros((2, 2)), 0, np.zeros((2, 2), dtype=np.int64),
-                      np.zeros((1, 2)), "last")
+        torch_scatter(np.zeros((2, 2)), 0, zeros, np.zeros((1, 2)), "last")
+    # only index is bounds-checked, against the target extent along dim
+    with pytest.raises(ValidationError) as info:
+        torch_scatter(np.zeros((2, 3)), 1, [[0, 3], [5, -1]], np.zeros((2, 2)))
+    assert str(info.value) == (
+        "3 provision entries out of bounds; first at source index (0, 1), "
+        "target axis 1"
+    )
 
 
 def test_scatter_x_matches_compose_then_scatter():
@@ -286,9 +308,9 @@ def test_background_preserved_outside_image(data):
 def element_view(scattering, policy):
     """The kernel keyed on the whole table: every row a single element."""
     s = scattering
-    return _scatter_rows(
-        s.transformer, s.updates, s.background, CollisionPolicy(policy)
-    )
+    shape = s.transformer.target_shape
+    keys = flat_offsets(np.moveaxis(s.transformer.table, -1, 0), shape)
+    return _scatter_rows(keys, shape, s.updates, s.background, CollisionPolicy(policy))
 
 
 def test_fast_path_equals_elementwise_on_goldens():
@@ -394,14 +416,15 @@ def test_inputs_not_mutated():
             assert bits(arr) == bits(old), policy
 
 
-def outcome(call):
-    """Result bits and report counters, or the error a scatter raised."""
+def outcome(call, text=False):
+    """Result bits and report counters, or the error a scatter raised
+    (with the message of a ValidationError when ``text`` is set)."""
     try:
         result, report = call()
     except CollisionError as exc:
         return ("collision", exc.target)
-    except ValidationError:
-        return ("out of bounds",)
+    except ValidationError as exc:
+        return ("out of bounds",) + ((str(exc),) if text else ())
     counters = (
         report.writes,
         report.colliding_groups,
@@ -523,27 +546,75 @@ def test_scatter_nd_update_tabulates_nothing(monkeypatch):
     assert report.fast_path_used
 
 
+def tabulated_torch(self_t, dim, index, src, policy):
+    """The reference for torch_scatter: tabulate its map, then scatter."""
+    provision = ProvisionTensor(torch_table(index, dim), self_t.shape)
+    corner = tuple(slice(0, e) for e in np.shape(index))
+    return scatter(Scattering(provision, src[corner], self_t), policy)
+
+
 def test_torch_scatter_builds_no_scattering(monkeypatch):
+    # torch_scatter copies no input into a Scattering, builds no table and
+    # runs neither the table bounds check nor the table suffix scan
     rng = np.random.default_rng(9)
-    self_t = rng.standard_normal((6, 5))
-    index = rng.integers(0, 6, size=(4, 3))
-    src = rng.standard_normal((5, 4))
-    provision = torch_transformer(index, 0, self_t.shape)
-    expected = {
-        policy: outcome(
-            lambda: scatter(Scattering(provision, src[:4, :3], self_t), policy)
-        )
-        for policy in ALL_POLICIES
-    }
+    self_t = rng.standard_normal((6, 5, 4))
+    cases = [
+        # no copied suffix
+        (0, rng.integers(0, 6, size=(4, 3, 4))),
+        # constant along the two axes after dim: a copied suffix of 2
+        (0, np.broadcast_to(rng.integers(0, 6, size=(4, 1, 1)), (4, 3, 4))),
+        # the identity along dim: every axis is copied
+        (1, np.broadcast_to(np.arange(5)[:, None], (6, 5, 4))),
+    ]
+    src = rng.standard_normal((7, 6, 5))
+    expected = [
+        [outcome(lambda: tabulated_torch(self_t, dim, index, src, policy))
+         for policy in ALL_POLICIES]
+        for dim, index in cases
+    ]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("torch_scatter copied its inputs into a Scattering")
+        raise AssertionError("torch_scatter copied its inputs or tabulated its map")
 
     monkeypatch.setattr(engine, "Scattering", refuse)
-    for policy in ALL_POLICIES:
-        got = outcome(lambda: torch_scatter(self_t, 0, index, src, policy))
-        assert got == expected[policy], policy
-    assert expected[CollisionPolicy.ERROR][0] == "collision"
+    for module in (core, transform, analysis, engine):
+        for name in ("index_matrix", "check_provision_bounds", "max_sliceable_suffix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for (dim, index), want in zip(cases, expected):
+        got = [outcome(lambda: torch_scatter(self_t, dim, index, src, policy))
+               for policy in ALL_POLICIES]
+        assert got == want, dim
+    assert expected[0][0][0] == "collision"  # ALL_POLICIES starts with ERROR
+    fast = [want[1][2][3] for want in expected]  # fast_path_used under FIRST
+    assert fast == [False, True, True]
+
+
+def test_torch_scatter_matches_tabulated_scatter():
+    rng = np.random.default_rng(4242)
+    seen = {"kind": set(), "dim": set(), "fast": set(), "empty": 0}
+    for case in range(1200):
+        self_t, dim, index, src = random_torch_case(rng, case)
+        for policy in ALL_POLICIES:
+            got = outcome(
+                lambda: torch_scatter(self_t, dim, index, src, policy), text=True
+            )
+            want = outcome(
+                lambda: tabulated_torch(self_t, dim, index, src, policy), text=True
+            )
+            assert got == want, (case, policy)
+            seen["kind"].add((case % 5, got[0]))
+            if got[0] == "ok":
+                seen["fast"].add((case % 5, got[2][3]))
+        seen["dim"].add((self_t.ndim, dim))
+        seen["empty"] += index.size == 0
+    assert {kind for _, kind in seen["kind"]} == {"ok", "collision", "out of bounds"}
+    # an entry at -1 and one at the target extent along dim are both refused
+    assert {(3, "out of bounds"), (4, "out of bounds")} <= seen["kind"]
+    assert len(seen["dim"]) == 6  # every dim of every rank
+    # a suffix from trailing constant axes and from the identity along dim
+    assert {(1, True), (2, True), (0, False)} <= seen["fast"]
+    assert seen["empty"] >= 50
 
 
 def test_scatter_nd_update_out_of_bounds_names_indices_row():

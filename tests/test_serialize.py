@@ -78,11 +78,34 @@ def test_tensor_round_trip_is_bit_exact(values):
         {"dtype": "i64", "shape": [1], "data": [1.5]},
         {"dtype": "i64", "shape": [1], "data": [True]},
         {"dtype": "i64", "shape": "nope", "data": []},
+        {"dtype": "f64", "shape": [2], "data": [1.0, False]},
+        {"dtype": "f64", "shape": [1], "data": [None]},
+        {"dtype": "f64", "shape": [1], "data": [[1.0]]},
+        {"dtype": "i64", "shape": [2], "data": [1, 2.0]},
+        {"dtype": "i64", "shape": [1], "data": [[1]]},
+        # json reads 1e400 as inf, and NaN and Infinity as nan and inf
+        {"dtype": "f64", "shape": [2], "data": [0.0, float("inf")]},
+        {"dtype": "f64", "shape": [1], "data": [float("-inf")]},
+        {"dtype": "f64", "shape": [1], "data": [float("nan")]},
     ],
 )
 def test_tensor_from_json_rejects_malformed(doc):
     with pytest.raises(FormatError):
         tensor_from_json(doc)
+
+
+def test_tensor_from_json_integers_round_as_float():
+    # integers become the double float() rounds them to
+    ints = [2**53 + 1, -(2**60) - 3, 10**300, 7]
+    got = tensor_from_json({"dtype": "f64", "shape": [4], "data": ints})
+    assert got.tobytes() == np.array([float(v) for v in ints]).tobytes()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_tensor_to_json_refuses_non_finite(value):
+    # JSON has no NaN or infinity
+    with pytest.raises(FormatError):
+        tensor_to_json(np.array([0.0, value]))
 
 
 def test_inferred_target_shape():

@@ -9,7 +9,6 @@ from scatterkit import (
     compose_provision,
     identity_pick,
     tf_transformer,
-    torch_transformer,
     trivial_spec,
     validate_provision,
     validate_spec,
@@ -124,57 +123,6 @@ def test_compose_matches_direct_evaluation():
                 index,
             )
             assert transform(composed, index) == expected
-
-
-def test_torch_transformer_substitutes_dim():
-    prov = torch_transformer([[0, 1], [1, 0]], 0, (2, 2))
-    assert transform(prov, (0, 0)) == (0, 0)
-    assert transform(prov, (0, 1)) == (1, 1)
-    assert transform(prov, (1, 0)) == (1, 0)
-    assert transform(prov, (1, 1)) == (0, 1)
-
-
-def test_torch_transformer_zero_index_collides():
-    prov = torch_transformer(np.zeros((3, 2), dtype=np.int64), 0, (3, 2))
-    assert all(transform(prov, i)[0] == 0 for i in literal_traversal((3, 2)))
-
-
-def test_torch_transformer_dim1():
-    prov = torch_transformer([[1], [0]], 1, (2, 2))
-    assert transform(prov, (0, 0)) == (0, 1)
-    assert transform(prov, (1, 0)) == (1, 0)
-
-
-def test_torch_transformer_errors():
-    with pytest.raises(ArgumentError):
-        torch_transformer([[0]], 2, (2, 2))
-    with pytest.raises(ArgumentError):
-        torch_transformer([[0]], -1, (2, 2))
-    with pytest.raises(ArgumentError):
-        torch_transformer([0, 0], 0, (2, 2))
-    # extent larger than the target on a non-dim axis
-    with pytest.raises(ArgumentError):
-        torch_transformer(np.zeros((2, 3), dtype=np.int64), 0, (2, 2))
-
-
-def test_torch_transformer_valid_and_preserving():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        k = int(rng.integers(1, 4))
-        target = tuple(int(rng.integers(1, 5)) for _ in range(k))
-        dim = int(rng.integers(0, k))
-        idx_shape = tuple(
-            int(rng.integers(1, target[d] + 1)) if d != dim else int(rng.integers(1, 5))
-            for d in range(k)
-        )
-        index = rng.integers(0, target[dim], size=idx_shape)
-        prov = torch_transformer(index, dim, target)
-        assert validate_provision(prov) == (0, None)
-        for source in literal_traversal(idx_shape):
-            image = transform(prov, source)
-            assert image[:dim] == source[:dim]
-            assert image[dim + 1 :] == source[dim + 1 :]
-            assert image[dim] == int(index[source])
 
 
 def test_tf_transformer_full_gather():
