@@ -145,11 +145,11 @@ def cmd_analyze(args):
 
 def cmd_compose(args):
     spec = spec_from_json(_load_json(args.spec))
-    provision = compose_provision(spec)
-    doc = tensor_to_json(provision.table)
+    table = compose_provision(spec).table
     if args.out:
-        _write_tensor(args.out, provision.table)
-    return doc
+        _write_tensor(args.out, table)
+        return {"out": args.out}
+    return tensor_to_json(table)
 
 
 def cmd_fixtures(args):

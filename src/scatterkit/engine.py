@@ -10,7 +10,9 @@ so every run is deterministic.
 One kernel executes every scatter: given the flat keys of the leading map
 left by splitting off a copied coordinate suffix, it resolves the policy
 once per key and moves rows of ``b = prod(trailing source extents)``
-elements (``b = 1`` without a suffix).  :func:`scatter` splits off the
+elements (``b = 1`` without a suffix).  It builds one winner array per
+call, the only one the size of the target, and takes the report's
+counters from row-sized masks.  :func:`scatter` splits off the
 largest suffix of a table (see :mod:`scatterkit.analysis`),
 :func:`scatter_x` and so :func:`scatter_nd_update` the one a factored spec
 declares, and :func:`torch_scatter` the one ``(index, dim)`` shows.
@@ -131,41 +133,45 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     t = shape_size(lead_shape)
     block = shape_size(source_trail)
 
-    # last and first row position per key; one target-sized array at a time
+    # the winning row per key: its last row under LAST_WINS, else its first.
+    # win is the only target-sized array; everything after it is row-sized
     pos_dtype = np.int32 if n < 2**31 else np.int64
     pos = np.arange(n, dtype=pos_dtype)
-    last = np.full(t, -1, dtype=pos_dtype)
-    np.maximum.at(last, keys, pos)
-    hit = np.flatnonzero(last >= 0)
-    last = last[hit]
-    first = np.full(t, n, dtype=pos_dtype)
-    np.minimum.at(first, keys, pos)
-    repeat = first[keys] != pos  # rows whose key an earlier row already hit
-    first = first[hit]
-    if policy is CollisionPolicy.ERROR and repeat.any():
-        p = int(repeat.argmax())
-        raise CollisionError(np.unravel_index(keys[p], lead_shape) + (0,) * r)
-    colliding = int(np.count_nonzero(first != last))
+    last_wins = policy is CollisionPolicy.LAST_WINS
+    win = np.full(t, -1 if last_wins else n, dtype=pos_dtype)
+    (np.maximum if last_wins else np.minimum).at(win, keys, pos)
+    win = win[keys]
+    chosen = win == pos
+    rest = np.flatnonzero(~chosen)  # every row but its key's winner, in row order
+    if policy is CollisionPolicy.ERROR and len(rest):
+        raise CollisionError(np.unravel_index(keys[rest[0]], lead_shape) + (0,) * r)
+    # a key collides when a rest row names its winner; intp indices
+    # scatter faster than int32 ones
+    mark = np.zeros(n, dtype=bool)
+    mark[win[rest].astype(np.intp)] = True
+    colliding = int(np.count_nonzero(mark))
+    chosen = np.flatnonzero(chosen)
+    distinct = len(chosen)
+    updates = updates.reshape((n,) + source_trail)
+    region = tuple(slice(0, e) for e in source_trail)
+    # the winners' keys are distinct, so assignment order does not matter
+    into = (keys[chosen],) + region
+    values = updates.take(chosen, axis=0)  # for rows of b > 1, faster than [chosen]
+    del pos, win, mark, chosen  # row-sized; freed before out is allocated
 
     out = background.copy()
     out_rows = out.reshape((t,) + target_trail)
-    updates = updates.reshape((n,) + source_trail)
-    region = tuple(slice(0, e) for e in source_trail)
-    writes = n * block
-    if policy is CollisionPolicy.FIRST_WINS:
-        out_rows[(hit,) + region] = updates[first]
-        writes = len(hit) * block
-    elif policy is CollisionPolicy.SUM:
-        # 0.0 + x, not x: a lone -0.0 must sum to 0.0, as sequential
-        # accumulation from zero does; later rows then fold in row order
-        out_rows[(hit,) + region] = 0.0 + updates[first]
-        np.add.at(out_rows, (keys[repeat],) + region, updates[repeat])
-    elif policy is CollisionPolicy.PROD:
-        out_rows[(hit,) + region] = 1.0 * updates[first]
-        np.multiply.at(out_rows, (keys[repeat],) + region, updates[repeat])
-    else:  # LAST_WINS, or ERROR past the collision check
-        out_rows[(hit,) + region] = updates[last]
-    uncovered = background.size - len(hit) * block
+    fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
+    if fold is not None:
+        # start from the identity, so a lone -0.0 sums to 0.0 as sequential
+        # accumulation from zero does
+        fold(values, fold.identity, out=values)
+    out_rows[into] = values
+    del into, values  # freed before the fold gathers the rest rows
+    if fold is not None:  # the rest rows fold in row order
+        fold.at(out_rows, (keys[rest],) + region, updates.take(rest, axis=0))
+    writes = (distinct if policy is CollisionPolicy.FIRST_WINS else n) * block
+    uncovered = background.size - distinct * block
     return out, ScatterReport(writes, colliding * block, uncovered, fast)
 
 

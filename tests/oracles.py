@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from the definitions with plain
 python loops and dicts, sharing no code path with the package: sequential
-row-major traversal, a collision-tracking scatter, the documented
-framework semantics for the two adapter entry points, the table of the
-torch map, and the map a table tabulates, read one source index at a time.
+row-major traversal, a collision-tracking scatter and the counters it
+reports, the documented framework semantics for the two adapter entry
+points, the tables of the tf and torch maps, and the map a table
+tabulates, read one source index at a time.
 """
 
 from __future__ import annotations
@@ -87,6 +88,36 @@ def brute_force_scatter(table, target_shape, updates, background, policy):
         else:
             raise ValueError(policy)
     return out
+
+
+def brute_force_counters(table, target_shape, policy):
+    """The ``(writes, colliding_groups, uncovered_targets)`` a scatter reports,
+    counted per element along the same row-major walk: every source writes
+    once, except that under "first" only the first source of a target does."""
+    table = np.asarray(table)
+    hits: dict[tuple, int] = {}
+    for src in literal_traversal(table.shape[:-1]):
+        tgt = tuple(int(c) for c in table[src])
+        hits[tgt] = hits.get(tgt, 0) + 1
+    writes = len(hits) if policy == "first" else sum(hits.values())
+    colliding = sum(1 for count in hits.values() if count >= 2)
+    cells = 1
+    for e in target_shape:
+        cells *= e
+    return writes, colliding, cells - len(hits)
+
+
+def tf_table(indices, target_shape):
+    """The table of the map behind scatter_nd_update: batch row ``b`` and
+    trailing index ``j`` map to ``indices[b] + j``."""
+    indices = np.asarray(indices)
+    batch_shape, q = indices.shape[:-1], indices.shape[-1]
+    trail = tuple(target_shape)[q:]
+    table = np.zeros(batch_shape + trail + (len(target_shape),), dtype=np.int64)
+    for b in literal_traversal(batch_shape):
+        for j in literal_traversal(trail):
+            table[b + j] = tuple(int(c) for c in indices[b]) + j
+    return table
 
 
 def tf_scatter_reference(tensor, indices, updates):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterkit import (
     SLICEABLE,
@@ -91,6 +93,38 @@ def test_detect_collisions_accounting():
             >= 2
         )
         assert sum(len(s) for _, s in report.groups) == total_colliding
+
+
+@st.composite
+def small_tables(draw):
+    """(table, target_shape) of source and target rank 0-3; sources may be
+    empty, and only an empty source may meet an empty target."""
+    source = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    low = 0 if 0 in source else 1
+    target = tuple(draw(st.lists(st.integers(low, 3), max_size=3)))
+    rows = draw(st.lists(
+        st.tuples(*(st.integers(0, max(e - 1, 0)) for e in target)),
+        min_size=shape_size(source), max_size=shape_size(source),
+    ))
+    table = np.array(rows, dtype=np.int64).reshape(source + (len(target),))
+    return table, target
+
+
+@given(small_tables())
+@settings(max_examples=200, deadline=None)
+def test_detect_collisions_groups_rows_as_tuples(drawn):
+    table, target_shape = drawn
+    report = detect_collisions(ProvisionTensor(table, target_shape))
+    by_row = {}
+    for source in literal_traversal(table.shape[:-1]):
+        by_row.setdefault(tuple(int(c) for c in table[source]), []).append(source)
+    groups = tuple(
+        (target, tuple(sources))
+        for target, sources in sorted(by_row.items())
+        if len(sources) >= 2
+    )
+    assert report.groups == groups
+    assert report.uncovered_count == shape_size(target_shape) - len(by_row)
 
 
 def test_max_suffix_diag():

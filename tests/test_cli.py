@@ -347,9 +347,14 @@ def test_compose_diag_spec(tmp_path, fixture_dir):
     spec_path = write_doc(tmp_path / "spec.json", spec_to_json(spec))
     proc = run_cli("compose", "--spec", spec_path)
     assert proc.returncode == 0
-    assert stdout_doc(proc) == json.loads(
-        (fixture_dir / "diag_provision.json").read_text()
-    )
+    golden = (fixture_dir / "diag_provision.json").read_text()
+    assert stdout_doc(proc) == json.loads(golden)
+    # with --out the table goes to the file and stdout names it, as scatter does
+    out = tmp_path / "provision.json"
+    proc = run_cli("compose", "--spec", spec_path, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert stdout_doc(proc) == {"out": str(out)}
+    assert out.read_text() == golden
 
 
 def test_compose_trivial_spec(tmp_path):

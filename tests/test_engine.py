@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from scatterkit import (
     scatter,
     scatter_nd_update,
     scatter_x,
+    shape_size,
     tf_transformer,
     torch_scatter,
     trivial_spec,
@@ -35,7 +38,13 @@ from generators import (
     random_tf_instance,
     random_torch_case,
 )
-from oracles import brute_force_scatter, provision_image, torch_table
+from oracles import (
+    brute_force_counters,
+    brute_force_scatter,
+    provision_image,
+    tf_table,
+    torch_table,
+)
 
 ALL_POLICIES = list(CollisionPolicy)
 
@@ -269,6 +278,92 @@ def test_policies_match_brute_force_random():
                 continue
             result, _ = scatter(scattering, policy)
             assert np.array_equal(result, expected), (policy, case)
+
+
+def counter_cases(rng):
+    """Colliding instances of the three entry points, each with its target
+    shape and the table of its map: lead rows both fewer and more than lead
+    cells, and rows of one element (b = 1) or of several (b > 1)."""
+    for case in range(150):
+        cells = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 3 * cells + 3))
+        trail = ((), (2,), (2, 3))[case % 3]
+        keys = rng.integers(0, cells, size=n)
+        ts = rng.standard_normal((cells,) + trail)
+        updates = rng.standard_normal((n,) + trail)
+        indices = keys[:, None]
+        table = tf_table(indices, ts.shape)
+        scattering = Scattering(ProvisionTensor(table, ts.shape), updates, ts)
+        yield table, ts.shape, lambda p: scatter_nd_update(ts, indices, updates, p)
+        yield table, ts.shape, lambda p: scatter(scattering, p)
+        # an index constant along the trailing axes has a copied suffix
+        index = np.broadcast_to(keys.reshape((n,) + (1,) * len(trail)), updates.shape)
+        if case % 2:
+            index = rng.integers(0, cells, size=updates.shape)
+        table = torch_table(index, 0)
+        yield table, ts.shape, lambda p: torch_scatter(ts, 0, index, updates, p)
+
+
+def test_report_counters_match_traversal():
+    # the kernel counts from row-sized masks; the oracle counts elements
+    rng = np.random.default_rng(31)
+    seen = set()
+    for table, target_shape, call in counter_cases(rng):
+        for policy in ALL_POLICIES:
+            want = brute_force_counters(table, target_shape, policy.value)
+            if policy is CollisionPolicy.ERROR and want[1]:
+                with pytest.raises(CollisionError):
+                    call(policy)
+                continue
+            _, report = call(policy)
+            got = (report.writes, report.colliding_groups, report.uncovered_targets)
+            assert got == want, (policy, table.tolist(), target_shape)
+        rows, cells = table.size // table.shape[-1], shape_size(target_shape)
+        covered = cells - want[2]
+        seen.add((rows > cells, report.fast_path_used))
+        # a key hit three times or more tells colliding keys from extra rows
+        seen.add(("3+", rows - covered > want[1]))
+    assert seen >= {(True, True), (True, False), (False, True), (False, False)}
+    assert ("3+", True) in seen
+
+
+def test_kernel_fills_one_target_sized_array(monkeypatch):
+    # each policy builds one winner array over the target and scans the
+    # target no further: one np.full and one maximum/minimum.at over it,
+    # and no flatnonzero that long
+    calls = []
+
+    def spy(label, fn):
+        def call(a, *args, **kwargs):
+            calls.append((label, int(np.prod(a)) if label == "full" else np.size(a)))
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    class Numpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name in ("maximum", "minimum"):
+                return SimpleNamespace(at=spy("at", attr.at))
+            return spy(name, attr) if name in ("full", "flatnonzero") else attr
+
+    monkeypatch.setattr(engine, "np", Numpy())
+    rng = np.random.default_rng(5)
+    ts, self_t = np.zeros((500, 3)), np.zeros((500, 2))
+    for keys in (rng.permutation(500)[:40], rng.integers(0, 500, size=40)):
+        for policy in ALL_POLICIES:
+            for run in (
+                lambda: scatter_nd_update(ts, keys[:, None], np.ones((40, 3)), policy),
+                lambda: torch_scatter(self_t, 0, np.c_[keys, keys[::-1]],
+                                      np.ones((40, 2)), policy),
+            ):
+                calls.clear()
+                try:
+                    run()
+                except CollisionError:
+                    pass
+                big = sorted(label for label, size in calls if size >= 500)
+                assert big == ["at", "full"], (policy, calls)
 
 
 def test_first_wins_is_reversed_last_wins():
