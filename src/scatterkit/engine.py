@@ -12,8 +12,10 @@ left by splitting off a copied coordinate suffix, it resolves the policy
 once per key and moves rows of ``b = prod(trailing source extents)``
 elements (``b = 1`` without a suffix).  It builds one winner array per
 call, the only one the size of the target, and takes the report's
-counters from row-sized masks.  :func:`scatter` splits off the
-largest suffix of a table (see :mod:`scatterkit.analysis`),
+counters from row-sized masks.  When no row loses, the updates move into
+the result as they are, with no gather of the winners; ``sum`` and
+``prod`` fold into a new array, never the caller's.  :func:`scatter`
+splits off the largest suffix of a table (see :mod:`scatterkit.analysis`),
 :func:`scatter_x` and so :func:`scatter_nd_update` the one a factored spec
 declares, and :func:`torch_scatter` the one ``(index, dim)`` shows.
 """
@@ -145,27 +147,32 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     rest = np.flatnonzero(~chosen)  # every row but its key's winner, in row order
     if policy is CollisionPolicy.ERROR and len(rest):
         raise CollisionError(np.unravel_index(keys[rest[0]], lead_shape) + (0,) * r)
-    # a key collides when a rest row names its winner; intp indices
-    # scatter faster than int32 ones
-    mark = np.zeros(n, dtype=bool)
-    mark[win[rest].astype(np.intp)] = True
-    colliding = int(np.count_nonzero(mark))
-    chosen = np.flatnonzero(chosen)
-    distinct = len(chosen)
+    distinct = n - len(rest)
     updates = updates.reshape((n,) + source_trail)
     region = tuple(slice(0, e) for e in source_trail)
-    # the winners' keys are distinct, so assignment order does not matter
-    into = (keys[chosen],) + region
-    values = updates.take(chosen, axis=0)  # for rows of b > 1, faster than [chosen]
-    del pos, win, mark, chosen  # row-sized; freed before out is allocated
+    if len(rest):
+        # a key collides when a rest row names its winner; intp indices
+        # scatter faster than int32 ones
+        mark = np.zeros(n, dtype=bool)
+        mark[win[rest].astype(np.intp)] = True
+        colliding = int(np.count_nonzero(mark))
+        chosen = np.flatnonzero(chosen)
+        into = (keys[chosen],) + region
+        values = updates.take(chosen, axis=0)  # for rows of b > 1, faster than [chosen]
+        del mark
+    else:  # every row wins: the caller's updates move as they are
+        colliding, into, values = 0, (keys,) + region, updates
+    del pos, win, chosen  # row-sized; freed before out is allocated
 
     out = background.copy()
     out_rows = out.reshape((t,) + target_trail)
     fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
     if fold is not None:
         # start from the identity, so a lone -0.0 sums to 0.0 as sequential
-        # accumulation from zero does
-        fold(values, fold.identity, out=values)
+        # accumulation from zero does; in place only on the gathered copy,
+        # never on the caller's updates
+        values = fold(values, fold.identity, out=values if len(rest) else None)
+    # the winners' keys are distinct, so assignment order does not matter
     out_rows[into] = values
     del into, values  # freed before the fold gathers the rest rows
     if fold is not None:  # the rest rows fold in row order

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -281,34 +282,41 @@ def test_policies_match_brute_force_random():
 
 
 def counter_cases(rng):
-    """Colliding instances of the three entry points, each with its target
-    shape and the table of its map: lead rows both fewer and more than lead
-    cells, and rows of one element (b = 1) or of several (b > 1)."""
+    """Instances of the three entry points, each with its name, target shape
+    and the table of its map: lead rows both fewer and more than lead cells,
+    rows of one element (b = 1) or of several (b > 1), and injective maps,
+    under which no row loses."""
     for case in range(150):
         cells = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 3 * cells + 3))
         trail = ((), (2,), (2, 3))[case % 3]
-        keys = rng.integers(0, cells, size=n)
+        injective = case % 4 >= 2
+        if injective:
+            keys = rng.permutation(cells)[: int(rng.integers(1, cells + 1))]
+        else:
+            keys = rng.integers(0, cells, size=int(rng.integers(1, 3 * cells + 3)))
+        n = len(keys)
         ts = rng.standard_normal((cells,) + trail)
         updates = rng.standard_normal((n,) + trail)
         indices = keys[:, None]
         table = tf_table(indices, ts.shape)
         scattering = Scattering(ProvisionTensor(table, ts.shape), updates, ts)
-        yield table, ts.shape, lambda p: scatter_nd_update(ts, indices, updates, p)
-        yield table, ts.shape, lambda p: scatter(scattering, p)
+        yield "tf", table, ts.shape, lambda p: scatter_nd_update(ts, indices, updates, p)
+        yield "scatter", table, ts.shape, lambda p: scatter(scattering, p)
         # an index constant along the trailing axes has a copied suffix
         index = np.broadcast_to(keys.reshape((n,) + (1,) * len(trail)), updates.shape)
-        if case % 2:
+        if case % 2 and injective:  # a permutation per column
+            index = np.argsort(rng.random((cells,) + trail), axis=0)[:n]
+        elif case % 2:
             index = rng.integers(0, cells, size=updates.shape)
         table = torch_table(index, 0)
-        yield table, ts.shape, lambda p: torch_scatter(ts, 0, index, updates, p)
+        yield "torch", table, ts.shape, lambda p: torch_scatter(ts, 0, index, updates, p)
 
 
 def test_report_counters_match_traversal():
     # the kernel counts from row-sized masks; the oracle counts elements
     rng = np.random.default_rng(31)
     seen = set()
-    for table, target_shape, call in counter_cases(rng):
+    for entry, table, target_shape, call in counter_cases(rng):
         for policy in ALL_POLICIES:
             want = brute_force_counters(table, target_shape, policy.value)
             if policy is CollisionPolicy.ERROR and want[1]:
@@ -323,8 +331,12 @@ def test_report_counters_match_traversal():
         seen.add((rows > cells, report.fast_path_used))
         # a key hit three times or more tells colliding keys from extra rows
         seen.add(("3+", rows - covered > want[1]))
+        if rows == covered:  # every source element lands on a cell of its own
+            seen.add((entry, report.fast_path_used))
     assert seen >= {(True, True), (True, False), (False, True), (False, False)}
     assert ("3+", True) in seen
+    assert seen >= {(name, fast) for name in ("tf", "scatter", "torch")
+                    for fast in (True, False)}
 
 
 def test_kernel_fills_one_target_sized_array(monkeypatch):
@@ -509,6 +521,58 @@ def test_inputs_not_mutated():
             torch_scatter(self_t, 0, index, src, policy)
         for arr, old in zip((self_t, index, src), before):
             assert bits(arr) == bits(old), policy
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_injective_scatter_neither_writes_nor_aliases_inputs(policy):
+    # with no losing row the kernel moves the caller's updates themselves,
+    # so the sum/prod identity fold must write a fresh array; -0.0 shows it:
+    # the sum reads 0.0 while the input keeps -0.0
+    rng = np.random.default_rng(17)
+    ts = rng.standard_normal((6, 3))
+    indices = rng.permutation(6)[:4, None]
+    updates = rng.standard_normal((4, 3))
+    updates[::2] = -0.0
+    self_t = rng.standard_normal((6, 3))
+    index = np.argsort(rng.random((6, 3)), axis=0)[:4]  # a permutation per column
+    src = rng.standard_normal((5, 4))
+    src[:4:2, :3] = -0.0
+    scattering = Scattering(ProvisionTensor(tf_table(indices, ts.shape), ts.shape),
+                            updates, ts)
+    spec = tf_transformer(indices, ts.shape)
+    for call, inputs, read in (
+        (lambda: scatter_nd_update(ts, indices, updates, policy), (ts, updates), updates),
+        (lambda: scatter_x(ts, updates, spec, policy), (ts, updates), updates),
+        (lambda: torch_scatter(self_t, 0, index, src, policy), (self_t, src), src[:4, :3]),
+        (lambda: scatter(scattering, policy),
+         (scattering.background, scattering.updates), updates),
+    ):
+        before = [bits(a) for a in inputs]
+        result, _ = call()
+        assert [bits(a) for a in inputs] == before, policy
+        assert not any(np.shares_memory(result, a) for a in inputs), policy
+        negative_zeros = np.count_nonzero((read == 0) & np.signbit(read))
+        want = 0 if policy is CollisionPolicy.SUM else negative_zeros
+        assert np.count_nonzero((result == 0) & np.signbit(result)) == want, policy
+
+
+def test_injective_scatter_gathers_no_winner_copy():
+    # when every row wins, the rows move straight from the caller's updates:
+    # the peak is the result plus row-sized index work, not a second copy
+    rng = np.random.default_rng(23)
+    ts = rng.standard_normal((256, 256))
+    indices = rng.permutation(256)[:128, None]
+    updates = rng.standard_normal((128, 256))
+    for policy in ("last", "first", "error"):
+        scatter_nd_update(ts, indices, updates, policy)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result, _ = scatter_nd_update(ts, indices, updates, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < result.nbytes + updates.nbytes // 2, (policy, peak)
 
 
 def outcome(call, text=False):
