@@ -8,6 +8,7 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 I/O or parse failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -168,6 +169,7 @@ def _add_out(parser):
     parser.add_argument("--out", help="write the result tensor to this file")
 
 
+@functools.cache  # parse_args reads the parser and fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scatterkit",

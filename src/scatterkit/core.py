@@ -54,8 +54,9 @@ def flat_offsets(coords, shape) -> np.ndarray:
             f"shape {tuple(shape)} has 2**63 or more cells; "
             "its flat offsets overflow int64"
         )
-    offsets = np.zeros(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
-    for coord, extent in zip(coords, shape):
+    offsets = np.empty(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
+    offsets[...] = coords[0] if len(coords) else 0
+    for coord, extent in zip(coords[1:], shape[1:]):
         offsets *= extent  # Horner's rule: every partial offset is in range
         offsets += coord
     return offsets

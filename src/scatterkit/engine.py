@@ -12,12 +12,18 @@ left by splitting off a copied coordinate suffix, it resolves the policy
 once per key and moves rows of ``b = prod(trailing source extents)``
 elements (``b = 1`` without a suffix).  It builds one winner array per
 call, the only one the size of the target, and takes the report's
-counters from row-sized masks.  When no row loses, the updates move into
-the result as they are, with no gather of the winners; ``sum`` and
-``prod`` fold into a new array, never the caller's.  :func:`scatter`
-splits off the largest suffix of a table (see :mod:`scatterkit.analysis`),
-:func:`scatter_x` and so :func:`scatter_nd_update` the one a factored spec
-declares, and :func:`torch_scatter` the one ``(index, dim)`` shows.
+counters from row-sized masks.  Rows then move in one of two ways, chosen
+by whether at most half of the rows lose their key.  If so, every row
+moves with one assignment straight from the updates, and the winners of
+the colliding keys are assigned again over it; their keys are distinct, so
+each key ends on its winner whatever order NumPy wrote its rows in, and
+with no losing row that second step is empty.  Otherwise only the winners
+are gathered and assigned, again on distinct keys.  ``sum`` and ``prod``
+fold into a new array, never the caller's, and then fold the losing rows
+in row order.  :func:`scatter` splits off the largest suffix of a table
+(see :mod:`scatterkit.analysis`), :func:`scatter_x` and so
+:func:`scatter_nd_update` the one a factored spec declares, and
+:func:`torch_scatter` the one ``(index, dim)`` shows.
 """
 
 from __future__ import annotations
@@ -150,19 +156,23 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     distinct = n - len(rest)
     updates = updates.reshape((n,) + source_trail)
     region = tuple(slice(0, e) for e in source_trail)
-    if len(rest):
-        # a key collides when a rest row names its winner; intp indices
-        # scatter faster than int32 ones
-        mark = np.zeros(n, dtype=bool)
-        mark[win[rest].astype(np.intp)] = True
-        colliding = int(np.count_nonzero(mark))
+    # a key collides when a rest row names its winner; intp indices scatter
+    # faster than int32 ones
+    mark = np.zeros(n, dtype=bool)
+    mark[win[rest].astype(np.intp)] = True
+    colliding = int(np.count_nonzero(mark))
+    most_win = 2 * len(rest) <= n
+    if most_win:
+        # every row moves in one assignment; then the winners of the
+        # colliding keys, whose keys are distinct, land over whatever it
+        # left on those keys
+        fix = np.flatnonzero(mark)
+        into, values = (keys,) + region, updates
+    else:  # only the winners move; their keys are distinct
         chosen = np.flatnonzero(chosen)
         into = (keys[chosen],) + region
         values = updates.take(chosen, axis=0)  # for rows of b > 1, faster than [chosen]
-        del mark
-    else:  # every row wins: the caller's updates move as they are
-        colliding, into, values = 0, (keys,) + region, updates
-    del pos, win, chosen  # row-sized; freed before out is allocated
+    del pos, win, chosen, mark  # row-sized; freed before out is allocated
 
     out = background.copy()
     out_rows = out.reshape((t,) + target_trail)
@@ -171,9 +181,10 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
         # start from the identity, so a lone -0.0 sums to 0.0 as sequential
         # accumulation from zero does; in place only on the gathered copy,
         # never on the caller's updates
-        values = fold(values, fold.identity, out=values if len(rest) else None)
-    # the winners' keys are distinct, so assignment order does not matter
+        values = fold(values, fold.identity, out=None if most_win else values)
     out_rows[into] = values
+    if most_win and len(fix):
+        out_rows[(keys[fix],) + region] = values.take(fix, axis=0)
     del into, values  # freed before the fold gathers the rest rows
     if fold is not None:  # the rest rows fold in row order
         fold.at(out_rows, (keys[rest],) + region, updates.take(rest, axis=0))
@@ -256,9 +267,10 @@ def torch_scatter(
             "elementwise"
         )
     policy = CollisionPolicy(policy)
-    bad = (index < 0) | (index >= self_t.shape[dim])
-    count = int(np.count_nonzero(bad))
-    if count:
+    # one unsigned comparison: a negative entry wraps above every extent
+    bad = index.view(np.uint64) >= np.uint64(self_t.shape[dim])
+    if bad.any():
+        count = int(np.count_nonzero(bad))
         first = np.unravel_index(int(bad.argmax()), bad.shape)
         raise _bounds_error(count, tuple(int(c) for c in first), dim)
     # the copied suffix: every axis when index is the identity along dim,

@@ -85,11 +85,11 @@ def validate_provision(
     map into the target index set.
     """
     table = provision.table
-    bounds = np.asarray(provision.target_shape, dtype=np.int64)
-    bad = (table < 0) | (table >= bounds)
-    count = int(np.count_nonzero(bad))
-    if count == 0:
+    # a negative entry wraps above every extent below 2**63
+    bad = table.view(np.uint64) >= np.asarray(provision.target_shape, dtype=np.uint64)
+    if not bad.any():
         return 0, None
+    count = int(np.count_nonzero(bad))
     *index, axis = np.unravel_index(int(bad.argmax()), bad.shape)
     return count, (tuple(int(c) for c in index), int(axis))
 

@@ -1,4 +1,5 @@
-"""Black-box CLI tests: every invocation through a real subprocess."""
+"""Black-box CLI tests: every invocation through a real subprocess, and
+calls of ``main`` in one process checked against those."""
 
 import json
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from scatterkit import cli
 from scatterkit import fixtures as fx
 from scatterkit.serialize import dump_document, spec_to_json, tensor_to_json
 from scatterkit.transform import XTransformerSpec
@@ -389,3 +391,34 @@ def test_compose_pick_length_mismatch_exits_2(tmp_path):
 def test_stdout_single_document(fixture_dir):
     proc = run_cli("analyze", "--provision", fixture_dir / "diag_provision.json")
     json.loads(proc.stdout)  # the whole stream is one document
+
+
+def test_main_in_one_process_matches_fresh_runs(fixture_dir, tmp_path, capsys):
+    # main reuses one parser per process; no option of an earlier call may
+    # reach a later one: the second tf-scatter neither writes --out nor
+    # keeps --policy first
+    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((3, 2))))
+    indices = write_doc(
+        tmp_path / "idx.json", tensor_to_json(np.array([[0], [0]], dtype=np.int64))
+    )
+    updates = write_doc(
+        tmp_path / "u.json", tensor_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    )
+    tf = ["tf-scatter", "--tensor", ts, "--indices", indices, "--updates", updates]
+    calls = [
+        tf + ["--policy", "first", "--out", tmp_path / "out.json"],
+        ["analyze", "--provision", fixture_dir / "diag_provision.json"],
+        tf,
+    ]
+    docs = []
+    for argv in calls:
+        argv = [str(a) for a in argv]
+        code = cli.main(argv)
+        got = capsys.readouterr().out
+        fresh = run_cli(*argv)
+        assert (code, got) == (fresh.returncode, fresh.stdout), argv
+        docs.append(json.loads(got))
+    assert docs[0]["out"] == str(tmp_path / "out.json")
+    assert docs[1]["verdict"] == "SLICEABLE"
+    assert "out" not in docs[2]
+    assert docs[2]["result"]["data"] == [3.0, 4.0, 0.0, 0.0, 0.0, 0.0]

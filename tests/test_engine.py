@@ -40,6 +40,7 @@ from generators import (
     random_torch_case,
 )
 from oracles import (
+    OracleCollision,
     brute_force_counters,
     brute_force_scatter,
     provision_image,
@@ -573,6 +574,80 @@ def test_injective_scatter_gathers_no_winner_copy():
         finally:
             tracemalloc.stop()
         assert peak < result.nbytes + updates.nbytes // 2, (policy, peak)
+
+
+def crossover_cases(rng):
+    """Maps whose losing rows sit just below, at and just above half of the
+    rows, where the kernel switches from moving every row to moving only
+    the winners: each entry point, with rows of one element (b = 1) and of
+    three (b > 1), and -0.0 among the updates."""
+    for n in (20, 21):
+        for losers in range((n - 1) // 2, n // 2 + 2):
+            for trail in ((), (3,)):
+                cells = n + 3
+                winners = rng.permutation(cells)[: n - losers]
+                keys = np.concatenate([winners, rng.choice(winners, losers)])
+                rng.shuffle(keys)
+                ts = rng.standard_normal((cells,) + trail)
+                updates = rng.standard_normal((n,) + trail)
+                updates.reshape(-1)[::3] = -0.0
+                indices = keys[:, None]
+                table = tf_table(indices, ts.shape)
+                scattering = Scattering(ProvisionTensor(table, ts.shape), updates, ts)
+                index = np.broadcast_to(keys.reshape((n,) + (1,) * len(trail)),
+                                        updates.shape)
+                side = (trail != (), 2 * losers <= n)
+                yield ("tf",) + side, table, ts, updates, (
+                    lambda p: scatter_nd_update(ts, indices, updates, p))
+                yield ("scatter",) + side, table, ts, updates, (
+                    lambda p: scatter(scattering, p))
+                yield ("torch",) + side, torch_table(index, 0), ts, updates, (
+                    lambda p: torch_scatter(ts, 0, index, updates, p))
+
+
+def test_kernel_crossover_matches_oracles():
+    # on both sides of 2 * losing rows <= rows, results, counters and the
+    # reported collision target equal the row-major traversal's
+    rng = np.random.default_rng(41)
+    seen = set()
+    for case, table, ts, updates, call in crossover_cases(rng):
+        seen.add(case)
+        for policy in ALL_POLICIES:
+            try:
+                want = brute_force_scatter(table, ts.shape, updates, ts, policy.value)
+            except OracleCollision as exc:
+                with pytest.raises(CollisionError) as info:
+                    call(policy)
+                assert info.value.target == exc.target, (case, policy)
+                continue
+            result, report = call(policy)
+            assert bits(result) == bits(want), (case, policy)
+            got = (report.writes, report.colliding_groups, report.uncovered_targets)
+            assert got == brute_force_counters(table, ts.shape, policy.value), (
+                case, policy)
+    assert seen == {(entry, wide, most_win) for entry in ("tf", "scatter", "torch")
+                    for wide in (False, True) for most_win in (False, True)}
+
+
+def test_colliding_scatter_where_most_rows_win_gathers_no_winner_copy():
+    # a random 256 x 1024 dim-0 index into 1024 rows: about 89% of the rows
+    # win their key, so every row moves straight from src and only the
+    # colliding keys' winners are gathered; the peak is the result plus
+    # the keys and small index work, not three winner-sized arrays more
+    rng = np.random.default_rng(29)
+    self_t = rng.standard_normal((1024, 1024))
+    index = rng.integers(0, 1024, size=(256, 1024))
+    src = rng.standard_normal((256, 1024))
+    for policy in ("last", "first"):
+        torch_scatter(self_t, 0, index, src, policy)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result, _ = torch_scatter(self_t, 0, index, src, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < result.nbytes + 2 * src.nbytes, (policy, peak)
 
 
 def outcome(call, text=False):

@@ -5,10 +5,12 @@ from scatterkit import (
     ArgumentError,
     PickRangeError,
     ProvisionTensor,
+    ValidationError,
     XTransformerSpec,
     compose_provision,
     identity_pick,
     tf_transformer,
+    torch_scatter,
     trivial_spec,
     validate_provision,
     validate_spec,
@@ -35,6 +37,48 @@ def test_validate_provision():
     assert validate_provision(narrowed) == (4, ((0, 1), 3))
     empty = ProvisionTensor(np.zeros((0, 3), dtype=np.int64), (2, 2, 2))
     assert validate_provision(empty) == (0, None)
+
+
+def signed_bounds(table, target_shape):
+    """The two signed comparisons the unsigned bounds check replaces."""
+    bad = (table < 0) | (table >= np.asarray(target_shape, dtype=np.int64))
+    count = int(np.count_nonzero(bad))
+    if count == 0:
+        return 0, None
+    *index, axis = np.unravel_index(int(bad.argmax()), bad.shape)
+    return count, (tuple(int(c) for c in index), int(axis))
+
+
+def test_unsigned_bounds_check_flags_what_signed_checks_flag():
+    # a negative entry viewed as uint64 lies above every extent below 2**63
+    def edges(e):
+        return [-1, -(2**63), 0, e - 1, e, 2**63 - 1]
+
+    rng = np.random.default_rng(13)
+    tables = []
+    for e in (1, 2, 7, 2**62, 2**63 - 1):
+        column = np.array(edges(e), dtype=np.int64)
+        tables.append((column[:, None], (e,)))
+        tables.append((np.stack([column, rng.permutation(column)], axis=1), (e, 3)))
+    for _ in range(40):
+        shape = tuple(int(d) for d in rng.integers(1, 6, size=int(rng.integers(1, 4))))
+        rows = rng.integers(-3, 8, size=(int(rng.integers(0, 9)), len(shape)))
+        tables.append((rows, shape))
+    for table, shape in tables:
+        assert validate_provision(ProvisionTensor(table, shape)) == signed_bounds(
+            table, shape
+        ), (table.tolist(), shape)
+
+    # torch_scatter checks its index the same way, against the extent on dim
+    for e in (1, 2, 7):
+        index = np.array(edges(e), dtype=np.int64).reshape(2, 3)
+        count, (first, _) = signed_bounds(index[..., None], (e,))
+        with pytest.raises(ValidationError) as info:
+            torch_scatter(np.zeros((2, e)), 1, index, np.zeros((2, 3)))
+        assert str(info.value) == (
+            f"{count} provision entries out of bounds; first at source index "
+            f"{first}, target axis 1"
+        )
 
 
 def test_trivial_spec_reproduces_table():
