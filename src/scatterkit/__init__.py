@@ -22,7 +22,6 @@ from .core import (
     as_shape,
     identity_pick,
     index_matrix,
-    row_major_strides,
     shape_size,
 )
 from .engine import (
@@ -80,7 +79,6 @@ __all__ = [
     "max_sliceable_suffix",
     "pass_through_map",
     "representation_overlap",
-    "row_major_strides",
     "scatter",
     "scatter_nd_update",
     "scatter_x",

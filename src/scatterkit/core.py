@@ -34,14 +34,6 @@ def shape_size(shape) -> int:
     return size
 
 
-def row_major_strides(shape) -> tuple[int, ...]:
-    """Element strides with the last axis fastest."""
-    strides = [1] * len(shape)
-    for i in range(len(shape) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
-    return tuple(strides)
-
-
 def flat_offsets(coords, shape) -> np.ndarray:
     """Row-major offsets within ``shape`` of per-axis coordinate arrays.
 

@@ -18,9 +18,16 @@ moves with one assignment straight from the updates, and the winners of
 the colliding keys are assigned again over it; their keys are distinct, so
 each key ends on its winner whatever order NumPy wrote its rows in, and
 with no losing row that second step is empty.  Otherwise only the winners
-are gathered and assigned, again on distinct keys.  ``sum`` and ``prod``
-fold into a new array, never the caller's, and then fold the losing rows
-in row order.  :func:`scatter` splits off the largest suffix of a table
+are gathered and assigned, again on distinct keys.  When a row fills the
+target trail and is contiguous, both assignments move it as one opaque
+``(np.void, 8 * b)`` item, a block copy of its bytes; a narrower or
+strided row moves through its region of the target row.  ``sum`` and
+``prod`` fold into a new array, never the caller's, and then fold the
+losing rows on flat element offsets, walking them in row order a fixed
+number of elements at a time.  ``ufunc.at`` applies its operands in
+order and the chunks run in order, so every target cell still takes its
+contributions in row order and the result is bit-identical to sequential
+accumulation.  :func:`scatter` splits off the largest suffix of a table
 (see :mod:`scatterkit.analysis`), :func:`scatter_x` and so
 :func:`scatter_nd_update` the one a factored spec declares, and
 :func:`torch_scatter` the one ``(index, dim)`` shows.
@@ -40,12 +47,15 @@ from .transform import (
     ProvisionTensor,
     XTransformerSpec,
     _bounds_error,
+    _compose,
     _split_declared_suffix,
     check_provision_bounds,
-    compose_provision,
     tf_transformer,
     validate_spec,
 )
+
+# elements of losing rows that a sum or prod fold gathers at a time
+_FOLD_CHUNK = 1 << 12
 
 
 class CollisionPolicy(enum.Enum):
@@ -155,7 +165,10 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
         raise CollisionError(np.unravel_index(keys[rest[0]], lead_shape) + (0,) * r)
     distinct = n - len(rest)
     updates = updates.reshape((n,) + source_trail)
-    region = tuple(slice(0, e) for e in source_trail)
+    # a row that fills the target trail and is contiguous moves as one
+    # opaque item of 8 * block bytes, a block copy rather than one per element
+    whole = source_trail == target_trail and updates[:1].flags.c_contiguous
+    region = () if whole else tuple(slice(0, e) for e in source_trail)
     # a key collides when a rest row names its winner; intp indices scatter
     # faster than int32 ones
     mark = np.zeros(n, dtype=bool)
@@ -175,19 +188,36 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     del pos, win, chosen, mark  # row-sized; freed before out is allocated
 
     out = background.copy()
-    out_rows = out.reshape((t,) + target_trail)
     fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
     if fold is not None:
         # start from the identity, so a lone -0.0 sums to 0.0 as sequential
         # accumulation from zero does; in place only on the gathered copy,
         # never on the caller's updates
         values = fold(values, fold.identity, out=None if most_win else values)
+    if whole:
+        item = np.dtype((np.void, 8 * block))
+        out_rows = out.reshape(t, block).view(item)[:, 0]
+        values = values.reshape(len(values), block).view(item)[:, 0]
+    else:
+        out_rows = out.reshape((t,) + target_trail)
     out_rows[into] = values
     if most_win and len(fix):
         out_rows[(keys[fix],) + region] = values.take(fix, axis=0)
     del into, values  # freed before the fold gathers the rest rows
-    if fold is not None:  # the rest rows fold in row order
-        fold.at(out_rows, (keys[rest],) + region, updates.take(rest, axis=0))
+    if fold is not None and len(rest):
+        # the rest rows fold in row order, _FOLD_CHUNK elements at a time,
+        # on flat element offsets: off holds those of the source-trail grid
+        # inside the target trail.  Each cell still takes its contributions
+        # in row order, so the result is that of sequential accumulation
+        flat = out.reshape(-1)
+        tb = shape_size(target_trail)
+        grid = np.indices(source_trail, sparse=True)
+        off = flat_offsets(grid, target_trail).reshape(-1, 1)
+        step = max(1, _FOLD_CHUNK // block)
+        for start in range(0, len(rest), step):
+            part = rest[start : start + step]
+            rows = updates.take(part, axis=0).reshape(len(part), block)
+            fold.at(flat, (off + keys[part] * tb).reshape(-1), rows.T.reshape(-1))
     writes = (distinct if policy is CollisionPolicy.FIRST_WINS else n) * block
     uncovered = background.size - distinct * block
     return out, ScatterReport(writes, colliding * block, uncovered, fast)
@@ -207,7 +237,7 @@ def scatter_x(
     """
     validate_spec(spec)
     _, lead = _split_declared_suffix(spec)
-    keyed = compose_provision(lead)
+    keyed = _compose(lead)  # lead is valid when spec is
     target = as_data_tensor(target)
     updates = as_data_tensor(updates)
     if updates.shape != spec.source_shape or target.shape != spec.target_shape:

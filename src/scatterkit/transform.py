@@ -219,6 +219,11 @@ def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
     index outside the inner transformer's source shape.
     """
     validate_spec(spec)
+    return _compose(spec)
+
+
+def _compose(spec: XTransformerSpec) -> ProvisionTensor:
+    """:func:`compose_provision` of a spec already validated."""
     if (
         not spec.pass_pick
         and spec.inner_pick == identity_pick(len(spec.source_shape))

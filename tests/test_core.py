@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from scatterkit import (
     ArgumentError,
     index_matrix,
-    row_major_strides,
     shape_size,
 )
 from scatterkit.core import flat_offsets
@@ -51,8 +50,3 @@ def test_flat_offsets_of_more_axes_than_numpy_broadcasts_at_once():
     shape = (1,) * 69 + (2,)
     assert flat_offsets(rows.T, shape).tolist() == [0, 1, 0]
 
-
-def test_row_major_strides():
-    assert row_major_strides((3, 3, 2)) == (6, 2, 1)
-    assert row_major_strides(()) == ()
-    assert row_major_strides((5,)) == (1,)

@@ -650,6 +650,114 @@ def test_colliding_scatter_where_most_rows_win_gathers_no_winner_copy():
         assert peak < result.nbytes + 2 * src.nbytes, (policy, peak)
 
 
+def flat_fold_cases(rng):
+    """Colliding scatters whose losing rows fill several of the fold's
+    element chunks: rows of one element (most rows losing, and most
+    winning), of three, and one row wider than a chunk; a table whose
+    copied suffix is narrower than the target trail; and torch srcs one
+    wider than their index along each copied axis, whose rows are either
+    strided or contiguous along their last axis alone.  Values near 1 keep
+    sums and products sensitive to their order; -0.0 fills half of key 0's
+    rows and the one row of a key hit once.  Each case comes with its keys
+    and its block b."""
+
+    def draw(n, cells, trail):
+        keys = rng.integers(0, cells - 1, size=n)
+        keys[rng.integers(n)] = cells - 1
+        values = rng.uniform(0.5, 1.5, size=(n,) + trail)
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+        values[np.flatnonzero(keys == 0)[::2]] = -0.0
+        values[keys == cells - 1] = -0.0
+        return keys, values
+
+    for n, cells, trail in ((9000, 5, ()), (9000, 6000, ()), (3000, 8, (3,)),
+                            (5, 3, (4097,))):
+        keys, updates = draw(n, cells, trail)
+        ts = rng.standard_normal((cells,) + trail)
+        indices = keys[:, None]
+        yield (("tf", len(trail)), keys, shape_size(trail), tf_table(indices, ts.shape),
+               ts, updates, lambda p: scatter_nd_update(ts, indices, updates, p))
+
+    # rows of 2 x 3 into a 4 x 5 target trail: the fold's offsets skip the
+    # target elements no row reaches
+    keys, updates = draw(2000, 6, (2, 3))
+    background = rng.standard_normal((6, 4, 5))
+    grid = np.broadcast_arrays(keys[:, None, None], *np.indices((2, 3), sparse=True))
+    table = np.stack(grid, axis=-1)
+    scattering = Scattering(ProvisionTensor(table, background.shape), updates, background)
+    yield ("region",), keys, 6, table, background, updates, (
+        lambda p: scatter(scattering, p))
+
+    # rows of 2 x 3 read through strides move through their region; rows of
+    # 3 whose last axis alone is contiguous still move as void items
+    for trail, wide, contiguous in (((2, 3), (3, 4), False), ((3,), (5,), True)):
+        keys, corner = draw(1500, 6, trail)
+        self_t = rng.standard_normal((6,) + trail)
+        index = np.broadcast_to(keys.reshape((-1,) + (1,) * len(trail)), corner.shape)
+        src = rng.standard_normal((1501,) + wide)
+        view = src[(slice(0, 1500),) + tuple(slice(0, e) for e in trail)]
+        view[...] = corner
+        assert view[:1].flags.c_contiguous == contiguous
+        assert not view.flags.c_contiguous
+        table = torch_table(index, 0)
+        yield ("torch", contiguous), keys, shape_size(trail), table, self_t, corner, (
+            lambda p: torch_scatter(self_t, 0, index, src, p))
+
+
+def test_flat_fold_matches_oracles():
+    # sum and prod fold the losing rows a fixed number of elements at a
+    # time, on flat element offsets; across chunk boundaries each cell still
+    # takes its contributions in row order, so results, counters and the
+    # reported collision target equal the row-major traversal's, bit for bit
+    rng = np.random.default_rng(43)
+    seen = set()
+    for case, keys, block, table, background, updates, call in flat_fold_cases(rng):
+        for policy in ALL_POLICIES:
+            try:
+                want = brute_force_scatter(table, background.shape, updates,
+                                           background, policy.value)
+            except OracleCollision as exc:
+                with pytest.raises(CollisionError) as info:
+                    call(policy)
+                assert info.value.target == exc.target, (case, policy)
+                continue
+            result, report = call(policy)
+            assert bits(result) == bits(want), (case, policy)
+            got = (report.writes, report.colliding_groups, report.uncovered_targets)
+            want = brute_force_counters(table, background.shape, policy.value)
+            assert got == want, (case, policy)
+        # the losing rows under sum and prod: all but each key's first
+        _, first = np.unique(keys, return_index=True)
+        losing = np.setdiff1d(np.arange(len(keys)), first)
+        chunk = np.arange(len(losing)) // max(1, engine._FOLD_CHUNK // block)
+        # some key folds rows in two chunks: a boundary falls inside its group
+        split = len(set(zip(keys[losing], chunk))) > len(set(keys[losing]))
+        seen.add((case, chunk[-1] >= 1, split))
+    assert {(spans, split) for _, spans, split in seen} == {(True, True)}, seen
+    assert {case for case, _, _ in seen} == {
+        ("tf", 0), ("tf", 1), ("region",), ("torch", False), ("torch", True)}
+
+
+def test_colliding_fold_gathers_a_chunk_not_every_losing_row():
+    # 2^14 rows of 4 floats into 4096 rows, about 4x collisions, so most
+    # rows lose: sum and prod gather the losing rows and their offsets one
+    # chunk at a time, not all of them at once
+    rng = np.random.default_rng(47)
+    ts = rng.standard_normal((4096, 4))
+    indices = rng.integers(0, 4096, size=(1 << 14, 1))
+    updates = rng.standard_normal((1 << 14, 4))
+    for policy in ("sum", "prod"):
+        scatter_nd_update(ts, indices, updates, policy)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            scatter_nd_update(ts, indices, updates, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * updates.nbytes // 2, (policy, peak)
+
+
 def outcome(call, text=False):
     """Result bits and report counters, or the error a scatter raised
     (with the message of a ValidationError when ``text`` is set)."""
