@@ -64,14 +64,15 @@ def detect_collisions(provision: ProvisionTensor) -> CollisionReport:
     groups = []
     if colliding.any():
         members = order[np.repeat(colliding, sizes)]
-        sources = np.column_stack(
-            np.unravel_index(members, provision.source_shape)
-        ).tolist()
-        targets = rows[order[starts[colliding]]].tolist()
+        # tuples zipped from per-axis columns; a rank-0 target has no column
+        axes = np.unravel_index(members, provision.source_shape)
+        sources = list(zip(*(axis.tolist() for axis in axes)))
+        heads = rows[order[starts[colliding]]]
+        targets = zip(*heads.T.tolist()) if provision.target_rank else [()] * len(heads)
         end = 0
         for target, size in zip(targets, sizes[colliding].tolist()):
             begin, end = end, end + size
-            groups.append((tuple(target), tuple(map(tuple, sources[begin:end]))))
+            groups.append((target, tuple(sources[begin:end])))
     return CollisionReport(tuple(groups), target_size - len(starts))
 
 

@@ -21,14 +21,32 @@ with no losing row that second step is empty.  Otherwise only the winners
 are gathered and assigned, again on distinct keys.  When a row fills the
 target trail and is contiguous, both assignments move it as one opaque
 ``(np.void, 8 * b)`` item, a block copy of its bytes; a narrower or
-strided row moves through its region of the target row.  ``sum`` and
-``prod`` fold into a new array, never the caller's, and then fold the
-losing rows on flat element offsets, walking them in row order a fixed
-number of elements at a time.  ``ufunc.at`` applies its operands in
-order and the chunks run in order, so every target cell still takes its
-contributions in row order and the result is bit-identical to sequential
-accumulation.  :func:`scatter` splits off the largest suffix of a table
-(see :mod:`scatterkit.analysis`), :func:`scatter_x` and so
+strided row moves through its region of the target row.
+
+Rows that need a float temporary, the moved rows of ``sum`` and ``prod``
+folded from the identity when every row moves and the gathered winners
+otherwise, pass in row order through one reused buffer of
+``_MOVE_CHUNK`` elements (256 KB), filled with ``out=``.  So besides the
+result and row-sized index work, these rows hold ``max(_MOVE_CHUNK, b)``
+elements at a time, not a second copy of every row (updates read through
+strides are made contiguous once before a gather, a copy ``take`` would
+make anyway), and the caller's updates are neither written nor aliased.
+``last`` and ``first`` still move every row in one assignment when most
+rows win, and the winners of the colliding keys, no more rows than lose,
+are gathered whole.  ``sum`` and ``prod`` then fold the losing rows on
+flat element offsets, walking them in row order ``_FOLD_CHUNK`` elements
+at a time.  ``ufunc.at`` applies its operands in order and the chunks run
+in order, so every target cell still takes its contributions in row
+order and the result is bit-identical to sequential accumulation.  The
+two chunks differ in size because their costs do: a move chunk costs a
+Python step and an assignment, so at 4096 elements a chunk 512 rows of
+1024 take 128 steps and ``sum`` runs about a quarter slower, while a
+fold chunk holds about four chunk-sized temporaries (the gathered rows,
+their transposed copy and the offsets), so at 2^15 elements the peak of
+a fold over 2^14 colliding rows of 4 doubles.
+
+:func:`scatter` splits off the largest suffix of a table (see
+:mod:`scatterkit.analysis`), :func:`scatter_x` and so
 :func:`scatter_nd_update` the one a factored spec declares, and
 :func:`torch_scatter` the one ``(index, dim)`` shows.
 """
@@ -56,6 +74,9 @@ from .transform import (
 
 # elements of losing rows that a sum or prod fold gathers at a time
 _FOLD_CHUNK = 1 << 12
+# elements of the buffer that identity-folded rows and gathered winners
+# move through
+_MOVE_CHUNK = 1 << 15
 
 
 class CollisionPolicy(enum.Enum):
@@ -175,35 +196,56 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     mark[win[rest].astype(np.intp)] = True
     colliding = int(np.count_nonzero(mark))
     most_win = 2 * len(rest) <= n
-    if most_win:
-        # every row moves in one assignment; then the winners of the
-        # colliding keys, whose keys are distinct, land over whatever it
-        # left on those keys
-        fix = np.flatnonzero(mark)
-        into, values = (keys,) + region, updates
-    else:  # only the winners move; their keys are distinct
-        chosen = np.flatnonzero(chosen)
-        into = (keys[chosen],) + region
-        values = updates.take(chosen, axis=0)  # for rows of b > 1, faster than [chosen]
-    del pos, win, chosen, mark  # row-sized; freed before out is allocated
+    fix = np.flatnonzero(mark) if most_win else None
+    chosen = None if most_win else np.flatnonzero(chosen)
+    del pos, win, mark  # row-sized; freed before out is allocated
 
     out = background.copy()
     fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
-    if fold is not None:
-        # start from the identity, so a lone -0.0 sums to 0.0 as sequential
-        # accumulation from zero does; in place only on the gathered copy,
-        # never on the caller's updates
-        values = fold(values, fold.identity, out=None if most_win else values)
     if whole:
         item = np.dtype((np.void, 8 * block))
         out_rows = out.reshape(t, block).view(item)[:, 0]
-        values = values.reshape(len(values), block).view(item)[:, 0]
     else:
         out_rows = out.reshape((t,) + target_trail)
-    out_rows[into] = values
+
+    def as_rows(values):  # rows in the form out_rows is indexed with
+        return values.reshape(len(values), block).view(item)[:, 0] if whole else values
+
+    if most_win and fold is None:
+        # every row moves in one assignment straight from the updates
+        out_rows[(keys,) + region] = as_rows(updates)
+    else:
+        # rows that need a float temporary, identity-folded ones when every
+        # row moves and gathered winners otherwise, pass through one buffer
+        # of _MOVE_CHUNK elements in row order; the winners' keys are distinct
+        m = n if most_win else len(chosen)
+        if not most_win:  # take copies strided updates whole on every call
+            updates = np.ascontiguousarray(updates)
+        step = max(1, _MOVE_CHUNK // block)
+        buf = np.empty((min(m, step),) + source_trail)
+        for start in range(0, m, step):
+            part = buf[: min(step, m - start)]
+            if most_win:
+                at = slice(start, start + len(part))
+                rows = updates[at]
+            else:
+                at = chosen[start : start + len(part)]
+                rows = updates.take(at, axis=0, out=part, mode="clip")
+            if fold is not None:
+                # start from the identity, so a lone -0.0 sums to 0.0 as
+                # sequential accumulation from zero does; never in the
+                # caller's updates
+                rows = fold(rows, fold.identity, out=part)
+            out_rows[(keys[at],) + region] = as_rows(rows)
+        del buf, part, rows  # freed before the fix and the fold gather rows
     if most_win and len(fix):
-        out_rows[(keys[fix],) + region] = values.take(fix, axis=0)
-    del into, values  # freed before the fold gathers the rest rows
+        # the winners of the colliding keys, whose keys are distinct, land
+        # over whatever the move left on those keys
+        values = updates.take(fix, axis=0)  # for rows of b > 1, faster than [fix]
+        if fold is not None:
+            fold(values, fold.identity, out=values)
+        out_rows[(keys[fix],) + region] = as_rows(values)
+        del values  # freed before the fold gathers the rest rows
     if fold is not None and len(rest):
         # the rest rows fold in row order, _FOLD_CHUNK elements at a time,
         # on flat element offsets: off holds those of the source-trail grid

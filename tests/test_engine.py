@@ -631,14 +631,15 @@ def test_kernel_crossover_matches_oracles():
 
 def test_colliding_scatter_where_most_rows_win_gathers_no_winner_copy():
     # a random 256 x 1024 dim-0 index into 1024 rows: about 89% of the rows
-    # win their key, so every row moves straight from src and only the
-    # colliding keys' winners are gathered; the peak is the result plus
-    # the keys and small index work, not three winner-sized arrays more
+    # win their key, so every row moves straight from src, or under sum and
+    # prod through the move buffer, and only the colliding keys' winners are
+    # gathered; the peak is the result plus the keys and small index work,
+    # not three winner-sized arrays more, nor an identity-folded copy of src
     rng = np.random.default_rng(29)
     self_t = rng.standard_normal((1024, 1024))
     index = rng.integers(0, 1024, size=(256, 1024))
     src = rng.standard_normal((256, 1024))
-    for policy in ("last", "first"):
+    for policy in ("last", "first", "sum", "prod"):
         torch_scatter(self_t, 0, index, src, policy)
         tracemalloc.start()
         try:
@@ -648,6 +649,157 @@ def test_colliding_scatter_where_most_rows_win_gathers_no_winner_copy():
         finally:
             tracemalloc.stop()
         assert peak < result.nbytes + 2 * src.nbytes, (policy, peak)
+
+
+def peak_bytes(call):
+    """The tracemalloc peak of one call, after an untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distinct_fold_streams_rows_through_one_buffer():
+    # 320 distinct rows of 1024 floats, ten move chunks: sum and prod fold
+    # the rows from the identity one chunk at a time into a reused buffer,
+    # not into a second copy of every row
+    rng = np.random.default_rng(31)
+    ts = rng.standard_normal((512, 1024))
+    indices = rng.permutation(512)[:320, None]
+    updates = rng.standard_normal((320, 1024))
+    assert updates.size >= 8 * engine._MOVE_CHUNK
+    for policy in ("sum", "prod"):
+        peak = peak_bytes(lambda: scatter_nd_update(ts, indices, updates, policy))
+        assert peak < ts.nbytes + updates.nbytes // 4, (policy, peak)
+
+
+def test_winners_gather_streams_rows_through_one_buffer():
+    # 12288 rows of 64 floats into 4096 rows, about 3x collisions, so most
+    # rows lose: the winners are gathered a move chunk at a time into a
+    # reused buffer, not all at once
+    rng = np.random.default_rng(37)
+    ts = rng.standard_normal((4096, 64))
+    indices = rng.integers(0, 4096, size=(12288, 1))
+    updates = rng.standard_normal((12288, 64))
+    winners = len(np.unique(indices))
+    assert 2 * (len(indices) - winners) > len(indices)
+    assert winners * 64 >= 4 * engine._MOVE_CHUNK
+    for policy in ("last", "first", "sum", "prod"):
+        peak = peak_bytes(lambda: scatter_nd_update(ts, indices, updates, policy))
+        assert peak < ts.nbytes + updates.nbytes // 8, (policy, peak)
+
+
+def move_buffer_cases(rng, chunk):
+    """Scatters whose moved rows fill several move chunks of ``chunk``
+    elements, on both sides of the kernel's split: when most rows win,
+    every row moves; otherwise only the winners, and each colliding key's
+    rows are adjacent, so the winners fall in the same order under every
+    policy.  The first and last moved row of every chunk holds -0.0, which
+    sum must place as 0.0, and so does every other row of its key: none
+    when every row moves, 1-4 adjacent losing rows otherwise.  Rows are
+    single elements (b = 1), contiguous rows of 3 and of more than a chunk,
+    which move as void items, rows of 2 x 3 in a 4 x 5 target trail, and torch
+    rows read through strides: rows of 2 x 3 that move through their
+    region, and rows of 3 whose last axis alone is contiguous, which move
+    as void items.  Each case comes with its keys, its block b and its
+    number of chunks."""
+
+    def draw(trail, most_win):
+        block = shape_size(trail)
+        step = max(1, chunk // block)
+        moved = 3 * step + step // 2 + 1  # three full chunks and a partial one
+        edges = {i for c in range(0, moved, step) for i in (c, min(c + step, moved) - 1)}
+        if most_win:
+            # every row moves: the edge rows take keys of their own, the
+            # others collide at random, about a third of them losing
+            keys = rng.integers(0, moved, size=moved)
+            keys[sorted(edges)] = moved + np.arange(len(edges))
+            zeros = sorted(edges)
+        else:
+            # the winners move: each heads a run of 2-5 adjacent rows of its
+            # key, so most rows lose; an edge winner's run is all -0.0
+            runs = rng.integers(2, 6, size=moved)
+            keys = np.repeat(rng.permutation(moved), runs)
+            zeros = np.flatnonzero(np.repeat(np.isin(np.arange(moved), list(edges)), runs))
+        values = rng.uniform(0.5, 1.5, size=(len(keys),) + trail)
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+        values[zeros] = -0.0
+        losing = len(keys) - len(np.unique(keys))
+        assert (2 * losing <= len(keys)) == most_win
+        return keys, values, block, -(-moved // step)
+
+    for most_win in (True, False):
+        for trail in ((), (3,), (chunk + 1,)):
+            keys, updates, block, chunks = draw(trail, most_win)
+            ts = rng.standard_normal((int(keys.max()) + 2,) + trail)
+            indices = keys[:, None]
+            yield (("tf", block > 1, most_win), keys, block, chunks,
+                   tf_table(indices, ts.shape), ts, updates,
+                   lambda p: scatter_nd_update(ts, indices, updates, p))
+
+        keys, updates, block, chunks = draw((2, 3), most_win)
+        background = rng.standard_normal((int(keys.max()) + 1, 4, 5))
+        grid = np.broadcast_arrays(keys[:, None, None], *np.indices((2, 3), sparse=True))
+        table = np.stack(grid, axis=-1)
+        scattering = Scattering(ProvisionTensor(table, background.shape), updates,
+                                background)
+        yield (("region", most_win), keys, block, chunks, table, background, updates,
+               lambda p: scatter(scattering, p))
+
+        for trail, wide, contiguous in (((2, 3), (3, 4), False), ((3,), (5,), True)):
+            keys, corner, block, chunks = draw(trail, most_win)
+            self_t = rng.standard_normal((int(keys.max()) + 1,) + trail)
+            index = np.broadcast_to(keys.reshape((-1,) + (1,) * len(trail)), corner.shape)
+            src = rng.standard_normal((len(keys) + 1,) + wide)
+            view = src[(slice(0, len(keys)),) + tuple(slice(0, e) for e in trail)]
+            view[...] = corner
+            assert view[:1].flags.c_contiguous == contiguous
+            assert not view.flags.c_contiguous
+            yield (("torch", contiguous, most_win), keys, block, chunks,
+                   torch_table(index, 0), self_t, corner,
+                   lambda p: torch_scatter(self_t, 0, index, src, p))
+
+
+def test_move_buffer_matches_oracles(monkeypatch):
+    # the rows that need a float temporary, identity-folded under sum and
+    # prod when most rows win and the gathered winners otherwise, move
+    # through one buffer a chunk at a time; results, counters and the
+    # reported collision target equal the row-major traversal's, bit for
+    # bit.  A small chunk keeps the oracles' element walk short
+    chunk = 1 << 6
+    monkeypatch.setattr(engine, "_MOVE_CHUNK", chunk)
+    rng = np.random.default_rng(53)
+    seen = set()
+    for case, keys, block, chunks, table, background, updates, call in (
+            move_buffer_cases(rng, chunk)):
+        for policy in ALL_POLICIES:
+            try:
+                want = brute_force_scatter(table, background.shape, updates,
+                                           background, policy.value)
+            except OracleCollision as exc:
+                with pytest.raises(CollisionError) as info:
+                    call(policy)
+                assert info.value.target == exc.target, (case, policy)
+                continue
+            result, report = call(policy)
+            assert bits(result) == bits(want), (case, policy)
+            got = (report.writes, report.colliding_groups, report.uncovered_targets)
+            want = brute_force_counters(table, background.shape, policy.value)
+            assert got == want, (case, policy)
+        # the winners, or every row, fill three chunks and part of a fourth
+        _, first = np.unique(keys, return_index=True)
+        most_win = 2 * (len(keys) - len(first)) <= len(keys)
+        moved = len(keys) if most_win else len(first)
+        step = max(1, engine._MOVE_CHUNK // block)
+        assert -(-moved // step) == chunks == 4, case
+        seen.add((case, block))
+    blocks = {block for _, block in seen}
+    assert blocks == {1, 3, 6, chunk + 1}, blocks
+    assert len(seen) == 12, seen
 
 
 def flat_fold_cases(rng):
