@@ -21,7 +21,6 @@ from .core import (
     as_pick,
     as_shape,
     identity_pick,
-    index_matrix,
     shape_size,
 )
 from .engine import (
@@ -75,7 +74,6 @@ __all__ = [
     "compose_provision",
     "detect_collisions",
     "identity_pick",
-    "index_matrix",
     "max_sliceable_suffix",
     "pass_through_map",
     "representation_overlap",

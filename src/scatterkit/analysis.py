@@ -21,6 +21,9 @@ from .core import Index, flat_offsets, shape_size
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
+    _copied_suffix,
+    _copies,
+    _varies,
     check_provision_bounds,
     trivial_spec,
 )
@@ -76,19 +79,6 @@ def detect_collisions(provision: ProvisionTensor) -> CollisionReport:
     return CollisionReport(tuple(groups), target_size - len(starts))
 
 
-def _copies(table, i, j) -> bool:
-    """Output j equals source coordinate i at every source index."""
-    k = table.ndim - 1
-    coord = np.arange(table.shape[i]).reshape((-1,) + (1,) * (k - 1 - i))
-    return bool((table[..., j] == coord).all())
-
-
-def _varies(table, j, i) -> bool:
-    """Output j changes along source dim i."""
-    col = np.moveaxis(table[..., j], i, 0)
-    return bool((col[1:] != col[:1]).any())
-
-
 def _corner(table, dims, outs) -> np.ndarray:
     # outputs `outs` over the source dims `dims` (ascending), with every
     # other source coordinate at 0; zeros when the source is empty
@@ -115,16 +105,11 @@ def max_sliceable_suffix(
     table = provision.table
     k = len(provision.source_shape)
     rank = provision.target_rank
-    copied = 0  # (a) holds exactly for r <= copied
-    while copied < min(k, rank) and _copies(table, k - 1 - copied, rank - 1 - copied):
-        copied += 1
-    for r in range(copied, 0, -1):
-        if not any(
-            _varies(table, j, i) for j in range(rank - r) for i in range(k - r, k)
-        ):
-            lead = _corner(table, range(k - r), range(rank - r))
-            return r, ProvisionTensor(lead, provision.target_shape[: rank - r])
-    return 0, None
+    r = _copied_suffix([table[..., j] for j in range(rank)], provision.source_shape)
+    if r == 0:
+        return 0, None
+    lead = _corner(table, range(k - r), range(rank - r))
+    return r, ProvisionTensor(lead, provision.target_shape[: rank - r])
 
 
 def pass_through_map(provision: ProvisionTensor) -> set[tuple[int, int]]:
@@ -140,7 +125,7 @@ def pass_through_map(provision: ProvisionTensor) -> set[tuple[int, int]]:
         (i, j)
         for i in range(len(provision.source_shape))
         for j in range(provision.target_rank)
-        if _copies(table, i, j)
+        if _copies(table[..., j], i, provision.source_shape[i])
     }
 
 
@@ -177,7 +162,7 @@ def _decompose(provision, pairs):
     inner_pick = tuple(
         i
         for i in range(len(shape))
-        if any(_varies(table, j, i) for j in inner_outs)
+        if any(_varies(table[..., j], i) for j in inner_outs)
     )
     inner = ProvisionTensor(
         _corner(table, inner_pick, inner_outs),

@@ -54,16 +54,6 @@ def flat_offsets(coords, shape) -> np.ndarray:
     return offsets
 
 
-def index_matrix(shape) -> np.ndarray:
-    """All valid indices stacked as an int64 matrix (size, rank), row-major."""
-    shape = as_shape(shape)
-    k = len(shape)
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grid = np.indices(shape, dtype=np.int64)
-    return grid.reshape(k, -1).T.copy()
-
-
 def as_data_tensor(values, shape=None) -> np.ndarray:
     """Coerce to a C-ordered float64 array, optionally reshaped."""
     arr = np.asarray(values, dtype=np.float64, order="C")

@@ -29,8 +29,8 @@ otherwise, pass in row order through one reused buffer of
 ``_MOVE_CHUNK`` elements (256 KB), filled with ``out=``.  So besides the
 result and row-sized index work, these rows hold ``max(_MOVE_CHUNK, b)``
 elements at a time, not a second copy of every row (updates read through
-strides are made contiguous once before a gather, a copy ``take`` would
-make anyway), and the caller's updates are neither written nor aliased.
+strides are made contiguous once when any row loses, a copy each ``take``
+would make anyway), and the caller's updates are neither written nor aliased.
 ``last`` and ``first`` still move every row in one assignment when most
 rows win, and the winners of the colliding keys, no more rows than lose,
 are gathered whole.  ``sum`` and ``prod`` then fold the losing rows on
@@ -45,10 +45,9 @@ fold chunk holds about four chunk-sized temporaries (the gathered rows,
 their transposed copy and the offsets), so at 2^15 elements the peak of
 a fold over 2^14 colliding rows of 4 doubles.
 
-:func:`scatter` splits off the largest suffix of a table (see
-:mod:`scatterkit.analysis`), :func:`scatter_x` and so
-:func:`scatter_nd_update` the one a factored spec declares, and
-:func:`torch_scatter` the one ``(index, dim)`` shows.
+Every entry point keys the kernel through one lowering,
+:func:`scatterkit.transform._lower`, which finds the copied suffix of a
+table, a factored spec and ``(index, dim)`` alike.
 """
 
 from __future__ import annotations
@@ -58,16 +57,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _copies, _varies, max_sliceable_suffix
 from .core import as_data_tensor, as_index_tensor, flat_offsets, shape_size
 from .errors import ArgumentError, CollisionError
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
-    _bounds_error,
-    _compose,
-    _split_declared_suffix,
-    check_provision_bounds,
+    _coordinates,
+    _lower,
     tf_transformer,
     validate_spec,
 )
@@ -146,16 +142,10 @@ def scatter(
     transformer; without one, rows are single elements.
     """
     policy = CollisionPolicy(policy)
-    s = scattering
-    return _scatter_rows(*_lead_keys(s.transformer), s.updates, s.background, policy)
-
-
-def _lead_keys(provision):
-    check_provision_bounds(provision)
-    _, inner = max_sliceable_suffix(provision)
-    lead = provision if inner is None else inner
-    coords = [lead.table[..., j] for j in range(lead.target_rank)]
-    return flat_offsets(coords, lead.target_shape), lead.target_shape
+    s, p = scattering, scattering.transformer
+    columns = [p.table[..., j] for j in range(p.target_rank)]
+    keys, lead_shape = _lower(columns, p.source_shape, p.target_shape)
+    return _scatter_rows(keys, lead_shape, s.updates, s.background, policy)
 
 
 def _scatter_rows(keys, lead_shape, updates, background, policy):
@@ -185,6 +175,8 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     if policy is CollisionPolicy.ERROR and len(rest):
         raise CollisionError(np.unravel_index(keys[rest[0]], lead_shape) + (0,) * r)
     distinct = n - len(rest)
+    if len(rest):  # every take below copies strided updates whole: copy once
+        updates = np.ascontiguousarray(updates)
     updates = updates.reshape((n,) + source_trail)
     # a row that fills the target trail and is contiguous moves as one
     # opaque item of 8 * block bytes, a block copy rather than one per element
@@ -219,8 +211,6 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
         # row moves and gathered winners otherwise, pass through one buffer
         # of _MOVE_CHUNK elements in row order; the winners' keys are distinct
         m = n if most_win else len(chosen)
-        if not most_win:  # take copies strided updates whole on every call
-            updates = np.ascontiguousarray(updates)
         step = max(1, _MOVE_CHUNK // block)
         buf = np.empty((min(m, step),) + source_trail)
         for start in range(0, m, step):
@@ -271,15 +261,9 @@ def scatter_x(
     spec: XTransformerSpec,
     policy: CollisionPolicy | str = CollisionPolicy.LAST_WINS,
 ) -> tuple[np.ndarray, ScatterReport]:
-    """Scatter through a factored transformer without tabulating its
-    declared copied suffix.
-
-    Only the leading map left after splitting off that suffix is composed;
-    the kernel then splits the largest copied suffix off that table too.
-    """
+    """Scatter through a factored transformer without tabulating it."""
     validate_spec(spec)
-    _, lead = _split_declared_suffix(spec)
-    keyed = _compose(lead)  # lead is valid when spec is
+    coords = _coordinates(spec)
     target = as_data_tensor(target)
     updates = as_data_tensor(updates)
     if updates.shape != spec.source_shape or target.shape != spec.target_shape:
@@ -289,7 +273,8 @@ def scatter_x(
             f"target shape {spec.target_shape}"
         )
     policy = CollisionPolicy(policy)
-    return _scatter_rows(*_lead_keys(keyed), updates, target, policy)
+    keys, lead_shape = _lower(coords, spec.source_shape, spec.target_shape)
+    return _scatter_rows(keys, lead_shape, updates, target, policy)
 
 
 def scatter_nd_update(
@@ -339,21 +324,9 @@ def torch_scatter(
             "elementwise"
         )
     policy = CollisionPolicy(policy)
-    # one unsigned comparison: a negative entry wraps above every extent
-    bad = index.view(np.uint64) >= np.uint64(self_t.shape[dim])
-    if bad.any():
-        count = int(np.count_nonzero(bad))
-        first = np.unravel_index(int(bad.argmax()), bad.shape)
-        raise _bounds_error(count, tuple(int(c) for c in first), dim)
-    # the copied suffix: every axis when index is the identity along dim,
-    # else the trailing axes after dim along which index is constant
-    r = k if _copies(index[..., None], dim, 0) else 0
-    while r < k - 1 - dim and not _varies(index[..., None], 0, k - 1 - r):
-        r += 1
-    lead = k - r
-    coords = list(np.indices(index.shape[:lead], sparse=True))
-    if dim < lead:
-        coords[dim] = index[(...,) + (0,) * r]
-    keys = flat_offsets(coords, self_t.shape[:lead])
+    # position I goes to I with coordinate dim replaced by index[I]
+    coords = list(np.indices(index.shape, dtype=np.int64, sparse=True))
+    coords[dim] = index
+    keys, lead_shape = _lower(coords, index.shape, self_t.shape)
     region = tuple(slice(0, e) for e in index.shape)
-    return _scatter_rows(keys, self_t.shape[:lead], src[region], self_t, policy)
+    return _scatter_rows(keys, lead_shape, src[region], self_t, policy)

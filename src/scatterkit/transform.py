@@ -1,13 +1,14 @@
-"""Tabulated index transformers: provision tensors and factored composition.
+"""Tabulated index transformers, factored composition, and the one
+lowering of every map to the scatter kernel's keys.
 
 A provision tensor stores an index-to-index map extensionally: the int row
 at source index I is the target index I maps to.  A factored transformer
 (:class:`XTransformerSpec`) builds the same kind of map out of an inner
 provision plus three picks and can be flattened back into a single table
-with :func:`compose_provision`.  When its trailing outputs are passed
-copies of its trailing source dims that nothing else reads, the spec
-declares a copied suffix; :func:`_split_declared_suffix` drops those axes,
-so a scatter tabulates only the leading map.
+with :func:`compose_provision`.  Scatters never tabulate a factored map:
+:func:`_lower` keys the kernel from one coordinate per target axis, read
+from a table's columns, a spec's compact outputs (:func:`_coordinates`) or
+torch's ``index`` beside aranges.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     check_pick,
     flat_offsets,
     identity_pick,
-    index_matrix,
     shape_size,
 )
 from .errors import ArgumentError, ValidationError
@@ -85,13 +85,23 @@ def validate_provision(
     map into the target index set.
     """
     table = provision.table
-    # a negative entry wraps above every extent below 2**63
-    bad = table.view(np.uint64) >= np.asarray(provision.target_shape, dtype=np.uint64)
-    if not bad.any():
-        return 0, None
-    count = int(np.count_nonzero(bad))
-    *index, axis = np.unravel_index(int(bad.argmax()), bad.shape)
-    return count, (tuple(int(c) for c in index), int(axis))
+    columns = [table[..., j] for j in range(provision.target_rank)]
+    return _escapes(columns, provision.source_shape, provision.target_shape)
+
+
+def _escapes(coords, shape, target_shape):
+    """:func:`validate_provision` of the map whose target axis j reads the
+    array ``coords[j]`` broadcast over the source ``shape``."""
+    count, first = 0, None
+    for j, coord in enumerate(coords):
+        # a negative entry wraps above every extent below 2**63
+        bad = coord.view(np.uint64) >= np.uint64(target_shape[j])
+        # an entry stands for every source index along a dim of extent 1
+        hits = int(np.count_nonzero(bad)) * shape_size(shape) // max(bad.size, 1)
+        if hits:
+            at = tuple(map(int, np.unravel_index(int(bad.argmax()), bad.shape))) + (j,)
+            count, first = count + hits, at if first is None else min(first, at)
+    return (count, (first[:-1], first[-1])) if count else (0, None)
 
 
 def check_provision_bounds(provision: ProvisionTensor) -> None:
@@ -167,88 +177,130 @@ def trivial_spec(provision: ProvisionTensor) -> XTransformerSpec:
     )
 
 
-def _split_declared_suffix(
-    spec: XTransformerSpec,
-) -> tuple[int, XTransformerSpec]:
-    """Split off the copied coordinate suffix a validated spec declares.
-
-    The suffix is the largest r0 such that the last r0 outputs are passed
-    copies of the last r0 source dims, in order, each no wider than its
-    target axis, and neither the inner pick nor an earlier output reads
-    those dims.  Returns ``(r0, lead)``: ``lead`` factors the map of the
-    remaining leading axes, or is the spec itself when r0 == 0.
-    """
-    k = len(spec.source_shape)
-    m = spec.inner.target_rank
-    rank = len(spec.target_shape)
-    r0 = 0
-    while r0 < min(k, rank):
-        dim, out = k - 1 - r0, rank - 1 - r0
-        v = spec.out_pick[out] - m
-        if (
-            v < 0
-            or spec.pass_pick[v] != dim
-            or spec.source_shape[dim] > spec.target_shape[out]
-            or dim in spec.inner_pick
-            or any(
-                w >= m and spec.pass_pick[w - m] == dim for w in spec.out_pick[:out]
-            )
-        ):
-            break
-        r0 += 1
-    if r0 == 0:
-        return 0, spec
-    kept = [p for p, d in enumerate(spec.pass_pick) if d < k - r0]
-    moved = {m + p: m + q for q, p in enumerate(kept)}
-    return r0, XTransformerSpec(
-        inner=spec.inner,
-        inner_pick=spec.inner_pick,
-        pass_pick=[spec.pass_pick[p] for p in kept],
-        out_pick=[moved.get(v, v) for v in spec.out_pick[: rank - r0]],
-        source_shape=spec.source_shape[: k - r0],
-        target_shape=spec.target_shape[: rank - r0],
-    )
-
-
 def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
     """Flatten a factored transformer into a single provision table.
 
     Tabulates out_pick(inner(inner_pick(I)) + pass_pick(I)) over the whole
-    source index set, or returns the inner table itself when the spec is
-    trivial over it.  Raises IndexError when the inner pick produces an
-    index outside the inner transformer's source shape.
+    source index set by broadcasting the coordinates of
+    :func:`_coordinates`.  Raises IndexError when the inner pick produces
+    an index outside the inner transformer's source shape.
     """
     validate_spec(spec)
-    return _compose(spec)
-
-
-def _compose(spec: XTransformerSpec) -> ProvisionTensor:
-    """:func:`compose_provision` of a spec already validated."""
-    if (
-        not spec.pass_pick
-        and spec.inner_pick == identity_pick(len(spec.source_shape))
-        and spec.out_pick == identity_pick(len(spec.out_pick))
-        and spec.inner.source_shape == spec.source_shape
-        and spec.inner.target_shape == spec.target_shape
-    ):
-        return spec.inner
-    idx = index_matrix(spec.source_shape)
-    inner_src = spec.inner.source_shape
-    picked = idx[:, list(spec.inner_pick)]
-    if picked.size:
-        bounds = np.asarray(inner_src, dtype=np.int64)
-        if ((picked < 0) | (picked >= bounds)).any():
-            raise IndexError(
-                "inner pick selects indices outside the inner source shape "
-                f"{inner_src}"
-            )
-    offsets = np.broadcast_to(flat_offsets(picked.T, inner_src), len(idx))
-    inner_rows = spec.inner.rows()[offsets]
-    passed = idx[:, list(spec.pass_pick)]
-    cat = np.concatenate([inner_rows, passed], axis=1)
-    out = cat[:, list(spec.out_pick)]
-    table = out.reshape(spec.source_shape + (len(spec.target_shape),))
+    table = np.empty(spec.source_shape + (len(spec.target_shape),), dtype=np.int64)
+    if shape_size(spec.source_shape):  # an empty source reads no inner entry
+        for j, c in enumerate(_coordinates(spec)):
+            table[..., j] = _axis(c, spec.source_shape) if isinstance(c, int) else c
     return ProvisionTensor(table, spec.target_shape)
+
+
+def _coordinates(spec: XTransformerSpec) -> list:
+    """A validated spec's outputs as :func:`_lower` coordinates.
+
+    An inner output views the inner table at the open grid of the inner
+    pick (a dim picked twice reads a diagonal).  A passed output is its
+    source dim's int, or an arange when the inner reads that dim too.
+    Raises IndexError when the inner pick leaves the inner table at an index
+    the lowering reads, one left after the suffix :func:`_declared` splits.
+    """
+    source, pick, table = spec.source_shape, spec.inner_pick, spec.inner.table
+    extents = tuple(source[d] for d in pick)
+    escapes = any(e > i for e, i in zip(extents, spec.inner.source_shape))
+    if escapes:  # zeros stand in; only a lead that reads nothing gets past
+        table = np.zeros(extents + table.shape[-1:], dtype=np.int64)
+    shape, strides = [1] * len(source), [0] * len(source)
+    for d, e, stride in zip(pick, extents, table.strides):
+        shape[d], strides[d] = e, strides[d] + stride
+    # the table is C-ordered: output j starts j entries into its buffer, at 0 if empty
+    cat = [
+        np.ndarray(shape, np.int64, table, 8 * j if table.size else 0, strides)
+        for j in range(table.shape[-1])
+    ]
+    cat += [_axis(d, source) if d in pick else d for d in spec.pass_pick]
+    coords = [cat[v] for v in spec.out_pick]
+    lead = source[: len(source) - _declared(coords, source, spec.target_shape)]
+    if escapes and shape_size(lead):
+        raise IndexError(
+            "inner pick selects indices outside the inner source shape "
+            f"{spec.inner.source_shape}"
+        )
+    return coords
+
+
+def _axis(d, shape) -> np.ndarray:
+    """Source coordinate d as an array with an axis per dim of ``shape``."""
+    unit = [1] * len(shape)
+    unit[d] = shape[d]
+    return np.arange(shape[d], dtype=np.int64).reshape(unit)
+
+
+def _declared(coords, source_shape, target_shape) -> int:
+    """Length of the copied suffix that shapes alone prove: the last r
+    coordinates are the ints of the last r source dims, in order, each no
+    wider than its target axis and given once."""
+    k, rank = len(source_shape), len(target_shape)
+    r = 0
+    for d, j in zip(range(k - 1, -1, -1), range(rank - 1, -1, -1)):
+        c = coords[j]
+        if not isinstance(c, int) or c != d or source_shape[d] > target_shape[j]:
+            break
+        if any(o == d for o in coords[:j] if isinstance(o, int)):
+            break
+        r += 1
+    return r
+
+
+def _copies(coord, i, extent) -> bool:
+    """The coordinate equals source coordinate i, of the given extent, at
+    every source index; one of extent 1 along a wider dim never does."""
+    line = np.arange(extent).reshape((-1,) + (1,) * (coord.ndim - 1 - i))
+    return bool((coord == line).all())
+
+
+def _varies(coord, i) -> bool:
+    """The coordinate changes along source dim i; one of extent 1 never does."""
+    col = np.moveaxis(coord, i, 0)
+    return bool((col[1:] != col[:1]).any())
+
+
+def _copied_suffix(coords, source_shape) -> int:
+    """Largest r such that the last r coordinates copy the last r source
+    dims, in order, while no earlier coordinate varies along those dims."""
+    k, rank = len(source_shape), len(coords)
+    copied = 0  # the first condition holds exactly for r <= copied
+    while copied < min(k, rank) and _copies(
+        coords[rank - 1 - copied], k - 1 - copied, source_shape[k - 1 - copied]
+    ):
+        copied += 1
+    for r in range(copied, 0, -1):
+        if not any(
+            _varies(coords[j], i) for j in range(rank - r) for i in range(k - r, k)
+        ):
+            return r
+    return 0
+
+
+def _lower(coords, source_shape, target_shape) -> tuple[np.ndarray, Shape]:
+    """The kernel's ``(keys, lead_shape)`` for the map sending source index
+    I to ``(coords[0][I], coords[1][I], ...)``.  A coordinate is an int64
+    array with an axis per source dim that broadcasts over ``source_shape``,
+    or the int of a source dim that no array coordinate reads."""
+    k, rank = len(source_shape), len(target_shape)
+    r = _declared(coords, source_shape, target_shape)
+    lead = source_shape[: k - r]
+    outs = [
+        _axis(c, lead) if isinstance(c, int) else c[(...,) + (0,) * r]
+        for c in coords[: rank - r]
+    ]
+    count, first = _escapes(outs, lead, target_shape)
+    if count:
+        raise _bounds_error(count, *first)
+    if shape_size(source_shape):
+        s = _copied_suffix(outs, lead)
+        outs = [c[(...,) + (0,) * s] for c in outs[: len(outs) - s]]
+    else:  # an empty source is an empty table, which copies every axis
+        s, outs = min(k, rank) - r, []
+    lead_shape = target_shape[: rank - r - s]
+    return flat_offsets(outs, lead_shape), lead_shape
 
 
 def tf_transformer(indices, target_shape) -> XTransformerSpec:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from scatterkit import (
     ArgumentError,
-    index_matrix,
     shape_size,
 )
 from scatterkit.core import flat_offsets
@@ -25,10 +24,10 @@ def test_shape_size(shape, expected):
 
 @given(small_shapes)
 @settings(max_examples=50)
-def test_index_matrix_agrees_with_iter(shape):
-    mat = index_matrix(shape)
-    assert [tuple(int(c) for c in row) for row in mat] == literal_traversal(shape)
-    offsets = np.broadcast_to(flat_offsets(mat.T, shape), len(mat)).tolist()
+def test_flat_offsets_are_row_major(shape):
+    traversal = literal_traversal(shape)
+    rows = np.array(traversal, dtype=np.int64).reshape(len(traversal), len(shape))
+    offsets = np.broadcast_to(flat_offsets(rows.T, shape), len(rows)).tolist()
     assert offsets == list(range(shape_size(shape)))
     # an open grid broadcasts to the same offsets, laid out in ``shape``
     grid = flat_offsets(np.indices(shape, sparse=True), shape)

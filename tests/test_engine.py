@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -24,12 +25,13 @@ from scatterkit import (
     tf_transformer,
     torch_scatter,
     trivial_spec,
+    validate_provision,
 )
 from scatterkit import analysis, core, engine, transform
 from scatterkit import fixtures as fx
 from scatterkit.core import flat_offsets
 from scatterkit.engine import _scatter_rows
-from scatterkit.transform import _split_declared_suffix, validate_spec
+from scatterkit.transform import _coordinates, _lower, validate_spec
 
 from generators import (
     random_provision,
@@ -890,6 +892,37 @@ def test_flat_fold_matches_oracles():
         ("tf", 0), ("tf", 1), ("region",), ("torch", False), ("torch", True)}
 
 
+def test_strided_src_where_most_rows_win_matches_oracles(monkeypatch):
+    # a torch src wider than its index, so its rows are read through
+    # strides, with most rows winning: the colliding keys' winners are
+    # re-placed over the one assignment, and sum and prod fold the losing
+    # rows over several chunks, all from one contiguous copy of the rows
+    monkeypatch.setattr(engine, "_FOLD_CHUNK", 64)
+    rng = np.random.default_rng(53)
+    keys = rng.integers(0, 400, size=300)
+    losing = len(keys) - len(np.unique(keys))
+    # most rows win, and the losing rows of 3 fill several fold chunks
+    assert 2 * losing <= len(keys) and 3 * losing > 2 * engine._FOLD_CHUNK
+    index = np.broadcast_to(keys[:, None], (300, 3))
+    src = rng.uniform(0.5, 1.5, size=(300, 5)) * rng.choice([-1.0, 1.0], (300, 5))
+    src[::7] = -0.0
+    self_t = rng.standard_normal((400, 3))
+    table = torch_table(index, 0)
+    for policy in ALL_POLICIES:
+        try:
+            want = brute_force_scatter(table, self_t.shape, src[:, :3], self_t,
+                                       policy.value)
+        except OracleCollision as exc:
+            with pytest.raises(CollisionError) as info:
+                torch_scatter(self_t, 0, index, src, policy)
+            assert info.value.target == exc.target
+            continue
+        result, report = torch_scatter(self_t, 0, index, src, policy)
+        assert bits(result) == bits(want), policy
+        got = (report.writes, report.colliding_groups, report.uncovered_targets)
+        assert got == brute_force_counters(table, self_t.shape, policy.value), policy
+
+
 def test_colliding_fold_gathers_a_chunk_not_every_losing_row():
     # 2^14 rows of 4 floats into 4096 rows, about 4x collisions, so most
     # rows lose: sum and prod gather the losing rows and their offsets one
@@ -933,6 +966,21 @@ def tabulated(target, updates, spec, policy):
     return scatter(Scattering(compose_provision(spec), updates, target), policy)
 
 
+def declares_suffix(spec):
+    """Whether the spec's last output is a passed copy of its last source
+    dim, no wider than its target axis and read by no other output or by
+    the inner pick: a copied suffix its shapes alone prove."""
+    k, m = len(spec.source_shape), spec.inner.target_rank
+    if not k or not spec.out_pick or spec.out_pick[-1] < m:
+        return False
+    readers = [spec.pass_pick[w - m] for w in spec.out_pick[:-1] if w >= m]
+    return (
+        spec.pass_pick[spec.out_pick[-1] - m] == k - 1
+        and spec.source_shape[-1] <= spec.target_shape[-1]
+        and k - 1 not in spec.inner_pick + tuple(readers)
+    )
+
+
 def test_scatter_x_matches_tabulated_scatter():
     rng = np.random.default_rng(606)
     kinds = set()
@@ -940,7 +988,7 @@ def test_scatter_x_matches_tabulated_scatter():
     for case in range(400):
         spec = random_suffix_spec(rng)
         validate_spec(spec)
-        declared += _split_declared_suffix(spec)[0] > 0
+        declared += declares_suffix(spec)
         updates = rng.standard_normal(spec.source_shape)
         target = rng.standard_normal(spec.target_shape)
         for policy in ALL_POLICIES:
@@ -956,19 +1004,48 @@ def test_scatter_x_matches_tabulated_scatter():
     assert declared > 200
 
 
-def test_declared_suffix_plus_lead_suffix_is_max_suffix():
-    # the copied suffix of the whole map is the declared one followed by
-    # the largest copied suffix of the leading map
+def test_lowering_finds_the_tabulated_maps_suffix():
+    # over factored specs, torch maps and tables, the suffix the one
+    # lowering finds from shapes and compact coordinates is the largest
+    # copied suffix of the tabulated map, empty sources included
     rng = np.random.default_rng(607)
-    for case in range(400):
-        spec = random_suffix_spec(rng)
-        validate_spec(spec)
-        r0, lead = _split_declared_suffix(spec)
-        if 0 in spec.source_shape:
+    seen = set()
+    for case in range(1200):
+        kind = case % 3
+        if kind == 0:
+            spec = random_suffix_spec(rng)
+            validate_spec(spec)
+            provision = compose_provision(spec)
+            coords = _coordinates(spec)
+            seen.add(("declared", declares_suffix(spec)))
+        elif kind == 1:
+            self_t, dim, index, _ = random_torch_case(rng, case // 3)
+            provision = ProvisionTensor(torch_table(index, dim), self_t.shape)
+            coords = list(np.indices(index.shape, dtype=np.int64, sparse=True))
+            coords[dim] = index
+        else:
+            provision = (random_suffix_provision(rng) if case % 2
+                         else random_provision(rng, min_source_extent=0))
+            coords = [provision.table[..., j] for j in range(provision.target_rank)]
+        source_shape = provision.source_shape
+        try:
+            _, lead_shape = _lower(coords, source_shape, provision.target_shape)
+        except ValidationError:
+            # the lowering checks the entries of the leading map, which an
+            # empty source may still have
+            assert validate_provision(provision)[0] or provision.table.size == 0
             continue
-        whole, _ = max_sliceable_suffix(compose_provision(spec))
-        rest, _ = max_sliceable_suffix(compose_provision(lead))
-        assert whole == r0 + rest, case
+        suffix = provision.target_rank - len(lead_shape)
+        assert suffix == max_sliceable_suffix(provision)[0], case
+        edge = ("empty" if 0 in source_shape
+                else "extent 1" if 1 in source_shape else "other")
+        seen.add((kind, edge, suffix > 0))
+    # every kind of map finds a suffix over empty sources and over sources
+    # with a dim of extent 1, and goes without one over some other source
+    for kind in range(3):
+        assert {(kind, "empty", True), (kind, "extent 1", True),
+                (kind, "other", False)} <= seen, kind
+    assert {("declared", True), ("declared", False)} <= seen
 
 
 def tf_cases(rng):
@@ -1005,12 +1082,25 @@ def test_scatter_nd_update_matches_compose_then_scatter():
     assert kinds == {"ok", "collision", "out of bounds"}
 
 
+def torch_shaped_spec(index, rows):
+    """torch_scatter's dim-0 map of ``index`` into ``rows`` rows written as
+    a factored spec: (i, j) -> (index[i, j], j)."""
+    return XTransformerSpec(
+        inner=ProvisionTensor(index[..., None], (rows,)),
+        inner_pick=(0, 1),
+        pass_pick=(1,),
+        out_pick=(0, 1),
+        source_shape=index.shape,
+        target_shape=(rows, index.shape[1]),
+    )
+
+
 def test_scatter_nd_update_tabulates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a scatter tabulated its whole map or copied its inputs")
 
     monkeypatch.setattr(engine, "Scattering", refuse)
-    monkeypatch.setattr(transform, "index_matrix", refuse)
+    monkeypatch.setattr(transform, "compose_provision", refuse)
     rng = np.random.default_rng(8)
     ts = rng.standard_normal((64, 256))
     indices = rng.permutation(64)[:32, None]
@@ -1038,6 +1128,29 @@ def test_scatter_nd_update_tabulates_nothing(monkeypatch):
     expected[np.arange(64), np.arange(64)] = updates
     assert bits(result) == bits(expected)
     assert report.fast_path_used
+
+    # a lead map that is not the inner table itself: torch's dim-0 map,
+    # whose inner output is the inner table read in place
+    index = rng.integers(0, 16, size=(8, 32))
+    src = rng.standard_normal((8, 32))
+    self_t = rng.standard_normal((16, 32))
+    for policy in ALL_POLICIES:
+        got = outcome(lambda: scatter_x(self_t, src, torch_shaped_spec(index, 16), policy))
+        assert got == outcome(lambda: torch_scatter(self_t, 0, index, src, policy))
+
+
+def test_factored_scatter_peaks_as_torch_scatter_does():
+    # scatter_x on torch's dim-0 map written as a spec keys the kernel from
+    # the inner table read in place, so it holds no more than torch_scatter
+    # on the same data
+    rng = np.random.default_rng(44)
+    index = rng.integers(0, 1024, size=(256, 1024))
+    src = rng.standard_normal((256, 1024))
+    self_t = rng.standard_normal((1024, 1024))
+    spec = torch_shaped_spec(index, 1024)
+    factored = peak_bytes(lambda: scatter_x(self_t, src, spec, "last"))
+    direct = peak_bytes(lambda: torch_scatter(self_t, 0, index, src, "last"))
+    assert factored <= 1.05 * direct, (factored, direct)
 
 
 def tabulated_torch(self_t, dim, index, src, policy):
@@ -1143,3 +1256,51 @@ def test_scatter_x_out_of_bounds_names_lead_entry():
     )
     with pytest.raises(ValidationError):
         scatter_x(np.zeros((2, 2, 0)), np.zeros((2, 0)), diag(0))
+
+
+def test_scatter_x_counts_an_entry_for_each_source_index_reading_it():
+    # (i, j) -> (j, d(i)) with d(1) = 5 outside its axis: no suffix is
+    # declared, and the inner output, read along i alone, is a bad entry at
+    # each of the three source indices (1, j), as in the composed table
+    spec = XTransformerSpec(
+        inner=ProvisionTensor([[0], [5]], (2,)),
+        inner_pick=(0,),
+        pass_pick=(1,),
+        out_pick=(1, 0),
+        source_shape=(2, 3),
+        target_shape=(3, 2),
+    )
+    with pytest.raises(ValidationError) as info:
+        scatter_x(np.zeros((3, 2)), np.zeros((2, 3)), spec)
+    assert str(info.value) == (
+        "3 provision entries out of bounds; first at source index (1, 0), "
+        "target axis 1"
+    )
+    assert validate_provision(compose_provision(spec)) == (3, ((1, 0), 1))
+
+
+def test_inner_pick_outside_inner_table_raises_where_entries_are_read():
+    # the inner table has 2 rows and its pick reads a source dim of 3
+    def spec(width, out_pick):
+        target = {(0, 1): (4, width), (1, 0): (width, 4)}[out_pick]
+        return XTransformerSpec(ProvisionTensor([[0], [1]], (4,)), (0,), (1,),
+                                out_pick, (3, width), target)
+
+    def run(s):
+        return outcome(lambda: scatter_x(np.zeros(s.target_shape),
+                                         np.zeros(s.source_shape), s))
+
+    text = "inner pick selects indices outside the inner source shape (2,)"
+    for s in (spec(2, (0, 1)), spec(2, (1, 0))):
+        with pytest.raises(IndexError, match=re.escape(text)):
+            run(s)
+        with pytest.raises(IndexError, match=re.escape(text)):
+            compose_provision(s)
+    # an empty declared suffix leaves 3 leading indices, which are read
+    with pytest.raises(IndexError, match=re.escape(text)):
+        run(spec(0, (0, 1)))
+    # an empty leading dim leaves none to read
+    assert run(spec(0, (1, 0)))[0] == "ok"
+    # compose_provision reads nothing of an empty source
+    for s in (spec(0, (0, 1)), spec(0, (1, 0))):
+        assert compose_provision(s).table.shape == (3, 0, 2)
