@@ -40,12 +40,20 @@ def flat_offsets(coords, shape) -> np.ndarray:
     ``coords`` holds one array per axis (``rows.T`` for an (n, rank) table),
     broadcasting together and lying inside ``shape``.  Raises ArgumentError
     when ``shape`` has 2**63 or more cells, where int64 offsets would wrap.
+    The result may be a read-only view of a lone int64 coordinate, which
+    already is its offsets.
     """
     if shape_size(shape) >= 2**63:
         raise ArgumentError(
             f"shape {tuple(shape)} has 2**63 or more cells; "
             "its flat offsets overflow int64"
         )
+    if len(coords) == 1:
+        lone = np.asarray(coords[0])
+        if lone.dtype == np.int64:  # Horner's rule over one axis: no arithmetic
+            lone = lone.view()
+            lone.setflags(write=False)
+            return lone
     offsets = np.empty(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
     offsets[...] = coords[0] if len(coords) else 0
     for coord, extent in zip(coords[1:], shape[1:]):
@@ -54,20 +62,14 @@ def flat_offsets(coords, shape) -> np.ndarray:
     return offsets
 
 
-def as_data_tensor(values, shape=None) -> np.ndarray:
-    """Coerce to a C-ordered float64 array, optionally reshaped."""
-    arr = np.asarray(values, dtype=np.float64, order="C")
-    if shape is not None:
-        arr = arr.reshape(as_shape(shape))
-    return arr
+def as_data_tensor(values) -> np.ndarray:
+    """Coerce to a C-ordered float64 array."""
+    return np.asarray(values, dtype=np.float64, order="C")
 
 
-def as_index_tensor(values, shape=None) -> np.ndarray:
-    """Coerce to a C-ordered int64 array, optionally reshaped."""
-    arr = np.asarray(values, dtype=np.int64, order="C")
-    if shape is not None:
-        arr = arr.reshape(as_shape(shape))
-    return arr
+def as_index_tensor(values) -> np.ndarray:
+    """Coerce to a C-ordered int64 array."""
+    return np.asarray(values, dtype=np.int64, order="C")
 
 
 def as_pick(values) -> Pick:

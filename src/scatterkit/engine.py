@@ -47,7 +47,9 @@ a fold over 2^14 colliding rows of 4 doubles.
 
 Every entry point keys the kernel through one lowering,
 :func:`scatterkit.transform._lower`, which finds the copied suffix of a
-table, a factored spec and ``(index, dim)`` alike.
+table, a factored spec, torch's ``(index, dim)`` and tensorflow's
+``indices`` alike.  The two framework scatters build their coordinates
+straight from the caller's index array, with no spec and no copy of it.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .transform import (
     XTransformerSpec,
     _coordinates,
     _lower,
-    tf_transformer,
+    _tf_source_shape,
     validate_spec,
 )
 
@@ -157,7 +159,10 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
         return background.copy(), ScatterReport(0, 0, background.size, fast)
     source_trail = updates.shape[updates.ndim - r :]
     target_trail = background.shape[len(lead_shape) :]
-    keys = np.broadcast_to(keys, updates.shape[: updates.ndim - r]).reshape(-1)
+    rows_shape = updates.shape[: updates.ndim - r]
+    if keys.shape != rows_shape:  # np.broadcast_to alone costs about 5 us
+        keys = np.broadcast_to(keys, rows_shape)
+    keys = keys.reshape(-1)
     n = len(keys)
     t = shape_size(lead_shape)
     block = shape_size(source_trail)
@@ -266,15 +271,19 @@ def scatter_x(
     coords = _coordinates(spec)
     target = as_data_tensor(target)
     updates = as_data_tensor(updates)
-    if updates.shape != spec.source_shape or target.shape != spec.target_shape:
-        raise ArgumentError(
-            f"updates shape {updates.shape} and target shape {target.shape} "
-            f"must equal the spec's source shape {spec.source_shape} and "
-            f"target shape {spec.target_shape}"
-        )
+    _check_shapes(updates, target, spec.source_shape, spec.target_shape)
     policy = CollisionPolicy(policy)
     keys, lead_shape = _lower(coords, spec.source_shape, spec.target_shape)
     return _scatter_rows(keys, lead_shape, updates, target, policy)
+
+
+def _check_shapes(updates, target, source_shape, target_shape):
+    if updates.shape != source_shape or target.shape != target_shape:
+        raise ArgumentError(
+            f"updates shape {updates.shape} and target shape {target.shape} "
+            f"must equal the spec's source shape {source_shape} and "
+            f"target shape {target_shape}"
+        )
 
 
 def scatter_nd_update(
@@ -286,10 +295,24 @@ def scatter_nd_update(
     """Tensorflow-style batched slice update of a tensor.
 
     Each row of ``indices`` addresses a leading-axes cell of ``ts`` whose
-    trailing block is replaced by the matching slice of ``updates``.
+    trailing block is replaced by the matching slice of ``updates``.  The
+    map is :func:`scatterkit.transform.tf_transformer`'s, lowered straight
+    from the caller's ``indices``: target axis ``j < q`` reads the view
+    ``indices[..., j]`` and each trailing target axis is its source dim, so
+    no index data is copied and no spec is built.
     """
     ts = as_data_tensor(ts)
-    return scatter_x(ts, updates, tf_transformer(indices, ts.shape), policy)
+    indices = as_index_tensor(indices)
+    source_shape = _tf_source_shape(indices, ts.shape)
+    updates = as_data_tensor(updates)
+    _check_shapes(updates, ts, source_shape, ts.shape)
+    policy = CollisionPolicy(policy)
+    batch, q, rank = indices.ndim - 1, indices.shape[-1], ts.ndim
+    unit = indices.shape[:-1] + (1,) * (rank - q)
+    coords = [indices[..., j].reshape(unit) for j in range(q)]
+    coords += range(batch, batch + rank - q)
+    keys, lead_shape = _lower(coords, source_shape, ts.shape)
+    return _scatter_rows(keys, lead_shape, updates, ts, policy)
 
 
 def torch_scatter(

@@ -252,14 +252,18 @@ def _declared(coords, source_shape, target_shape) -> int:
 def _copies(coord, i, extent) -> bool:
     """The coordinate equals source coordinate i, of the given extent, at
     every source index; one of extent 1 along a wider dim never does."""
+    if np.count_nonzero(coord.swapaxes(0, i)[:1]):  # index 0 along i must read 0
+        return False
     line = np.arange(extent).reshape((-1,) + (1,) * (coord.ndim - 1 - i))
     return bool((coord == line).all())
 
 
 def _varies(coord, i) -> bool:
     """The coordinate changes along source dim i; one of extent 1 never does."""
-    col = np.moveaxis(coord, i, 0)
-    return bool((col[1:] != col[:1]).any())
+    col = coord.swapaxes(0, i)
+    if np.count_nonzero(col[1:2] != col[:1]):  # index 1 along i differs
+        return True
+    return bool((col[2:] != col[:1]).any())
 
 
 def _copied_suffix(coords, source_shape) -> int:
@@ -303,6 +307,21 @@ def _lower(coords, source_shape, target_shape) -> tuple[np.ndarray, Shape]:
     return flat_offsets(outs, lead_shape), lead_shape
 
 
+def _tf_source_shape(indices: np.ndarray, target_shape: Shape) -> Shape:
+    """Source shape of the batched slice update that ``indices`` makes into
+    ``target_shape``: the batch shape, then the target axes after the ``q``
+    that the last axis of ``indices`` addresses."""
+    if indices.ndim < 1:
+        raise ArgumentError("indices must have at least one axis")
+    q = indices.shape[-1]
+    if q > len(target_shape):
+        raise ArgumentError(
+            f"indices address {q} target axes but the target has rank "
+            f"{len(target_shape)}"
+        )
+    return indices.shape[:-1] + target_shape[q:]
+
+
 def tf_transformer(indices, target_shape) -> XTransformerSpec:
     """Batched slice-update transformer behind tf-style scatter_nd.
 
@@ -313,17 +332,9 @@ def tf_transformer(indices, target_shape) -> XTransformerSpec:
     """
     indices = as_index_tensor(indices)
     target_shape = as_shape(target_shape)
-    if indices.ndim < 1:
-        raise ArgumentError("indices must have at least one axis")
-    q = indices.shape[-1]
-    if q > len(target_shape):
-        raise ArgumentError(
-            f"indices address {q} target axes but the target has rank "
-            f"{len(target_shape)}"
-        )
+    source_shape = _tf_source_shape(indices, target_shape)
     batch = indices.ndim - 1
-    source_shape = indices.shape[:-1] + target_shape[q:]
-    inner = ProvisionTensor(indices, target_shape[:q])
+    inner = ProvisionTensor(indices, target_shape[: indices.shape[-1]])
     return XTransformerSpec(
         inner=inner,
         inner_pick=tuple(range(batch)),

@@ -42,6 +42,16 @@ def test_flat_offsets_refuse_int64_wrap():
         flat_offsets(np.zeros((2, 1), dtype=np.int64), (2**62, 2))
 
 
+def test_flat_offsets_of_one_int64_axis_are_a_read_only_view():
+    coord = np.array([[3, 0], [2, 1]], dtype=np.int64)
+    offsets = flat_offsets([coord], (4,))
+    assert offsets.tobytes() == coord.tobytes() and offsets.shape == coord.shape
+    assert offsets.dtype == np.int64 and not offsets.flags.writeable
+    assert coord.flags.writeable
+    with pytest.raises(ArgumentError):
+        flat_offsets([np.zeros(2, dtype=np.int64)], (2**63,))
+
+
 def test_flat_offsets_of_more_axes_than_numpy_broadcasts_at_once():
     # a table may name more target axes than np.broadcast takes arrays (64)
     rows = np.zeros((3, 70), dtype=np.int64)

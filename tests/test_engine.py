@@ -679,6 +679,20 @@ def test_distinct_fold_streams_rows_through_one_buffer():
         assert peak < ts.nbytes + updates.nbytes // 4, (policy, peak)
 
 
+def test_scatter_nd_update_holds_no_copy_of_its_indices():
+    # 2^14 index rows of 4 floats into 4096 rows, about 4x collisions: the
+    # keys are a view of the caller's indices, so beside the 128 KB result
+    # the call holds row-sized index work only, not two 128 KB copies of
+    # the indices (0.66 MB while a ProvisionTensor and flat_offsets copied them)
+    rng = np.random.default_rng(41)
+    ts = rng.standard_normal((4096, 4))
+    indices = rng.integers(0, 4096, size=(1 << 14, 1))
+    updates = rng.standard_normal((1 << 14, 4))
+    for policy in ("last", "first", "sum", "prod"):
+        peak = peak_bytes(lambda: scatter_nd_update(ts, indices, updates, policy))
+        assert peak < 0.5 * 2**20, (policy, peak)
+
+
 def test_winners_gather_streams_rows_through_one_buffer():
     # 12288 rows of 64 floats into 4096 rows, about 3x collisions, so most
     # rows lose: the winners are gathered a move chunk at a time into a
@@ -1104,12 +1118,26 @@ def test_scatter_nd_update_tabulates_nothing(monkeypatch):
     rng = np.random.default_rng(8)
     ts = rng.standard_normal((64, 256))
     indices = rng.permutation(64)[:32, None]
+    before = indices.copy()
     updates = rng.standard_normal((32, 256))
-    result, report = scatter_nd_update(ts, indices, updates, "last")
+    with monkeypatch.context() as m:
+        # scatter_nd_update lowers the caller's indices itself: no spec, no
+        # copy of them in a ProvisionTensor
+        for owner, name in (
+            (engine, "scatter_x"),
+            (engine, "validate_spec"),
+            (engine, "_coordinates"),
+            (transform, "tf_transformer"),
+            (ProvisionTensor, "__post_init__"),
+            (XTransformerSpec, "__post_init__"),
+        ):
+            m.setattr(owner, name, refuse)
+        result, report = scatter_nd_update(ts, indices, updates, "last")
     expected = ts.copy()
     expected[indices[:, 0]] = updates
     assert bits(result) == bits(expected)
     assert report.fast_path_used
+    assert bits(indices) == bits(before) and indices.flags.writeable
 
     # (i, j) -> (i, i, j): the diag map widened, with its last axis declared
     # copied, so only the (64, 2) inner table is read
