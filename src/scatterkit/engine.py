@@ -23,6 +23,25 @@ target trail and is contiguous, both assignments move it as one opaque
 ``(np.void, 8 * b)`` item, a block copy of its bytes; a narrower or
 strided row moves through its region of the target row.
 
+The result starts as a copy of the background, except when rows fill
+the target trail, hold at least ``_MASKED_COPY_BLOCK`` (64) elements,
+and the reached rows hold at least ``_MASKED_COPY_REACHED`` (2^16)
+elements.  Every move case writes the whole target row of each key it
+reaches, so then the result starts uninitialised and only the background
+rows no key reaches are copied into it, by one ``np.copyto(..., where=)``
+over ``(np.void, 8 * b)`` views of both arrays, the item type the moves
+use.  Its mask, taken from ``win`` before ``win`` is gathered by key,
+holds one bool per target row, at most 1/512 of the result, and ``win``
+stays the only target-sized index array.  The two bounds come from
+timing the masked copy against a full one (medians of interleaved pairs,
+2-vCPU VM, NumPy 2.4.6).  On an 8 MB target with half of its rows
+unreached the masked copy takes 10-13x the full copy's time at ``b = 1``,
+1.4-1.6x at ``b = 8``, 0.93-1.03x at ``b = 16``, 0.6-0.9x at ``b = 32``
+and 0.56-0.69x at ``b = 64``.  It also has a fixed cost of about 3 us,
+so on targets of 16-32 KB it takes 2.2-3.3x at every width, and it skips
+only the reached rows, so with 90% of the rows unreached it takes
+1.07-1.27x on targets of 256 KB-1 MB.
+
 Rows that need a float temporary, the moved rows of ``sum`` and ``prod``
 folded from the identity when every row moves and the gathered winners
 otherwise, pass in row order through one reused buffer of
@@ -75,6 +94,12 @@ _FOLD_CHUNK = 1 << 12
 # elements of the buffer that identity-folded rows and gathered winners
 # move through
 _MOVE_CHUNK = 1 << 15
+# a masked copy of the unreached background rows pays for itself only
+# with rows of at least _MASKED_COPY_BLOCK elements, and when the reached
+# rows it skips hold at least _MASKED_COPY_REACHED elements (512 KB); see
+# the module docstring
+_MASKED_COPY_BLOCK = 64
+_MASKED_COPY_REACHED = 1 << 16
 
 
 class CollisionPolicy(enum.Enum):
@@ -168,12 +193,17 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     block = shape_size(source_trail)
 
     # the winning row per key: its last row under LAST_WINS, else its first.
-    # win is the only target-sized array; everything after it is row-sized
+    # win is the only target-sized index array; besides the bool mask of
+    # unreached rows, everything after it is row-sized
     pos_dtype = np.int32 if n < 2**31 else np.int64
     pos = np.arange(n, dtype=pos_dtype)
     last_wins = policy is CollisionPolicy.LAST_WINS
-    win = np.full(t, -1 if last_wins else n, dtype=pos_dtype)
+    unset = -1 if last_wins else n
+    win = np.full(t, unset, dtype=pos_dtype)
     (np.maximum if last_wins else np.minimum).at(win, keys, pos)
+    # the target rows no key reaches, for a masked copy of the background
+    fill = source_trail == target_trail
+    unreached = win == unset if fill and block >= _MASKED_COPY_BLOCK else None
     win = win[keys]
     chosen = win == pos
     rest = np.flatnonzero(~chosen)  # every row but its key's winner, in row order
@@ -185,7 +215,7 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     updates = updates.reshape((n,) + source_trail)
     # a row that fills the target trail and is contiguous moves as one
     # opaque item of 8 * block bytes, a block copy rather than one per element
-    whole = source_trail == target_trail and updates[:1].flags.c_contiguous
+    whole = fill and updates[:1].flags.c_contiguous
     region = () if whole else tuple(slice(0, e) for e in source_trail)
     # a key collides when a rest row names its winner; intp indices scatter
     # faster than int32 ones
@@ -197,16 +227,24 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     chosen = None if most_win else np.flatnonzero(chosen)
     del pos, win, mark  # row-sized; freed before out is allocated
 
-    out = background.copy()
-    fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
-    if whole:
-        item = np.dtype((np.void, 8 * block))
-        out_rows = out.reshape(t, block).view(item)[:, 0]
+    # one row as an opaque item, shared by the background copy and the moves
+    item = np.dtype((np.void, 8 * block)) if fill else None
+
+    def void_rows(values, count):  # count rows of block elements, one item each
+        return values.reshape(count, block).view(item)[:, 0]
+
+    if unreached is not None and distinct * block >= _MASKED_COPY_REACHED:
+        # every move writes the whole target row of each reached key, so
+        # only the rows no key reaches are copied from the background
+        out = np.empty_like(background)
+        np.copyto(void_rows(out, t), void_rows(background, t), where=unreached)
     else:
-        out_rows = out.reshape((t,) + target_trail)
+        out = background.copy()
+    fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
+    out_rows = void_rows(out, t) if whole else out.reshape((t,) + target_trail)
 
     def as_rows(values):  # rows in the form out_rows is indexed with
-        return values.reshape(len(values), block).view(item)[:, 0] if whole else values
+        return void_rows(values, len(values)) if whole else values
 
     if most_win and fold is None:
         # every row moves in one assignment straight from the updates
@@ -271,19 +309,15 @@ def scatter_x(
     coords = _coordinates(spec)
     target = as_data_tensor(target)
     updates = as_data_tensor(updates)
-    _check_shapes(updates, target, spec.source_shape, spec.target_shape)
+    if updates.shape != spec.source_shape or target.shape != spec.target_shape:
+        raise ArgumentError(
+            f"updates shape {updates.shape} and target shape {target.shape} "
+            f"must equal the spec's source shape {spec.source_shape} and "
+            f"target shape {spec.target_shape}"
+        )
     policy = CollisionPolicy(policy)
     keys, lead_shape = _lower(coords, spec.source_shape, spec.target_shape)
     return _scatter_rows(keys, lead_shape, updates, target, policy)
-
-
-def _check_shapes(updates, target, source_shape, target_shape):
-    if updates.shape != source_shape or target.shape != target_shape:
-        raise ArgumentError(
-            f"updates shape {updates.shape} and target shape {target.shape} "
-            f"must equal the spec's source shape {source_shape} and "
-            f"target shape {target_shape}"
-        )
 
 
 def scatter_nd_update(
@@ -305,7 +339,12 @@ def scatter_nd_update(
     indices = as_index_tensor(indices)
     source_shape = _tf_source_shape(indices, ts.shape)
     updates = as_data_tensor(updates)
-    _check_shapes(updates, ts, source_shape, ts.shape)
+    if updates.shape != source_shape:
+        raise ArgumentError(
+            f"updates shape {updates.shape} must equal {source_shape}, the "
+            f"source shape that indices of shape {indices.shape} address in "
+            f"a target of shape {ts.shape}"
+        )
     policy = CollisionPolicy(policy)
     batch, q, rank = indices.ndim - 1, indices.shape[-1], ts.ndim
     unit = indices.shape[:-1] + (1,) * (rank - q)

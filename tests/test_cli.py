@@ -193,6 +193,20 @@ def test_tf_scatter_out_of_bounds_exits_2(tmp_path):
     )
 
 
+def test_tf_scatter_shape_mismatch_exits_2(tmp_path):
+    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((4, 3))))
+    indices = write_doc(
+        tmp_path / "idx.json", tensor_to_json(np.array([[1]], dtype=np.int64))
+    )
+    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.zeros((2, 3))))
+    proc = run_cli("tf-scatter", "--tensor", ts, "--indices", indices, "--updates", updates)
+    assert proc.returncode == 2
+    assert stdout_doc(proc)["error"] == (
+        "updates shape (2, 3) must equal (1, 3), the source shape that indices "
+        "of shape (1, 1) address in a target of shape (4, 3)"
+    )
+
+
 def test_torch_scatter_command(tmp_path):
     self_t = write_doc(tmp_path / "self.json", tensor_to_json(np.zeros((2, 2))))
     index = write_doc(

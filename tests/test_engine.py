@@ -158,13 +158,18 @@ def test_scatter_nd_update_full_index_batch():
 
 
 def test_scatter_nd_update_shape_mismatch():
-    with pytest.raises(ArgumentError):
-        scatter_nd_update(
-            np.zeros((3, 2)),
-            np.array([[0], [2]], dtype=np.int64),
-            np.zeros((2, 3)),
-            "last",
-        )
+    # scatter_nd_update names the source shape its indices imply, since its
+    # caller passes no spec; scatter_x names its spec's shapes
+    indices = np.array([[0], [2]], dtype=np.int64)
+    with pytest.raises(ArgumentError, match=re.escape(
+            "updates shape (2, 3) must equal (2, 2), the source shape that "
+            "indices of shape (2, 1) address in a target of shape (3, 2)")):
+        scatter_nd_update(np.zeros((3, 2)), indices, np.zeros((2, 3)), "last")
+    spec = tf_transformer(indices, (3, 2))
+    with pytest.raises(ArgumentError, match=re.escape(
+            "updates shape (2, 3) and target shape (3, 2) must equal the "
+            "spec's source shape (2, 2) and target shape (3, 2)")):
+        scatter_x(np.zeros((3, 2)), np.zeros((2, 3)), spec, "last")
 
 
 def test_torch_scatter_dim0():
@@ -363,14 +368,22 @@ def test_kernel_fills_one_target_sized_array(monkeypatch):
             return spy(name, attr) if name in ("full", "flatnonzero") else attr
 
     monkeypatch.setattr(engine, "np", Numpy())
+    # rows of 64 copy only the background rows no key reaches, through a
+    # mask taken from the same winner array
+    monkeypatch.setattr(engine, "_MASKED_COPY_REACHED", 1)
     rng = np.random.default_rng(5)
     ts, self_t = np.zeros((500, 3)), np.zeros((500, 2))
+    wide = np.zeros((500, 64))
     for keys in (rng.permutation(500)[:40], rng.integers(0, 500, size=40)):
         for policy in ALL_POLICIES:
             for run in (
                 lambda: scatter_nd_update(ts, keys[:, None], np.ones((40, 3)), policy),
                 lambda: torch_scatter(self_t, 0, np.c_[keys, keys[::-1]],
                                       np.ones((40, 2)), policy),
+                lambda: scatter_nd_update(wide, keys[:, None], np.ones((40, 64)),
+                                          policy),
+                lambda: torch_scatter(wide, 0, np.repeat(keys[:, None], 64, axis=1),
+                                      np.ones((40, 64)), policy),
             ):
                 calls.clear()
                 try:
@@ -955,6 +968,148 @@ def test_colliding_fold_gathers_a_chunk_not_every_losing_row():
         finally:
             tracemalloc.stop()
         assert peak < 3 * updates.nbytes // 2, (policy, peak)
+
+
+def nan_background(rng, shape):
+    """A random background with -0.0 and NaNs of distinct payloads and both
+    signs, which only a bit-for-bit copy keeps."""
+    background = rng.standard_normal(shape)
+    flat = background.reshape(-1)
+    flat[::5] = -0.0
+    nans = flat[1::7]
+    payloads = np.arange(1, len(nans) + 1, dtype=np.uint64)
+    payloads[::2] |= np.uint64(1 << 63)
+    nans[...] = (np.uint64(0x7FF8_0000_0000_0000) | payloads).view(np.float64)
+    return background
+
+
+def wide_row_cases(rng):
+    """Scatters whose rows are about the narrowest that copy only the
+    background rows no key reaches: rows of 63, 64 and 65 elements that
+    fill the target trail, with no row losing, most rows winning and most
+    losing, and with 4, 6 or all 12 keys reached; torch rows of 4 x 16
+    that fill it but are read through strides, so with no losing row they
+    move through their region, not as void items; and rows of 64 and 65
+    narrower than the target trail, which keep the background outside
+    their region.  Each background holds -0.0 and NaN payloads.  A case
+    names its entry point, its block b, whether its rows fill the target
+    trail, whether most rows win and how many keys it reaches."""
+
+    def draw(cells, reached, losers):
+        winners = rng.permutation(cells)[:reached]
+        keys = np.concatenate([winners, rng.choice(winners, losers)])
+        rng.shuffle(keys)
+        return keys
+
+    for block in (63, 64, 65):
+        for reached, losers in ((6, 0), (6, 2), (4, 6), (12, 3)):
+            keys = draw(12, reached, losers)
+            ts = nan_background(rng, (12, block))
+            updates = rng.standard_normal((len(keys), block))
+            updates[::3] = -0.0
+            indices = keys[:, None]
+            table = tf_table(indices, ts.shape)
+            scattering = Scattering(ProvisionTensor(table, ts.shape), updates, ts)
+            index = np.broadcast_to(indices, updates.shape)
+            side = (block, True, 2 * losers <= len(keys), reached)
+            yield ("tf",) + side, table, ts, updates, updates, (
+                lambda p: scatter_nd_update(ts, indices, updates, p))
+            yield ("scatter",) + side, table, ts, updates, updates, (
+                lambda p: scatter(scattering, p))
+            yield ("torch",) + side, torch_table(index, 0), ts, updates, updates, (
+                lambda p: torch_scatter(ts, 0, index, updates, p))
+
+    # torch rows of 4 x 16 read through strides from a wider src fill the
+    # target trail; rows of 64, of 2 x 32 (b = 64) and of 65 do not
+    for trail, target_trail, wide in (((4, 16), (4, 16), (5, 20)),
+                                      ((64,), (70,), (64,)),
+                                      ((2, 32), (4, 32), (2, 32)),
+                                      ((65,), (66,), (67,))):
+        for reached, losers in ((6, 0), (6, 2), (4, 6)):
+            keys = draw(10, reached, losers)
+            self_t = nan_background(rng, (10,) + target_trail)
+            index = np.broadcast_to(keys.reshape((-1,) + (1,) * len(trail)),
+                                    (len(keys),) + trail)
+            src = rng.standard_normal((len(keys) + 1,) + wide)
+            src.reshape(-1)[::3] = -0.0
+            corner = src[(slice(0, len(keys)),) + tuple(slice(0, e) for e in trail)]
+            fill = trail == target_trail
+            assert not fill or not corner[:1].flags.c_contiguous
+            side = (shape_size(trail), fill, 2 * losers <= len(keys), reached)
+            yield ("torch",) + side, torch_table(index, 0), self_t, corner, src, (
+                lambda p: torch_scatter(self_t, 0, index, src, p))
+
+
+def test_wide_rows_copy_only_unreached_background_matches_oracles(monkeypatch):
+    # rows of at least 64 elements that fill the target trail, whose reached
+    # rows hold enough elements, start from an uninitialised result and copy
+    # in only the background rows no key reaches; every move writes the
+    # whole row of each reached key, so results, counters and the reported
+    # collision target equal the row-major traversal's bit for bit, -0.0 and
+    # NaN payloads included.  Other scatters copy the whole background, and
+    # the caller's arrays are neither written nor aliased.  Five reached
+    # rows of 64 stand for the 512 KB of reached rows, so the oracles' walk
+    # stays short and 4 reached keys fall below it
+    reached_min = 5 * 64
+    monkeypatch.setattr(engine, "_MASKED_COPY_REACHED", reached_min)
+    masked = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def copyto(self, dst, src, **kwargs):
+            masked.append("where" in kwargs)
+            return np.copyto(dst, src, **kwargs)
+
+    monkeypatch.setattr(engine, "np", Numpy())
+    rng = np.random.default_rng(61)
+    seen = set()
+    for case, table, background, updates, arg, call in wide_row_cases(rng):
+        seen.add(case)
+        _, block, fill, _, reached = case
+        copies = fill and block >= 64 and reached * block >= reached_min
+        for policy in ALL_POLICIES:
+            before = [bits(a) for a in (background, arg)]
+            masked.clear()
+            try:
+                want = brute_force_scatter(table, background.shape, updates,
+                                           background, policy.value)
+            except OracleCollision as exc:
+                with pytest.raises(CollisionError) as info:
+                    call(policy)
+                assert info.value.target == exc.target, (case, policy)
+                assert masked == [], (case, policy)
+                continue
+            result, report = call(policy)
+            assert bits(result) == bits(want), (case, policy)
+            got = (report.writes, report.colliding_groups, report.uncovered_targets)
+            want = brute_force_counters(table, background.shape, policy.value)
+            assert got == want, (case, policy)
+            assert masked == ([True] if copies else []), (case, policy)
+            assert [bits(a) for a in (background, arg)] == before, (case, policy)
+            assert not np.shares_memory(result, background), (case, policy)
+            assert not np.shares_memory(result, arg), (case, policy)
+    assert {case[1:4] for case in seen} == {
+        (block, fill, most_win) for block, fill in
+        ((63, True), (64, True), (65, True), (64, False), (65, False))
+        for most_win in (True, False)}
+    assert {case[4] for case in seen} == {4, 6, 12}
+
+
+def test_wide_rows_peak_below_result_and_move_buffer():
+    # 512 of 1024 rows of 1024 floats, the tf_wide benchmark's shape: the
+    # unreached background rows are picked by a mask of one bool per target
+    # row, not gathered, so under every policy the call holds the result,
+    # at most the move buffer and row-sized index work
+    rng = np.random.default_rng(67)
+    ts = rng.standard_normal((1024, 1024))
+    indices = rng.permutation(1024)[:512, None]
+    updates = rng.standard_normal((512, 1024))
+    bound = ts.nbytes + 8 * engine._MOVE_CHUNK + (64 << 10)
+    for policy in ALL_POLICIES:
+        peak = peak_bytes(lambda: scatter_nd_update(ts, indices, updates, policy))
+        assert peak < bound, (policy, peak)
 
 
 def outcome(call, text=False):
