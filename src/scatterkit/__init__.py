@@ -46,7 +46,6 @@ from .transform import (
     tf_transformer,
     trivial_spec,
     validate_provision,
-    validate_spec,
 )
 
 __version__ = "0.1.0"
@@ -86,6 +85,5 @@ __all__ = [
     "torch_scatter",
     "trivial_spec",
     "validate_provision",
-    "validate_spec",
     "weak_decomposition",
 ]

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-import tempfile
 
 from . import fixtures
 from .analysis import detect_collisions, slicing_impossibility
@@ -32,6 +30,7 @@ from .serialize import (
     spec_from_json,
     tensor_from_json,
     tensor_to_json,
+    write_document,
 )
 from .transform import ProvisionTensor, compose_provision
 
@@ -57,26 +56,6 @@ def _load_index_tensor(path):
     return arr
 
 
-def _write_tensor(path, arr):
-    text = dump_document(tensor_to_json(arr))  # a refused tensor leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _replace_file(path, arr):
-    # write-temp-then-rename so a failed run never corrupts the input
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".scatterkit-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(dump_document(tensor_to_json(arr)))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _parse_shape(text):
     text = text.strip()
     if not text:
@@ -89,12 +68,11 @@ def _parse_shape(text):
 
 def _result_doc(result, report, args):
     doc = {"report": scatter_report_to_json(report)}
-    if getattr(args, "out", None):
-        _write_tensor(args.out, result)
-        doc["out"] = args.out
-    elif getattr(args, "in_place", False):
-        _replace_file(args.background, result)
-        doc["out"] = args.background
+    in_place = args.background if getattr(args, "in_place", False) else None
+    out = getattr(args, "out", None) or in_place
+    if out:
+        write_document(out, tensor_to_json(result))
+        doc["out"] = out
     else:
         doc["result"] = tensor_to_json(result)
     return doc
@@ -148,7 +126,7 @@ def cmd_compose(args):
     spec = spec_from_json(_load_json(args.spec))
     table = compose_provision(spec).table
     if args.out:
-        _write_tensor(args.out, table)
+        write_document(args.out, tensor_to_json(table))
         return {"out": args.out}
     return tensor_to_json(table)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, PickRangeError
+from .errors import ArgumentError
 
 Shape = tuple[int, ...]
 Index = tuple[int, ...]
@@ -68,8 +68,26 @@ def as_data_tensor(values) -> np.ndarray:
 
 
 def as_index_tensor(values) -> np.ndarray:
-    """Coerce to a C-ordered int64 array."""
-    return np.asarray(values, dtype=np.int64, order="C")
+    """Coerce to a C-ordered int64 array; raise ArgumentError naming the
+    first entry, in row-major order, whose value the cast would change: a
+    fraction, NaN, an infinity or a value outside int64."""
+    arr = np.asarray(values, order="C")
+    if arr.dtype.kind in "bi" or np.can_cast(arr.dtype, np.int64):  # exact casts
+        return arr.astype(np.int64, copy=False)
+    if isinstance(values, np.ndarray) and arr.dtype.kind in "fu":
+        with np.errstate(invalid="ignore"):  # NaN and out-of-range casts
+            cast = arr.astype(np.int64)
+        bad = np.flatnonzero(cast != arr)
+    else:  # entries as listed: a float beside a listed int would round it
+        arr = np.asarray(values, dtype=object, order="C")
+        bad = [i for i, v in enumerate(arr.flat)  # NaN compares false
+               if not (-(2**63) <= v < 2**63 and v == int(v))]
+        cast = None if bad else arr.astype(np.int64)
+    if len(bad):
+        at = tuple(map(int, np.unravel_index(bad[0], arr.shape)))
+        value = arr.flat[bad[0]]
+        raise ArgumentError(f"index entry {value} at {at} is not an int64 integer")
+    return cast
 
 
 def as_pick(values) -> Pick:
@@ -79,16 +97,3 @@ def as_pick(values) -> Pick:
 def identity_pick(n: int) -> Pick:
     return tuple(range(n))
 
-
-def check_pick(pick, length: int, what: str = "index") -> Pick:
-    """Validate that every pick value addresses a coordinate of ``length``.
-
-    Negative values are rejected outright rather than wrapped.
-    """
-    pick = as_pick(pick)
-    for v in pick:
-        if not 0 <= v < length:
-            raise PickRangeError(
-                f"pick value {v} out of range for {what} of length {length}"
-            )
-    return pick

@@ -66,9 +66,10 @@ a fold over 2^14 colliding rows of 4 doubles.
 
 Every entry point keys the kernel through one lowering,
 :func:`scatterkit.transform._lower`, which finds the copied suffix of a
-table, a factored spec, torch's ``(index, dim)`` and tensorflow's
-``indices`` alike.  The two framework scatters build their coordinates
-straight from the caller's index array, with no spec and no copy of it.
+factored spec, a table (as its trivial spec), torch's ``(index, dim)``
+and tensorflow's ``indices`` alike.  The two framework scatters build
+their coordinates straight from the caller's index array, with no spec
+and no copy of it.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from .transform import (
     _coordinates,
     _lower,
     _tf_source_shape,
-    validate_spec,
+    trivial_spec,
 )
 
 # elements of losing rows that a sum or prod fold gathers at a time
@@ -165,14 +166,12 @@ def scatter(
 ) -> tuple[np.ndarray, ScatterReport]:
     """Execute a scattering, returning a fresh result tensor and a report.
 
-    The scatter moves whole rows along the largest copied suffix of the
-    transformer; without one, rows are single elements.
+    The table scatters as its trivial spec, through :func:`scatter_x`, in
+    whole rows along the largest copied suffix of the transformer; without
+    one, rows are single elements.
     """
-    policy = CollisionPolicy(policy)
-    s, p = scattering, scattering.transformer
-    columns = [p.table[..., j] for j in range(p.target_rank)]
-    keys, lead_shape = _lower(columns, p.source_shape, p.target_shape)
-    return _scatter_rows(keys, lead_shape, s.updates, s.background, policy)
+    s = scattering
+    return scatter_x(s.background, s.updates, trivial_spec(s.transformer), policy)
 
 
 def _scatter_rows(keys, lead_shape, updates, background, policy):
@@ -305,7 +304,6 @@ def scatter_x(
     policy: CollisionPolicy | str = CollisionPolicy.LAST_WINS,
 ) -> tuple[np.ndarray, ScatterReport]:
     """Scatter through a factored transformer without tabulating it."""
-    validate_spec(spec)
     coords = _coordinates(spec)
     target = as_data_tensor(target)
     updates = as_data_tensor(updates)

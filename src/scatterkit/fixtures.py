@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from .core import as_data_tensor, as_index_tensor
-from .serialize import dump_document, tensor_to_json
+from .serialize import tensor_to_json, write_document
 from .transform import ProvisionTensor
 
 EMBED_TABLE = [
@@ -96,10 +96,8 @@ FIXTURE_BUILDERS = {
 def write_fixtures(directory) -> list[str]:
     """Write every fixture tensor as JSON under ``directory``; idempotent."""
     os.makedirs(directory, exist_ok=True)
-    names = []
-    for name in sorted(FIXTURE_BUILDERS):
+    names = sorted(FIXTURE_BUILDERS)
+    for name in names:
         doc = tensor_to_json(FIXTURE_BUILDERS[name]())
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            fh.write(dump_document(doc))
-        names.append(name)
+        write_document(os.path.join(directory, name), doc)
     return names

@@ -11,6 +11,8 @@ Factored transformers carry their inner table inline as a tensor document.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -166,3 +168,25 @@ def analysis_to_json(
 def dump_document(doc) -> str:
     """Fixed compact serialization so identical documents give identical bytes."""
     return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def write_document(path, doc) -> None:
+    """Write ``doc`` to ``path`` through a temporary file in its directory
+    and os.replace, so a failed write leaves an existing file as it was;
+    the file keeps the mode an ``open`` for writing would give it."""
+    path = os.path.realpath(path)  # through a symlink, as open writes
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(prefix=".scatterkit-", dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(dump_document(doc))
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

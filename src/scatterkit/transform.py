@@ -24,12 +24,11 @@ from .core import (
     as_index_tensor,
     as_pick,
     as_shape,
-    check_pick,
     flat_offsets,
     identity_pick,
     shape_size,
 )
-from .errors import ArgumentError, ValidationError
+from .errors import ArgumentError, PickRangeError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +45,7 @@ class ProvisionTensor:
     target_shape: Shape
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=np.int64, order="C")
+        table = np.array(as_index_tensor(self.table))
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "target_shape", as_shape(self.target_shape))
@@ -126,6 +125,9 @@ class XTransformerSpec:
     transformer, ``pass_pick`` selects coordinates carried over verbatim,
     and ``out_pick`` rearranges the concatenation of the inner output and
     the passed coordinates into the final target index.
+
+    Construction checks the picks, and raises IndexError when a picked
+    source extent exceeds the inner table's, even for an empty source.
     """
 
     inner: ProvisionTensor
@@ -141,28 +143,35 @@ class XTransformerSpec:
         object.__setattr__(self, "out_pick", as_pick(self.out_pick))
         object.__setattr__(self, "source_shape", as_shape(self.source_shape))
         object.__setattr__(self, "target_shape", as_shape(self.target_shape))
+        k, inner_shape = len(self.source_shape), self.inner.source_shape
+        m = self.concat_rank
+        for pick, length, what in ((self.inner_pick, k, "source index"),
+                                   (self.pass_pick, k, "source index"),
+                                   (self.out_pick, m, "concatenated index")):
+            for v in pick:  # a negative value is refused, not wrapped
+                if not 0 <= v < length:
+                    raise PickRangeError(
+                        f"pick value {v} out of range for {what} of length {length}"
+                    )
+        if len(self.inner_pick) != len(inner_shape):
+            raise ArgumentError(
+                f"inner pick length {len(self.inner_pick)} must equal the inner "
+                f"source rank {len(inner_shape)}"
+            )
+        if len(self.out_pick) != len(self.target_shape):
+            raise ArgumentError(
+                f"out pick length {len(self.out_pick)} must equal the target rank "
+                f"{len(self.target_shape)}"
+            )
+        if any(self.source_shape[d] > e for d, e in zip(self.inner_pick, inner_shape)):
+            raise IndexError(
+                "inner pick selects indices outside the inner source shape "
+                f"{inner_shape}"
+            )
 
     @property
     def concat_rank(self) -> int:
         return self.inner.target_rank + len(self.pass_pick)
-
-
-def validate_spec(spec: XTransformerSpec) -> None:
-    """Raise unless the spec's picks are applicable and sized for its shapes."""
-    k = len(spec.source_shape)
-    check_pick(spec.inner_pick, k, what="source index")
-    check_pick(spec.pass_pick, k, what="source index")
-    check_pick(spec.out_pick, spec.concat_rank, what="concatenated index")
-    if len(spec.inner_pick) != len(spec.inner.source_shape):
-        raise ArgumentError(
-            f"inner pick length {len(spec.inner_pick)} must equal the inner "
-            f"source rank {len(spec.inner.source_shape)}"
-        )
-    if len(spec.out_pick) != len(spec.target_shape):
-        raise ArgumentError(
-            f"out pick length {len(spec.out_pick)} must equal the target rank "
-            f"{len(spec.target_shape)}"
-        )
 
 
 def trivial_spec(provision: ProvisionTensor) -> XTransformerSpec:
@@ -182,48 +191,34 @@ def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
 
     Tabulates out_pick(inner(inner_pick(I)) + pass_pick(I)) over the whole
     source index set by broadcasting the coordinates of
-    :func:`_coordinates`.  Raises IndexError when the inner pick produces
-    an index outside the inner transformer's source shape.
+    :func:`_coordinates`.  The spec checked its picks when it was built,
+    so every inner entry read lies inside the inner table.
     """
-    validate_spec(spec)
     table = np.empty(spec.source_shape + (len(spec.target_shape),), dtype=np.int64)
-    if shape_size(spec.source_shape):  # an empty source reads no inner entry
-        for j, c in enumerate(_coordinates(spec)):
-            table[..., j] = _axis(c, spec.source_shape) if isinstance(c, int) else c
+    for j, c in enumerate(_coordinates(spec)):
+        table[..., j] = _axis(c, spec.source_shape) if isinstance(c, int) else c
     return ProvisionTensor(table, spec.target_shape)
 
 
 def _coordinates(spec: XTransformerSpec) -> list:
-    """A validated spec's outputs as :func:`_lower` coordinates.
+    """A spec's outputs as :func:`_lower` coordinates.
 
     An inner output views the inner table at the open grid of the inner
-    pick (a dim picked twice reads a diagonal).  A passed output is its
-    source dim's int, or an arange when the inner reads that dim too.
-    Raises IndexError when the inner pick leaves the inner table at an index
-    the lowering reads, one left after the suffix :func:`_declared` splits.
+    pick (a dim picked twice reads a diagonal), inside the table, as the
+    spec checked when it was built.  A passed output is its source dim's
+    int, or an arange when the inner reads that dim too.
     """
     source, pick, table = spec.source_shape, spec.inner_pick, spec.inner.table
-    extents = tuple(source[d] for d in pick)
-    escapes = any(e > i for e, i in zip(extents, spec.inner.source_shape))
-    if escapes:  # zeros stand in; only a lead that reads nothing gets past
-        table = np.zeros(extents + table.shape[-1:], dtype=np.int64)
     shape, strides = [1] * len(source), [0] * len(source)
-    for d, e, stride in zip(pick, extents, table.strides):
-        shape[d], strides[d] = e, strides[d] + stride
+    for d, stride in zip(pick, table.strides):
+        shape[d], strides[d] = source[d], strides[d] + stride
     # the table is C-ordered: output j starts j entries into its buffer, at 0 if empty
     cat = [
         np.ndarray(shape, np.int64, table, 8 * j if table.size else 0, strides)
         for j in range(table.shape[-1])
     ]
     cat += [_axis(d, source) if d in pick else d for d in spec.pass_pick]
-    coords = [cat[v] for v in spec.out_pick]
-    lead = source[: len(source) - _declared(coords, source, spec.target_shape)]
-    if escapes and shape_size(lead):
-        raise IndexError(
-            "inner pick selects indices outside the inner source shape "
-            f"{spec.inner.source_shape}"
-        )
-    return coords
+    return [cat[v] for v in spec.out_pick]
 
 
 def _axis(d, shape) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Black-box CLI tests: every invocation through a real subprocess, and
 calls of ``main`` in one process checked against those."""
 
+import builtins
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -115,6 +118,83 @@ def test_scatter_in_place_preserves_input_on_failure(fixture_dir, tmp_path):
     )
     assert proc.returncode == 3
     assert background.read_text() == original
+
+
+class HalfWriter:
+    """A file opened for writing whose write stores half its text, then
+    fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_out_write_leaves_the_existing_file_whole(tmp_path, monkeypatch, capsys):
+    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((3, 2))))
+    indices = write_doc(
+        tmp_path / "idx.json", tensor_to_json(np.array([[2]], dtype=np.int64))
+    )
+    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.ones((1, 2))))
+    out = tmp_path / "out.json"
+    out.write_bytes(b"an earlier result\n")
+    before = sorted(os.listdir(tmp_path))
+    real_open, real_fdopen = builtins.open, os.fdopen
+
+    def failing(opener):
+        def opened(file, mode="r", *args, **kwargs):
+            fh = opener(file, mode, *args, **kwargs)
+            return HalfWriter(fh) if "w" in mode else fh
+        return opened
+
+    argv = ["tf-scatter", "--tensor", ts, "--indices", indices,
+            "--updates", updates, "--out", out]
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", failing(real_open))
+        m.setattr(os, "fdopen", failing(real_fdopen))
+        code = cli.main([str(a) for a in argv])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["exit_code"] == 1
+    assert out.read_bytes() == b"an earlier result\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_written_files_keep_the_mode_open_gives(fixture_dir, tmp_path):
+    # a replaced file keeps its mode; a new one gets the umask's
+    background = fixture_dir / "embed_background.json"
+    background.chmod(0o640)
+    args = ["scatter", "--provision", fixture_dir / "embed_provision.json",
+            "--updates", fixture_dir / "embed_updates.json",
+            "--background", background]
+    assert run_cli(*args, "--in-place").returncode == 0
+    assert background.stat().st_mode & 0o777 == 0o640
+    umask = os.umask(0)
+    os.umask(umask)
+    assert run_cli(*args, "--out", tmp_path / "new.json").returncode == 0
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_out_writes_through_a_symlink(fixture_dir, tmp_path):
+    target = tmp_path / "real.json"
+    target.write_text("stale\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    proc = run_cli("scatter", "--provision", fixture_dir / "embed_provision.json",
+                   "--updates", fixture_dir / "embed_updates.json",
+                   "--background", fixture_dir / "embed_background.json",
+                   "--out", link)
+    assert proc.returncode == 0, proc.stderr
+    assert link.is_symlink()
+    assert json.loads(target.read_text()) == tensor_to_json(fx.embed_expected())
 
 
 def test_scatter_missing_file_exits_1(fixture_dir):

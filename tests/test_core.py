@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,13 @@ from hypothesis import strategies as st
 
 from scatterkit import (
     ArgumentError,
+    ProvisionTensor,
+    XTransformerSpec,
+    as_index_tensor,
+    scatter_nd_update,
     shape_size,
+    tf_transformer,
+    torch_scatter,
 )
 from scatterkit.core import flat_offsets
 
@@ -59,3 +67,46 @@ def test_flat_offsets_of_more_axes_than_numpy_broadcasts_at_once():
     shape = (1,) * 69 + (2,)
     assert flat_offsets(rows.T, shape).tolist() == [0, 1, 0]
 
+
+
+def test_index_coercion_refuses_entries_the_int64_cast_would_change():
+    refused = [
+        ([[0.5, 1.9]], "index entry 0.5 at (0, 0)"),
+        ([0.0, float("nan")], "index entry nan at (1,)"),
+        (np.array([[1.0], [-np.inf]]), "index entry -inf at (1, 0)"),
+        (np.array([1.0, 2.0**63]), "index entry 9.223372036854776e+18 at (1,)"),
+        (np.array([2**63], dtype=np.uint64), "index entry 9223372036854775808 at (0,)"),
+        ([1, -(2**63) - 1], "index entry -9223372036854775809 at (1,)"),
+    ]
+    for values, text in refused:
+        with pytest.raises(ArgumentError, match=re.escape(text)):
+            as_index_tensor(values)
+    # exact inputs keep working; a listed int beside a float is not rounded
+    assert as_index_tensor([]).shape == (0,)
+    assert as_index_tensor([True, False]).tolist() == [1, 0]
+    assert as_index_tensor(np.array([[3.0, -2.0]])).tolist() == [[3, -2]]
+    assert as_index_tensor([1.0, 2**62 + 1]).tolist() == [1, 2**62 + 1]
+    assert as_index_tensor(np.array([-(2.0**63)])).tolist() == [-(2**63)]
+    for values in ([], [True, False], [[3.0, -2.0]], np.arange(3, dtype=np.uint32)):
+        assert as_index_tensor(values).dtype == np.int64
+    # int64 input is returned as it is, unscanned
+    index = np.arange(6).reshape(2, 3)
+    assert as_index_tensor(index) is index
+
+
+def test_entry_points_refuse_fractional_indices():
+    def refuses(call):
+        with pytest.raises(ArgumentError, match="is not an int64 integer"):
+            call()
+
+    refuses(lambda: ProvisionTensor([[0.5, 1.9]], (2, 2)))
+    refuses(lambda: torch_scatter(np.zeros(3), 0, [0.9, 2.2], [5.0, 6.0]))
+    refuses(lambda: scatter_nd_update(np.zeros((4, 3)), [[1.7]], np.ones((1, 3))))
+    # a spec's inner table, built directly or by tf_transformer
+    refuses(lambda: XTransformerSpec(ProvisionTensor([[0], [1.5]], (2,)), (0,), (),
+                                     (0,), (2,), (2,)))
+    refuses(lambda: tf_transformer([[1.5]], (2,)))
+    # integral floats index as their ints
+    assert ProvisionTensor([[1.0, 0.0]], (2, 2)).table.tolist() == [[1, 0]]
+    result, _ = torch_scatter(np.zeros(3), 0, [2.0, 0.0], [5.0, 6.0])
+    assert result.tolist() == [6.0, 0.0, 5.0]

@@ -31,7 +31,7 @@ from scatterkit import analysis, core, engine, transform
 from scatterkit import fixtures as fx
 from scatterkit.core import flat_offsets
 from scatterkit.engine import _scatter_rows
-from scatterkit.transform import _coordinates, _lower, validate_spec
+from scatterkit.transform import _coordinates, _lower
 
 from generators import (
     random_provision,
@@ -1156,7 +1156,6 @@ def test_scatter_x_matches_tabulated_scatter():
     declared = 0
     for case in range(400):
         spec = random_suffix_spec(rng)
-        validate_spec(spec)
         declared += declares_suffix(spec)
         updates = rng.standard_normal(spec.source_shape)
         target = rng.standard_normal(spec.target_shape)
@@ -1173,6 +1172,40 @@ def test_scatter_x_matches_tabulated_scatter():
     assert declared > 200
 
 
+def test_scatter_of_a_table_is_scatter_x_of_its_trivial_spec():
+    # scatter lowers its table as its trivial spec: same result bits,
+    # counters, collision targets and bounds-error texts under every policy,
+    # over tables with collisions, out-of-bounds entries, and empty and
+    # extent-1 source dims
+    rng = np.random.default_rng(1818)
+    seen = set()
+    for case in range(600):
+        if case % 3 == 0:
+            provision = random_suffix_provision(rng, collisions=case % 2 == 0)
+        else:
+            provision = random_provision(rng, collisions=case % 3 == 1,
+                                         min_source_extent=0)
+        if case % 4 == 3 and provision.table.size:
+            # one entry at -1 or at its target extent
+            table = provision.table.copy()
+            p = int(rng.integers(table.size))
+            extent = provision.target_shape[p % provision.target_rank]
+            table.reshape(-1)[p] = -1 if case % 8 == 3 else extent
+            provision = ProvisionTensor(table, provision.target_shape)
+        updates = rng.standard_normal(provision.source_shape)
+        background = rng.standard_normal(provision.target_shape)
+        for policy in ALL_POLICIES:
+            got = outcome(lambda: scatter(
+                Scattering(provision, updates, background), policy), text=True)
+            want = outcome(lambda: scatter_x(
+                background, updates, trivial_spec(provision), policy), text=True)
+            assert got == want, (case, policy)
+            seen.add(got[0])
+        source = provision.source_shape
+        seen.add("empty" if 0 in source else "extent 1" if 1 in source else "other")
+    assert seen == {"ok", "collision", "out of bounds", "empty", "extent 1", "other"}
+
+
 def test_lowering_finds_the_tabulated_maps_suffix():
     # over factored specs, torch maps and tables, the suffix the one
     # lowering finds from shapes and compact coordinates is the largest
@@ -1183,7 +1216,6 @@ def test_lowering_finds_the_tabulated_maps_suffix():
         kind = case % 3
         if kind == 0:
             spec = random_suffix_spec(rng)
-            validate_spec(spec)
             provision = compose_provision(spec)
             coords = _coordinates(spec)
             seen.add(("declared", declares_suffix(spec)))
@@ -1280,7 +1312,6 @@ def test_scatter_nd_update_tabulates_nothing(monkeypatch):
         # copy of them in a ProvisionTensor
         for owner, name in (
             (engine, "scatter_x"),
-            (engine, "validate_spec"),
             (engine, "_coordinates"),
             (transform, "tf_transformer"),
             (ProvisionTensor, "__post_init__"),
@@ -1469,21 +1500,9 @@ def test_inner_pick_outside_inner_table_raises_where_entries_are_read():
         return XTransformerSpec(ProvisionTensor([[0], [1]], (4,)), (0,), (1,),
                                 out_pick, (3, width), target)
 
-    def run(s):
-        return outcome(lambda: scatter_x(np.zeros(s.target_shape),
-                                         np.zeros(s.source_shape), s))
-
+    # the spec refuses itself where it is built, before any entry is read,
+    # so empty sources raise as the others do
     text = "inner pick selects indices outside the inner source shape (2,)"
-    for s in (spec(2, (0, 1)), spec(2, (1, 0))):
+    for width, out_pick in ((2, (0, 1)), (2, (1, 0)), (0, (0, 1)), (0, (1, 0))):
         with pytest.raises(IndexError, match=re.escape(text)):
-            run(s)
-        with pytest.raises(IndexError, match=re.escape(text)):
-            compose_provision(s)
-    # an empty declared suffix leaves 3 leading indices, which are read
-    with pytest.raises(IndexError, match=re.escape(text)):
-        run(spec(0, (0, 1)))
-    # an empty leading dim leaves none to read
-    assert run(spec(0, (1, 0)))[0] == "ok"
-    # compose_provision reads nothing of an empty source
-    for s in (spec(0, (0, 1)), spec(0, (1, 0))):
-        assert compose_provision(s).table.shape == (3, 0, 2)
+            spec(width, out_pick)

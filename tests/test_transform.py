@@ -13,11 +13,10 @@ from scatterkit import (
     torch_scatter,
     trivial_spec,
     validate_provision,
-    validate_spec,
 )
 from scatterkit import fixtures as fx
 
-from generators import random_spec
+from generators import random_spec, random_suffix_spec
 from oracles import direct_xtransform, identity_provision, literal_traversal, transform
 
 
@@ -140,17 +139,17 @@ def test_compose_errors():
         compose_provision(XTransformerSpec(**{**base, "out_pick": (0, 3)}))
     with pytest.raises(ArgumentError):
         compose_provision(XTransformerSpec(**{**base, "out_pick": (0,)}))
-    # picked coordinate exceeds the inner source extent
-    narrow = XTransformerSpec(
-        inner=identity_provision((2,)),
-        inner_pick=(0,),
-        pass_pick=(1,),
-        out_pick=(0, 1),
-        source_shape=(4, 2),
-        target_shape=(4, 2),
-    )
+    # picked coordinate exceeds the inner source extent: the spec refuses
+    # itself where it is built
     with pytest.raises(IndexError):
-        compose_provision(narrow)
+        XTransformerSpec(
+            inner=identity_provision((2,)),
+            inner_pick=(0,),
+            pass_pick=(1,),
+            out_pick=(0, 1),
+            source_shape=(4, 2),
+            target_shape=(4, 2),
+        )
 
 
 def test_compose_matches_direct_evaluation():
@@ -167,6 +166,40 @@ def test_compose_matches_direct_evaluation():
                 index,
             )
             assert transform(composed, index) == expected
+
+
+def test_spec_refuses_exactly_the_picks_past_its_inner_table():
+    # random specs, empty sources included, with one picked source dim
+    # sometimes narrowed, possibly to 0, or widened past the inner table:
+    # construction raises IndexError exactly when a picked extent exceeds
+    # its inner extent, and every spec that builds composes to the factored
+    # map evaluated directly
+    rng = np.random.default_rng(1819)
+    seen = set()
+    for case in range(600):
+        base = random_suffix_spec(rng) if case % 2 else random_spec(rng)
+        source = list(base.source_shape)
+        if base.inner_pick and rng.random() < 0.6:
+            d = base.inner_pick[int(rng.integers(len(base.inner_pick)))]
+            source[d] += int(rng.integers(-source[d], 3))
+        fields = dict(inner=base.inner, inner_pick=base.inner_pick,
+                      pass_pick=base.pass_pick, out_pick=base.out_pick,
+                      source_shape=source, target_shape=base.target_shape)
+        escapes = any(source[d] > e
+                      for d, e in zip(base.inner_pick, base.inner.source_shape))
+        seen.add((escapes, 0 in source))
+        if escapes:
+            with pytest.raises(IndexError, match="outside the inner source shape"):
+                XTransformerSpec(**fields)
+            continue
+        spec = XTransformerSpec(**fields)
+        composed = compose_provision(spec)
+        for index in literal_traversal(spec.source_shape):
+            assert transform(composed, index) == direct_xtransform(
+                spec.inner.table, spec.inner_pick, spec.pass_pick,
+                spec.out_pick, index,
+            ), (case, index)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_tf_transformer_full_gather():
@@ -222,13 +255,11 @@ def test_tf_transformer_trailing_passthrough():
 
 def test_validate_spec_requires_matching_inner_rank():
     with pytest.raises(ArgumentError):
-        validate_spec(
-            XTransformerSpec(
-                inner=identity_provision((2, 2)),
-                inner_pick=(0,),
-                pass_pick=(),
-                out_pick=(0, 1),
-                source_shape=(2, 2),
-                target_shape=(2, 2),
-            )
+        XTransformerSpec(
+            inner=identity_provision((2, 2)),
+            inner_pick=(0,),
+            pass_pick=(),
+            out_pick=(0, 1),
+            source_shape=(2, 2),
+            target_shape=(2, 2),
         )
