@@ -27,7 +27,7 @@ print("\nthe row at a source index is its target index:")
 for source in [(0, 0), (3, 0), (3, 1)]:
     print(f"  {source} -> {tuple(embed.table[source].tolist())}")
 
-image = sorted(set(map(tuple, embed.rows().tolist())))
+image = sorted(set(map(tuple, embed.table.reshape(-1, embed.target_rank).tolist())))
 print(f"\nimage covers {len(image)} of 16 target cells, all in the low half:")
 print(" ", image[:4], "...")
 

@@ -5,8 +5,11 @@ leading outputs depending only on the leading inputs) lets the engine copy
 whole contiguous blocks instead of single elements.  When no such suffix
 exists, the canonical factoring explains why: some source dim is read both
 through the inner transformer and verbatim, and that overlap is the
-obstruction.
+obstruction.  The analyzer reads a factored spec as it reads a table, without
+tabulating it, and gives the answer of the table the spec composes to.
 """
+
+import sys
 
 from scatterkit import (
     compose_provision,
@@ -17,6 +20,7 @@ from scatterkit import (
     weak_decomposition,
 )
 from scatterkit import fixtures as fx
+from scatterkit.serialize import analysis_to_json
 import numpy as np
 
 # the diag transformer (i,j,k) -> (i,i,j,k): suffix of length 2
@@ -46,6 +50,15 @@ print("   exactly what prevents a copied suffix)")
 recomposed = compose_provision(spec)
 print("  factoring recomposes exactly:",
       np.array_equal(recomposed.table, parity.table))
+
+# the canonical factoring is itself a map: analysing it directly gives the
+# table's report, field by field
+spec_report = analysis_to_json(slicing_impossibility(spec), detect_collisions(spec))
+table_report = analysis_to_json(report, detect_collisions(parity))
+print("  the spec, analysed without tabulating it, reports the same:",
+      spec_report == table_report)
+if spec_report != table_report:
+    sys.exit(1)
 
 # collision structure is part of the same report surface
 col = detect_collisions(diag)

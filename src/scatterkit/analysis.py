@@ -1,7 +1,7 @@
-"""Static analysis of provision tensors.
+"""Static analysis of index transformers, tabulated or factored.
 
-Answers three questions about a tabulated transformer before any data
-moves: which target cells receive colliding writes and which receive none
+Answers three questions about a transformer before any data moves: which
+target cells receive colliding writes and which receive none
 (:func:`detect_collisions`); whether the map splits into a leading
 transform plus a verbatim coordinate suffix, which is what lets a scatter
 lower to contiguous block copies (:func:`max_sliceable_suffix`); and, when
@@ -9,6 +9,10 @@ it does not split, what the canonical factoring looks like and where its
 picks overlap (:func:`weak_decomposition`, :func:`slicing_impossibility`).
 A nonempty overlap in the canonical factoring is the witness that the
 pass-through structure cannot be straightened into a copied suffix.
+Each takes a table or a spec, reads it as the engine does (one coordinate
+per target axis, ``transform._read``) and tabulates only the tables its
+answer holds.  A spec's answer, bounds errors included, is its composed
+table's: an empty source raises nothing, though ``scatter_x`` would.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from .core import Index, flat_offsets, shape_size
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
+    _bounds_error,
     _copied_suffix,
     _copies,
+    _escapes,
+    _read,
+    _tabulate,
     _varies,
-    check_provision_bounds,
-    trivial_spec,
 )
 
 SLICEABLE = "SLICEABLE"
@@ -49,50 +55,39 @@ class CollisionReport:
         return len(self.groups)
 
 
-def detect_collisions(provision: ProvisionTensor) -> CollisionReport:
+def detect_collisions(transformer) -> CollisionReport:
     """Group source indices whose targets coincide; count uncovered targets."""
-    check_provision_bounds(provision)  # a bad entry would alias an offset
-    rows = provision.rows()
-    n = rows.shape[0]
-    target_size = shape_size(provision.target_shape)
+    coords, source_shape, target_shape = _read(transformer)
+    count, first = _escapes(coords, source_shape, target_shape)
+    if count:  # a bad entry would alias an offset
+        raise _bounds_error(count, *first)
+    n = shape_size(source_shape)
+    target_size = shape_size(target_shape)
     if n == 0:
         return CollisionReport((), target_size)
-    offs = np.broadcast_to(flat_offsets(rows.T, provision.target_shape), n)
+    offs = np.broadcast_to(flat_offsets(coords, target_shape), source_shape).reshape(n)
     # stable, so each group lists its sources in row-major order
     order = np.argsort(offs, kind="stable")
     ordered = offs[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     sizes = np.diff(np.r_[starts, n])
     colliding = sizes >= 2
-    groups = []
-    if colliding.any():
-        members = order[np.repeat(colliding, sizes)]
-        # tuples zipped from per-axis columns; a rank-0 target has no column
-        axes = np.unravel_index(members, provision.source_shape)
-        sources = list(zip(*(axis.tolist() for axis in axes)))
-        heads = rows[order[starts[colliding]]]
-        targets = zip(*heads.T.tolist()) if provision.target_rank else [()] * len(heads)
-        end = 0
-        for target, size in zip(targets, sizes[colliding].tolist()):
-            begin, end = end, end + size
-            groups.append((target, tuple(sources[begin:end])))
+    sources = _indices(order[np.repeat(colliding, sizes)], source_shape)
+    targets = _indices(ordered[starts[colliding]], target_shape)
+    groups, end = [], 0
+    for target, size in zip(targets, sizes[colliding].tolist()):
+        begin, end = end, end + size
+        groups.append((target, tuple(sources[begin:end])))
     return CollisionReport(tuple(groups), target_size - len(starts))
 
 
-def _corner(table, dims, outs) -> np.ndarray:
-    # outputs `outs` over the source dims `dims` (ascending), with every
-    # other source coordinate at 0; zeros when the source is empty
-    k = table.ndim - 1
-    shape = tuple(table.shape[d] for d in dims) + (len(outs),)
-    if table.size == 0:
-        return np.zeros(shape, dtype=np.int64)
-    corner = tuple(slice(None) if d in dims else 0 for d in range(k))
-    return table[corner][..., list(outs)]
+def _indices(offsets, shape) -> list[Index]:
+    # index tuples of row-major offsets; every offset of a rank-0 shape is 0
+    axes = np.unravel_index(offsets, shape) if shape else ()
+    return list(zip(*(axis.tolist() for axis in axes))) or [()] * len(offsets)
 
 
-def max_sliceable_suffix(
-    provision: ProvisionTensor,
-) -> tuple[int, ProvisionTensor | None]:
+def max_sliceable_suffix(transformer) -> tuple[int, ProvisionTensor | None]:
     """Largest r splitting the map into a leading transform plus a copied
     r-coordinate suffix.
 
@@ -102,17 +97,16 @@ def max_sliceable_suffix(
     when no nonempty suffix works; otherwise (r, inner) with inner
     tabulating the leading map over the leading source dims.
     """
-    table = provision.table
-    k = len(provision.source_shape)
-    rank = provision.target_rank
-    r = _copied_suffix([table[..., j] for j in range(rank)], provision.source_shape)
+    coords, source_shape, target_shape = _read(transformer)
+    k, rank = len(source_shape), len(target_shape)
+    r = _copied_suffix(coords, source_shape)
     if r == 0:
         return 0, None
-    lead = _corner(table, range(k - r), range(rank - r))
-    return r, ProvisionTensor(lead, provision.target_shape[: rank - r])
+    lead = _tabulate(coords[: rank - r], source_shape, range(k - r))
+    return r, ProvisionTensor(lead, target_shape[: rank - r])
 
 
-def pass_through_map(provision: ProvisionTensor) -> set[tuple[int, int]]:
+def pass_through_map(transformer) -> set[tuple[int, int]]:
     """All (source dim, target coord) pairs copied verbatim for every index.
 
     Defined by the brute scan: (i, j) is in the map iff T(I)[j] == I[i]
@@ -120,16 +114,20 @@ def pass_through_map(provision: ProvisionTensor) -> set[tuple[int, int]]:
     any constantly-zero output coordinate; decomposition treats those
     degenerate pairs as a last resort.
     """
-    table = provision.table
+    coords, source_shape, _ = _read(transformer)
+    return _pass_through(coords, source_shape)
+
+
+def _pass_through(coords, source_shape):
     return {
         (i, j)
-        for i in range(len(provision.source_shape))
-        for j in range(provision.target_rank)
-        if _copies(table[..., j], i, provision.source_shape[i])
+        for i, extent in enumerate(source_shape)
+        for j, coord in enumerate(coords)
+        if _copies(coord, i, extent)
     }
 
 
-def weak_decomposition(provision: ProvisionTensor) -> XTransformerSpec:
+def weak_decomposition(transformer) -> XTransformerSpec:
     """Canonical factoring into an inner tabulation plus verbatim passes.
 
     Output coordinates with a pass-through partner are routed around the
@@ -139,12 +137,12 @@ def weak_decomposition(provision: ProvisionTensor) -> XTransformerSpec:
     table bit for bit.  Falls back to the trivial factoring when nothing
     passes through.
     """
-    return _decompose(provision, pass_through_map(provision))
+    coords, shape, target_shape = _read(transformer)
+    return _decompose(coords, shape, target_shape, _pass_through(coords, shape))
 
 
-def _decompose(provision, pairs):
-    shape = provision.source_shape
-    rank = provision.target_rank
+def _decompose(coords, shape, target_shape, pairs):
+    rank = len(target_shape)
     source_for: dict[int, int] = {}
     for j in range(rank):
         partners = sorted(i for i, jj in pairs if jj == j)
@@ -153,20 +151,17 @@ def _decompose(provision, pairs):
             source_for[j] = strong[0]
         elif partners:
             source_for[j] = partners[0]
-    if not source_for:
-        return trivial_spec(provision)
 
     pass_pick = tuple(sorted(set(source_for.values())))
     inner_outs = [j for j in range(rank) if j not in source_for]
-    table = provision.table
-    inner_pick = tuple(
+    inner_pick = tuple(  # with nothing passed, the trivial factoring
         i
         for i in range(len(shape))
-        if any(_varies(table[..., j], i) for j in inner_outs)
+        if not source_for or any(_varies(coords[j], i) for j in inner_outs)
     )
     inner = ProvisionTensor(
-        _corner(table, inner_pick, inner_outs),
-        tuple(provision.target_shape[j] for j in inner_outs),
+        _tabulate([coords[j] for j in inner_outs], shape, inner_pick),
+        tuple(target_shape[j] for j in inner_outs),
     )
 
     inner_pos = {j: t for t, j in enumerate(inner_outs)}
@@ -183,7 +178,7 @@ def _decompose(provision, pairs):
         pass_pick=pass_pick,
         out_pick=out_pick,
         source_shape=shape,
-        target_shape=provision.target_shape,
+        target_shape=target_shape,
     )
 
 
@@ -194,7 +189,7 @@ def representation_overlap(spec: XTransformerSpec) -> set[int]:
 
 @dataclass(frozen=True, eq=False)
 class SliceabilityReport:
-    """Full sliceability diagnosis for one provision tensor.
+    """Full sliceability diagnosis for one transformer.
 
     ``max_suffix``/``suffix_inner`` come from the suffix decision,
     ``canonical`` and ``overlap`` from the canonical factoring; ``verdict``
@@ -210,7 +205,7 @@ class SliceabilityReport:
     verdict: str
 
 
-def slicing_impossibility(provision: ProvisionTensor) -> SliceabilityReport:
+def slicing_impossibility(transformer) -> SliceabilityReport:
     """Diagnose whether scatter through this map can lower to block copies.
 
     SLICEABLE: a nonempty copied suffix exists (max_suffix >= 1).
@@ -220,9 +215,10 @@ def slicing_impossibility(provision: ProvisionTensor) -> SliceabilityReport:
     blocks a suffix split.
     TRIVIAL_ONLY: no suffix and no pass-through structure at all.
     """
-    r, inner = max_sliceable_suffix(provision)
-    pairs = pass_through_map(provision)
-    canonical = _decompose(provision, pairs)
+    r, inner = max_sliceable_suffix(transformer)
+    coords, shape, target_shape = _read(transformer)
+    pairs = _pass_through(coords, shape)
+    canonical = _decompose(coords, shape, target_shape, pairs)
     overlap = frozenset(representation_overlap(canonical))
     if r >= 1:
         verdict = SLICEABLE

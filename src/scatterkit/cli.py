@@ -25,14 +25,14 @@ from .errors import ArgumentError, CollisionError, FormatError
 from .serialize import (
     analysis_to_json,
     dump_document,
-    inferred_target_shape,
+    provision_from_json,
     scatter_report_to_json,
     spec_from_json,
     tensor_from_json,
     tensor_to_json,
     write_document,
 )
-from .transform import ProvisionTensor, compose_provision
+from .transform import compose_provision
 
 POLICY_NAMES = [p.value for p in CollisionPolicy]
 
@@ -79,10 +79,10 @@ def _result_doc(result, report, args):
 
 
 def cmd_scatter(args):
-    table = _load_index_tensor(args.provision)
+    doc = _load_json(args.provision)
     updates = _load_tensor(args.updates)
     background = _load_tensor(args.background)
-    provision = ProvisionTensor(table, background.shape)
+    provision = provision_from_json(doc, target_shape=background.shape)
     result, report = scatter(
         Scattering(provision, updates, background), CollisionPolicy(args.policy)
     )
@@ -110,14 +110,9 @@ def cmd_torch_scatter(args):
 
 
 def cmd_analyze(args):
-    table = _load_index_tensor(args.provision)
-    if table.ndim < 1:
-        raise ArgumentError("provision tables must have at least one axis")
-    if args.target_shape is not None:
-        target_shape = _parse_shape(args.target_shape)
-    else:
-        target_shape = inferred_target_shape(table)
-    provision = ProvisionTensor(table, target_shape)
+    doc = _load_json(args.provision)
+    shape = None if args.target_shape is None else _parse_shape(args.target_shape)
+    provision = provision_from_json(doc, shape)
     collisions = detect_collisions(provision)  # rejects bad entries first
     return analysis_to_json(slicing_impossibility(provision), collisions)
 

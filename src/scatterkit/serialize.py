@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import CollisionReport, SliceabilityReport
 from .core import shape_size
 from .engine import ScatterReport
-from .errors import FormatError
+from .errors import ArgumentError, FormatError
 from .transform import ProvisionTensor, XTransformerSpec
 
 
@@ -83,22 +83,19 @@ def tensor_from_json(doc) -> np.ndarray:
 def inferred_target_shape(table: np.ndarray) -> tuple[int, ...]:
     """Smallest target shape containing every table entry (max + 1 per axis)."""
     rank = table.shape[-1]
-    n = shape_size(table.shape[:-1])
-    if rank == 0:
-        return ()
-    if n == 0:
+    if table.size == 0:  # no entries, or a rank-0 target
         return (0,) * rank
-    rows = table.reshape(n, rank)
-    return tuple(max(int(m) + 1, 0) for m in rows.max(axis=0))
+    return tuple(max(int(m) + 1, 0) for m in table.reshape(-1, rank).max(axis=0))
 
 
 def provision_from_json(doc, target_shape=None) -> ProvisionTensor:
-    """Load a provision table; infer the target shape unless given."""
+    """Load a provision table; infer the target shape unless given.
+    An f64 or rank-0 tensor raises ArgumentError, as a bad index tensor does."""
     table = tensor_from_json(doc)
     if table.dtype != np.int64:
-        raise FormatError("provision tables must be i64 tensors")
+        raise ArgumentError("provision tables must be i64 tensors")
     if table.ndim < 1:
-        raise FormatError("provision tables must have at least one axis")
+        raise ArgumentError("provision tables must have at least one axis")
     if target_shape is None:
         target_shape = inferred_target_shape(table)
     return ProvisionTensor(table, target_shape)

@@ -7,8 +7,9 @@ at source index I is the target index I maps to.  A factored transformer
 provision plus three picks and can be flattened back into a single table
 with :func:`compose_provision`.  Scatters never tabulate a factored map:
 :func:`_lower` keys the kernel from one coordinate per target axis, read
-from a table's columns, a spec's compact outputs (:func:`_coordinates`) or
-torch's ``index`` beside aranges.
+from a spec's compact outputs (:func:`_coordinates`; a table scatters as
+its trivial spec) or torch's ``index`` beside aranges.  The analyzer reads
+either kind of map the same way, through :func:`_read`.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class ProvisionTensor:
     def source_size(self) -> int:
         return shape_size(self.source_shape)
 
-    def rows(self) -> np.ndarray:
-        """The table flattened to (source_size, target_rank), row-major."""
-        return self.table.reshape(self.source_size, self.target_rank)
-
 
 def validate_provision(
     provision: ProvisionTensor,
@@ -83,9 +80,7 @@ def validate_provision(
     entry in row-major order, or ``(0, None)`` when the table is a total
     map into the target index set.
     """
-    table = provision.table
-    columns = [table[..., j] for j in range(provision.target_rank)]
-    return _escapes(columns, provision.source_shape, provision.target_shape)
+    return _escapes(*_read(provision))
 
 
 def _escapes(coords, shape, target_shape):
@@ -101,13 +96,6 @@ def _escapes(coords, shape, target_shape):
             at = tuple(map(int, np.unravel_index(int(bad.argmax()), bad.shape))) + (j,)
             count, first = count + hits, at if first is None else min(first, at)
     return (count, (first[:-1], first[-1])) if count else (0, None)
-
-
-def check_provision_bounds(provision: ProvisionTensor) -> None:
-    """Raise ValidationError unless every entry lies inside the target shape."""
-    count, first = validate_provision(provision)
-    if count:
-        raise _bounds_error(count, *first)
 
 
 def _bounds_error(count, index, axis) -> ValidationError:
@@ -190,14 +178,35 @@ def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
     """Flatten a factored transformer into a single provision table.
 
     Tabulates out_pick(inner(inner_pick(I)) + pass_pick(I)) over the whole
-    source index set by broadcasting the coordinates of
-    :func:`_coordinates`.  The spec checked its picks when it was built,
-    so every inner entry read lies inside the inner table.
+    source index set as :func:`_read` reads it; the spec checked its picks
+    when it was built, so every inner entry read lies inside its table.
     """
-    table = np.empty(spec.source_shape + (len(spec.target_shape),), dtype=np.int64)
-    for j, c in enumerate(_coordinates(spec)):
-        table[..., j] = _axis(c, spec.source_shape) if isinstance(c, int) else c
-    return ProvisionTensor(table, spec.target_shape)
+    coords, source, target = _read(spec)
+    return ProvisionTensor(_tabulate(coords, source, range(len(source))), target)
+
+
+def _read(transformer) -> tuple[list[np.ndarray], Shape, Shape]:
+    """``(coords, source_shape, target_shape)`` of a spec, or of a table read
+    as its trivial spec: target axis j of source index I reads
+    ``coords[j][I]``, a read-only int64 view broadcast to the source shape."""
+    if isinstance(transformer, ProvisionTensor):
+        transformer = trivial_spec(transformer)
+    shape = transformer.source_shape
+    coords = [np.broadcast_to(_axis(c, shape) if isinstance(c, int) else c, shape)
+              for c in _coordinates(transformer)]
+    return coords, shape, transformer.target_shape
+
+
+def _tabulate(coords, shape, dims) -> np.ndarray:
+    """The table of :func:`_read` coordinates over the source dims ``dims``
+    (ascending), with every other coordinate of the source ``shape`` at 0;
+    zeros when the source is empty."""
+    table = np.zeros(tuple(shape[d] for d in dims) + (len(coords),), np.int64)
+    if shape_size(shape):
+        corner = tuple(slice(None) if d in dims else 0 for d in range(len(shape)))
+        for j, coord in enumerate(coords):
+            table[..., j] = coord[corner]
+    return table
 
 
 def _coordinates(spec: XTransformerSpec) -> list:

@@ -1,27 +1,43 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scatterkit.analysis
+import scatterkit.transform
 from scatterkit import (
     SLICEABLE,
     ArgumentError,
     TRIVIAL_ONLY,
     WEAKLY_SLICEABLE_ONLY,
+    CollisionReport,
     ProvisionTensor,
+    SliceabilityReport,
     ValidationError,
+    XTransformerSpec,
     compose_provision,
     detect_collisions,
     max_sliceable_suffix,
     pass_through_map,
     representation_overlap,
+    scatter_x,
     shape_size,
     slicing_impossibility,
+    validate_provision,
     weak_decomposition,
 )
 from scatterkit import fixtures as fx
 
-from generators import random_provision, random_suffix_provision
+from generators import (
+    random_provision,
+    random_spec,
+    random_suffix_provision,
+    random_suffix_spec,
+    random_torch_case,
+)
 from oracles import (
     identity_provision,
     literal_traversal,
@@ -366,3 +382,111 @@ def test_sliceability_report_matches_standalone_functions():
         assert spec_fields(report.canonical) == spec_fields(canonical)
         assert report.overlap == representation_overlap(canonical)
     assert empty >= 5 and rank0 >= 5
+
+
+def answer_fields(answer):
+    """An analyzer answer as comparable plain values."""
+    if isinstance(answer, CollisionReport):
+        return answer.groups, answer.uncovered_count
+    if isinstance(answer, SliceabilityReport):
+        return (
+            answer.max_suffix, provision_fields(answer.suffix_inner),
+            answer.pass_through, spec_fields(answer.canonical), answer.overlap,
+            answer.verdict,
+        )
+    if isinstance(answer, XTransformerSpec):
+        return spec_fields(answer)
+    if isinstance(answer, tuple):  # max_sliceable_suffix's (r, inner)
+        return answer[0], provision_fields(answer[1])
+    return answer  # pass_through_map's set
+
+
+def analysis_outcome(entry_point, transformer):
+    """(None, the answer's fields), or the exception's type and text."""
+    try:
+        return None, answer_fields(entry_point(transformer))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def torch_spec(rng, case):
+    """torch's dim-`dim` scatter map, target index I with I[dim] replaced by
+    index[I], as a spec over a rank 1-3 index."""
+    target, dim, index, _ = random_torch_case(rng, case)
+    k = index.ndim
+    passed = tuple(d for d in range(k) if d != dim)
+    return XTransformerSpec(
+        inner=ProvisionTensor(index[..., None], (target.shape[dim],)),
+        inner_pick=tuple(range(k)),
+        pass_pick=passed,
+        out_pick=tuple(0 if d == dim else 1 + passed.index(d) for d in range(k)),
+        source_shape=index.shape,
+        target_shape=target.shape,
+    )
+
+
+ANALYZER = (
+    detect_collisions, max_sliceable_suffix, pass_through_map,
+    weak_decomposition, slicing_impossibility,
+)
+
+
+def test_spec_analysis_is_its_composed_tables():
+    rng = np.random.default_rng(19)
+    escaping = empty = raised = lead_escapes = 0
+    for case in range(2400):
+        spec = (random_spec, random_suffix_spec, torch_spec)[case % 3](
+            *((rng, case // 3) if case % 3 == 2 else (rng,))
+        )
+        if spec.target_shape and rng.random() < 0.3:  # narrow a target axis
+            target = list(spec.target_shape)
+            j = int(rng.integers(len(target)))
+            target[j] = max(target[j] - 1, 0)
+            spec = dataclasses.replace(spec, target_shape=tuple(target))
+        table = compose_provision(spec)
+        escaping += validate_provision(table)[0] > 0
+        empty += table.source_size == 0
+        if table.source_size == 0:  # analysis refuses only what the table holds
+            try:
+                scatter_x(np.zeros(spec.target_shape), np.zeros(spec.source_shape), spec)
+            except ValidationError:
+                lead_escapes += 1
+        for entry_point in ANALYZER:
+            want = analysis_outcome(entry_point, table)
+            raised += want[0] is not None
+            assert analysis_outcome(entry_point, spec) == want, (case, entry_point)
+    assert escaping >= 100 and empty >= 100 and raised >= 100
+    assert lead_escapes >= 10  # scatter_x refuses these; the analyzer answers
+
+
+def test_spec_analysis_builds_only_the_reports_tables(monkeypatch):
+    # torch_collide's map, (i, j) -> (index[i, j], j), written as a spec
+    index = np.random.default_rng(5).integers(0, 1024, size=(256, 1024))
+    spec = XTransformerSpec(
+        inner=ProvisionTensor(index[..., None], (1024,)),
+        inner_pick=(0, 1),
+        pass_pick=(1,),
+        out_pick=(0, 1),
+        source_shape=index.shape,
+        target_shape=(1024, 1024),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analyzer tabulated the whole spec")
+
+    for module in (scatterkit.transform, scatterkit.analysis):
+        if hasattr(module, "compose_provision"):
+            monkeypatch.setattr(module, "compose_provision", refuse)
+    tracemalloc.start()
+    try:
+        report = slicing_impossibility(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the canonical inner (2 MiB) is the one table the report holds, and
+    # ProvisionTensor copies it once; composing the map first peaks at 8 MiB,
+    # its 4 MiB table and that table's copy
+    assert peak <= 4.5e6, peak
+    assert report.verdict == WEAKLY_SLICEABLE_ONLY and report.overlap == {1}
+    assert report.max_suffix == 0 and report.pass_through == {(1, 1)}
+    assert spec_fields(report.canonical) == spec_fields(spec)

@@ -424,6 +424,30 @@ def test_non_finite_numbers_exit_1_with_strict_json(tmp_path, case):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("table", [
+    {"dtype": "f64", "shape": [2, 1], "data": [0.0, 1.0]},
+    {"dtype": "i64", "shape": [], "data": [0]},
+], ids=["f64", "rank0"])
+def test_every_command_refuses_a_bad_provision_with_exit_2(tmp_path, table):
+    # one loader reads each provision: scatter's and analyze's, and the
+    # inner table of compose's spec
+    bad = write_doc(tmp_path / "bad.json", table)
+    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.zeros(2)))
+    background = write_doc(tmp_path / "bg.json", tensor_to_json(np.zeros(2)))
+    spec = write_doc(tmp_path / "spec.json", {
+        "inner": table, "inner_pick": [0], "pass_pick": [], "out_pick": [0],
+        "source_shape": [2], "target_shape": [2],
+    })
+    for args in (
+        ["scatter", "--provision", bad, "--updates", updates, "--background", background],
+        ["analyze", "--provision", bad],
+        ["compose", "--spec", spec],
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args[0], proc.stderr)
+        assert stdout_doc(proc)["exit_code"] == 2, args[0]
+
+
 def test_analyze_malformed_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")

@@ -400,7 +400,7 @@ def test_first_wins_is_reversed_last_wins():
         provision = random_provision(rng, collisions=True)
         scattering = random_scattering(rng, provision)
         first, _ = scatter(scattering, "first")
-        reversed_rows = provision.rows()[::-1].reshape(provision.table.shape)
+        reversed_rows = np.flip(provision.table, tuple(range(provision.table.ndim - 1)))
         reversed_updates = scattering.updates.reshape(-1)[::-1].reshape(
             provision.source_shape
         )

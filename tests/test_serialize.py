@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterkit import FormatError, detect_collisions, slicing_impossibility
+from scatterkit import (
+    ArgumentError,
+    FormatError,
+    detect_collisions,
+    slicing_impossibility,
+)
 from scatterkit import fixtures as fx
 from scatterkit.serialize import (
     analysis_to_json,
@@ -121,7 +126,7 @@ def test_provision_from_json_infers_target():
     assert prov.target_shape == (4, 2, 2, 2)
     prov2 = provision_from_json(doc, target_shape=(5, 2, 2, 2))
     assert prov2.target_shape == (5, 2, 2, 2)
-    with pytest.raises(FormatError):
+    with pytest.raises(ArgumentError):
         provision_from_json(tensor_to_json(np.zeros((2, 2))))
 
 
