@@ -97,7 +97,11 @@ def max_sliceable_suffix(transformer) -> tuple[int, ProvisionTensor | None]:
     when no nonempty suffix works; otherwise (r, inner) with inner
     tabulating the leading map over the leading source dims.
     """
-    coords, source_shape, target_shape = _read(transformer)
+    return _suffix(*_read(transformer))
+
+
+def _suffix(coords, source_shape, target_shape):
+    """:func:`max_sliceable_suffix` of the map :func:`_read` returned."""
     k, rank = len(source_shape), len(target_shape)
     r = _copied_suffix(coords, source_shape)
     if r == 0:
@@ -215,8 +219,8 @@ def slicing_impossibility(transformer) -> SliceabilityReport:
     blocks a suffix split.
     TRIVIAL_ONLY: no suffix and no pass-through structure at all.
     """
-    r, inner = max_sliceable_suffix(transformer)
     coords, shape, target_shape = _read(transformer)
+    r, inner = _suffix(coords, shape, target_shape)
     pairs = _pass_through(coords, shape)
     canonical = _decompose(coords, shape, target_shape, pairs)
     overlap = frozenset(representation_overlap(canonical))

@@ -14,13 +14,7 @@ import sys
 
 from . import fixtures
 from .analysis import detect_collisions, slicing_impossibility
-from .engine import (
-    CollisionPolicy,
-    Scattering,
-    scatter,
-    scatter_nd_update,
-    torch_scatter,
-)
+from .engine import CollisionPolicy, scatter_nd_update, scatter_x, torch_scatter
 from .errors import ArgumentError, CollisionError, FormatError
 from .serialize import (
     analysis_to_json,
@@ -83,8 +77,8 @@ def cmd_scatter(args):
     updates = _load_tensor(args.updates)
     background = _load_tensor(args.background)
     provision = provision_from_json(doc, target_shape=background.shape)
-    result, report = scatter(
-        Scattering(provision, updates, background), CollisionPolicy(args.policy)
+    result, report = scatter_x(
+        background, updates, provision, CollisionPolicy(args.policy)
     )
     return _result_doc(result, report, args)
 

@@ -63,8 +63,27 @@ def flat_offsets(coords, shape) -> np.ndarray:
 
 
 def as_data_tensor(values) -> np.ndarray:
-    """Coerce to a C-ordered float64 array."""
-    return np.asarray(values, dtype=np.float64, order="C")
+    """Coerce to a C-ordered float64 array, returning one given as it is.
+
+    Raises ArgumentError naming the first integer entry, in row-major
+    order, outside [-2**53, 2**53], where float64 stops holding every
+    integer, rather than round it.
+    """
+    arr = np.asarray(values, order="C")
+    if arr.dtype.kind in "iu":
+        bad = np.flatnonzero((arr > 2**53) | (arr < -(2**53)))
+    elif arr.dtype.kind == "O":  # entries as listed, such as an int past uint64
+        bad = [i for i, v in enumerate(arr.flat)
+               if isinstance(v, (int, np.integer)) and not -(2**53) <= v <= 2**53]
+    else:
+        bad = ()
+    if len(bad):
+        at = tuple(map(int, np.unravel_index(bad[0], arr.shape)))
+        raise ArgumentError(
+            f"data entry {arr.flat[bad[0]]} at {at} is an integer outside "
+            "[-2**53, 2**53], where float64 holds every integer"
+        )
+    return arr.astype(np.float64, copy=False)
 
 
 def as_index_tensor(values) -> np.ndarray:

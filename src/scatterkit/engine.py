@@ -66,7 +66,7 @@ a fold over 2^14 colliding rows of 4 doubles.
 
 Every entry point keys the kernel through one lowering,
 :func:`scatterkit.transform._lower`, which finds the copied suffix of a
-factored spec, a table (as its trivial spec), torch's ``(index, dim)``
+factored spec, a table (read as its columns), torch's ``(index, dim)``
 and tensorflow's ``indices`` alike.  The two framework scatters build
 their coordinates straight from the caller's index array, with no spec
 and no copy of it.
@@ -87,7 +87,6 @@ from .transform import (
     _coordinates,
     _lower,
     _tf_source_shape,
-    trivial_spec,
 )
 
 # elements of losing rows that a sum or prod fold gathers at a time
@@ -142,8 +141,8 @@ class Scattering:
     background: np.ndarray
 
     def __post_init__(self):
-        updates = np.array(self.updates, dtype=np.float64, order="C")
-        background = np.array(self.background, dtype=np.float64, order="C")
+        updates = np.array(as_data_tensor(self.updates))
+        background = np.array(as_data_tensor(self.background))
         if updates.shape != self.transformer.source_shape:
             raise ArgumentError(
                 f"updates shape {updates.shape} must equal the transformer "
@@ -166,12 +165,12 @@ def scatter(
 ) -> tuple[np.ndarray, ScatterReport]:
     """Execute a scattering, returning a fresh result tensor and a report.
 
-    The table scatters as its trivial spec, through :func:`scatter_x`, in
+    The table scatters through :func:`scatter_x`, read as its columns, in
     whole rows along the largest copied suffix of the transformer; without
     one, rows are single elements.
     """
     s = scattering
-    return scatter_x(s.background, s.updates, trivial_spec(s.transformer), policy)
+    return scatter_x(s.background, s.updates, s.transformer, policy)
 
 
 def _scatter_rows(keys, lead_shape, updates, background, policy):
@@ -300,10 +299,11 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
 def scatter_x(
     target,
     updates,
-    spec: XTransformerSpec,
+    spec: XTransformerSpec | ProvisionTensor,
     policy: CollisionPolicy | str = CollisionPolicy.LAST_WINS,
 ) -> tuple[np.ndarray, ScatterReport]:
-    """Scatter through a factored transformer without tabulating it."""
+    """Scatter ``updates`` onto a copy of ``target`` through a table, read
+    as its columns, or a factored transformer, without tabulating it."""
     coords = _coordinates(spec)
     target = as_data_tensor(target)
     updates = as_data_tensor(updates)

@@ -7,9 +7,9 @@ at source index I is the target index I maps to.  A factored transformer
 provision plus three picks and can be flattened back into a single table
 with :func:`compose_provision`.  Scatters never tabulate a factored map:
 :func:`_lower` keys the kernel from one coordinate per target axis, read
-from a spec's compact outputs (:func:`_coordinates`; a table scatters as
-its trivial spec) or torch's ``index`` beside aranges.  The analyzer reads
-either kind of map the same way, through :func:`_read`.
+from a table's columns or a spec's compact outputs (:func:`_coordinates`)
+or torch's ``index`` beside aranges.  The analyzer reads either kind of map
+the same way, through :func:`_read`.
 """
 
 from __future__ import annotations
@@ -40,14 +40,18 @@ class ProvisionTensor:
     axis of the row at source index I spells out the target index T(I).
     Entries are not bounds-checked on construction; run
     :func:`validate_provision` before trusting them against the target.
+    The table is copied unless the caller can no longer write it: a
+    read-only int64 array that owns its memory is adopted as it is.
     """
 
     table: np.ndarray
     target_shape: Shape
 
     def __post_init__(self):
-        table = np.array(as_index_tensor(self.table))
-        table.setflags(write=False)
+        table = as_index_tensor(self.table)
+        if table.flags.writeable or table.base is not None:
+            table = table.copy()
+            table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "target_shape", as_shape(self.target_shape))
         if table.ndim < 1:
@@ -163,7 +167,11 @@ class XTransformerSpec:
 
 
 def trivial_spec(provision: ProvisionTensor) -> XTransformerSpec:
-    """The always-available factoring with the provision as its own inner."""
+    """The always-available factoring with the provision as its own inner.
+
+    Its outputs are the table's columns, which is how the engine and the
+    analyzer read a table, without building this spec.
+    """
     return XTransformerSpec(
         inner=provision,
         inner_pick=identity_pick(len(provision.source_shape)),
@@ -186,11 +194,9 @@ def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
 
 
 def _read(transformer) -> tuple[list[np.ndarray], Shape, Shape]:
-    """``(coords, source_shape, target_shape)`` of a spec, or of a table read
-    as its trivial spec: target axis j of source index I reads
-    ``coords[j][I]``, a read-only int64 view broadcast to the source shape."""
-    if isinstance(transformer, ProvisionTensor):
-        transformer = trivial_spec(transformer)
+    """``(coords, source_shape, target_shape)`` of a table or a spec: target
+    axis j of source index I reads ``coords[j][I]``, a read-only int64 view
+    broadcast to the source shape."""
     shape = transformer.source_shape
     coords = [np.broadcast_to(_axis(c, shape) if isinstance(c, int) else c, shape)
               for c in _coordinates(transformer)]
@@ -200,23 +206,29 @@ def _read(transformer) -> tuple[list[np.ndarray], Shape, Shape]:
 def _tabulate(coords, shape, dims) -> np.ndarray:
     """The table of :func:`_read` coordinates over the source dims ``dims``
     (ascending), with every other coordinate of the source ``shape`` at 0;
-    zeros when the source is empty."""
+    zeros when the source is empty.  The table is fresh and read-only, so a
+    :class:`ProvisionTensor` adopts it without a copy."""
     table = np.zeros(tuple(shape[d] for d in dims) + (len(coords),), np.int64)
     if shape_size(shape):
         corner = tuple(slice(None) if d in dims else 0 for d in range(len(shape)))
         for j, coord in enumerate(coords):
             table[..., j] = coord[corner]
+    table.setflags(write=False)
     return table
 
 
-def _coordinates(spec: XTransformerSpec) -> list:
-    """A spec's outputs as :func:`_lower` coordinates.
+def _coordinates(spec: XTransformerSpec | ProvisionTensor) -> list:
+    """A table's or a spec's outputs as :func:`_lower` coordinates.
 
-    An inner output views the inner table at the open grid of the inner
-    pick (a dim picked twice reads a diagonal), inside the table, as the
-    spec checked when it was built.  A passed output is its source dim's
-    int, or an arange when the inner reads that dim too.
+    A table's output j is its column ``table[..., j]``, the same view its
+    trivial spec's inner output j would be.  A spec's inner output views
+    the inner table at the open grid of the inner pick (a dim picked twice
+    reads a diagonal), inside the table, as the spec checked when it was
+    built.  A passed output is its source dim's int, or an arange when the
+    inner reads that dim too.
     """
+    if isinstance(spec, ProvisionTensor):
+        return [spec.table[..., j] for j in range(spec.target_rank)]
     source, pick, table = spec.source_shape, spec.inner_pick, spec.inner.table
     shape, strides = [1] * len(source), [0] * len(source)
     for d, stride in zip(pick, table.strides):

@@ -490,3 +490,51 @@ def test_spec_analysis_builds_only_the_reports_tables(monkeypatch):
     assert report.verdict == WEAKLY_SLICEABLE_ONLY and report.overlap == {1}
     assert report.max_suffix == 0 and report.pass_through == {(1, 1)}
     assert spec_fields(report.canonical) == spec_fields(spec)
+
+
+def torch_collide_spec():
+    """torch_collide's map, (i, j) -> (index[i, j], j), written as a spec."""
+    index = np.random.default_rng(5).integers(0, 1024, size=(256, 1024))
+    return XTransformerSpec(
+        inner=ProvisionTensor(index[..., None], (1024,)),
+        inner_pick=(0, 1),
+        pass_pick=(1,),
+        out_pick=(0, 1),
+        source_shape=index.shape,
+        target_shape=(1024, 1024),
+    )
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tables_the_library_builds_are_held_once():
+    # a table fresh from _tabulate is adopted, not copied: composing the
+    # spec holds its 4 MiB table once, and the report its 2 MiB canonical
+    # inner (both peaked at twice that while every table was copied)
+    spec = torch_collide_spec()
+    peak = traced_peak(lambda: compose_provision(spec))
+    assert peak <= 4.5e6, peak
+    peak = traced_peak(lambda: slicing_impossibility(spec))
+    assert peak <= 2.5e6, peak
+
+
+def test_slicing_impossibility_reads_its_map_once(monkeypatch):
+    reads = []
+    read = scatterkit.analysis._read
+
+    def counted(transformer):
+        reads.append(transformer)
+        return read(transformer)
+
+    monkeypatch.setattr(scatterkit.analysis, "_read", counted)
+    for transformer in (fx.parity_provision(), fx.embed_provision(), torch_collide_spec()):
+        reads.clear()
+        slicing_impossibility(transformer)
+        assert reads == [transformer]

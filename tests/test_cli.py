@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from scatterkit import cli
+from scatterkit import cli, engine
 from scatterkit import fixtures as fx
 from scatterkit.serialize import dump_document, spec_to_json, tensor_to_json
 from scatterkit.transform import XTransformerSpec
@@ -243,6 +243,47 @@ def test_scatter_shape_mismatch_exits_2(fixture_dir):
         "--background", fixture_dir / "embed_updates.json",
     )
     assert proc.returncode == 2
+
+
+def test_scatter_builds_no_scattering(fixture_dir, tmp_path, monkeypatch, capsys):
+    # the CLI scatters its table with scatter_x: no Scattering is built
+    def refuse(self):
+        raise AssertionError("the CLI built a Scattering")
+
+    monkeypatch.setattr(engine.Scattering, "__post_init__", refuse)
+    out = tmp_path / "result.json"
+    code = cli.main([
+        "scatter",
+        "--provision", str(fixture_dir / "embed_provision.json"),
+        "--updates", str(fixture_dir / "embed_updates.json"),
+        "--background", str(fixture_dir / "embed_background.json"),
+        "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["out"] == str(out)
+    assert json.loads(out.read_text()) == json.loads(
+        (fixture_dir / "embed_expected.json").read_text()
+    )
+
+
+def test_integer_data_float64_would_round_exits_2(tmp_path):
+    # an i64 update of 2**53 + 1 is refused, not scattered as 2**53
+    big = write_doc(tmp_path / "big.json",
+                    {"dtype": "i64", "shape": [1], "data": [2**53 + 1]})
+    zeros = write_doc(tmp_path / "zeros.json", tensor_to_json(np.zeros(2)))
+    table = write_doc(tmp_path / "table.json",
+                      tensor_to_json(np.zeros((1, 1), dtype=np.int64)))
+    index = write_doc(tmp_path / "index.json", tensor_to_json(np.zeros(1, np.int64)))
+    for args in (
+        ["scatter", "--provision", table, "--updates", big, "--background", zeros],
+        ["tf-scatter", "--tensor", zeros, "--indices", table, "--updates", big],
+        ["torch-scatter", "--self", zeros, "--dim", 0, "--index", index, "--src", big],
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args[0], proc.stderr)
+        doc = stdout_doc(proc)  # the whole stream is one document
+        assert doc["exit_code"] == 2, args[0]
+        assert "data entry 9007199254740993 at (0,)" in doc["error"], args[0]
 
 
 def test_tf_scatter_command(fixture_dir, tmp_path):

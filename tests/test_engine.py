@@ -1173,10 +1173,10 @@ def test_scatter_x_matches_tabulated_scatter():
 
 
 def test_scatter_of_a_table_is_scatter_x_of_its_trivial_spec():
-    # scatter lowers its table as its trivial spec: same result bits,
-    # counters, collision targets and bounds-error texts under every policy,
-    # over tables with collisions, out-of-bounds entries, and empty and
-    # extent-1 source dims
+    # scatter, scatter_x of the table and scatter_x of its trivial spec agree:
+    # same result bits, counters, collision targets and bounds-error texts
+    # under every policy, over tables with collisions, out-of-bounds entries,
+    # and empty and extent-1 source dims
     rng = np.random.default_rng(1818)
     seen = set()
     for case in range(600):
@@ -1200,10 +1200,81 @@ def test_scatter_of_a_table_is_scatter_x_of_its_trivial_spec():
             want = outcome(lambda: scatter_x(
                 background, updates, trivial_spec(provision), policy), text=True)
             assert got == want, (case, policy)
+            assert outcome(lambda: scatter_x(
+                background, updates, provision, policy), text=True) == want, (
+                case, policy)
             seen.add(got[0])
         source = provision.source_shape
         seen.add("empty" if 0 in source else "extent 1" if 1 in source else "other")
     assert seen == {"ok", "collision", "out of bounds", "empty", "extent 1", "other"}
+
+
+def test_a_table_is_read_without_its_trivial_spec(monkeypatch):
+    # a table reads as its own columns: nothing builds its trivial spec
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was read through its trivial spec")
+
+    for module in (transform, engine):
+        if hasattr(module, "trivial_spec"):
+            monkeypatch.setattr(module, "trivial_spec", refuse)
+    emb = fx.embed_provision()
+    updates, background = fx.embed_updates(), fx.embed_background()
+    for result, report in (
+        scatter(Scattering(emb, updates, background)),
+        scatter_x(background, updates, emb),
+    ):
+        assert bits(result) == bits(fx.embed_expected())
+        assert (report.writes, report.uncovered_targets) == (8, 8)
+    assert detect_collisions(emb).collision_count == 0
+    assert max_sliceable_suffix(emb)[0] == 1
+    assert analysis.pass_through_map(emb) == {(1, 3)}
+    assert analysis.weak_decomposition(emb).pass_pick == (1,)
+    assert analysis.slicing_impossibility(emb).verdict == analysis.SLICEABLE
+
+
+def data_entry_points(provision):
+    """Every scatter entry point as ``call(updates, background)`` on the map
+    of the one-row ``provision``, a single-axis table."""
+    indices = provision.table
+    return {
+        "scatter": lambda u, b: scatter(Scattering(provision, u, b)),
+        "scatter_x of a table": lambda u, b: scatter_x(b, u, provision),
+        "scatter_x of a spec": lambda u, b: scatter_x(b, u, trivial_spec(provision)),
+        "scatter_nd_update": lambda u, b: scatter_nd_update(b, indices, u),
+        "torch_scatter": lambda u, b: torch_scatter(b, 0, indices[:, 0], u),
+    }
+
+
+def test_integer_data_is_refused_where_float64_could_round_it():
+    # (0,) -> (0,) in a target of 2 cells: updates[0] lands on cell 0, and
+    # background[1] is kept
+    calls = data_entry_points(ProvisionTensor([[0]], (2,)))
+    bad = [  # an int64 past 2**53, the uint64 maximum, and a listed 2**70
+        (np.array([2**53 + 1]), 2**53 + 1),
+        (np.array([2**64 - 1], dtype=np.uint64), 2**64 - 1),
+        ([2**70], 2**70),
+    ]
+    for value, shown in bad:
+        text = f"data entry {shown} at (0,) is an integer outside [-2**53, 2**53]"
+        with pytest.raises(ArgumentError, match=re.escape(text)):
+            core.as_data_tensor(value)
+        for entry_point, call in calls.items():
+            with pytest.raises(ArgumentError, match=re.escape(text)):
+                call(value, np.zeros(2))
+            background = np.concatenate([np.zeros(1, dtype=np.asarray(value).dtype),
+                                         np.asarray(value)])
+            with pytest.raises(ArgumentError, match=re.escape(text.replace("(0,)", "(1,)"))):
+                call(np.zeros(1), background)
+    # 2**53 and its negative are the widest integers that pass, bit for bit
+    edge = np.array([2**53, -(2**53)])
+    assert bits(core.as_data_tensor(edge)) == bits(np.array([2.0**53, -(2.0**53)]))
+    for entry_point, call in calls.items():
+        result, _ = call(edge[:1], edge[::-1])
+        assert bits(result) == bits(np.array([2.0**53, 2.0**53])), entry_point
+    # floats and bools pass unchanged, and a C-ordered float64 array as it is
+    floats = np.array([0.5, 2.0**70, -np.inf])
+    assert core.as_data_tensor(floats) is floats
+    assert bits(core.as_data_tensor([True, False])) == bits(np.array([1.0, 0.0]))
 
 
 def test_lowering_finds_the_tabulated_maps_suffix():

@@ -16,7 +16,9 @@ from scatterkit import (
 )
 from scatterkit import fixtures as fx
 
-from generators import random_spec, random_suffix_spec
+from scatterkit.transform import _coordinates
+
+from generators import random_provision, random_shape, random_spec, random_suffix_spec
 from oracles import direct_xtransform, identity_provision, literal_traversal, transform
 
 
@@ -92,6 +94,47 @@ def test_trivial_spec_reproduces_table():
         composed = compose_provision(spec)
         assert composed.table.tolist() == inner.table.tolist()[: source_shape[0]]
         assert composed.target_shape == target_shape
+
+
+def test_a_table_reads_as_its_trivial_specs_outputs():
+    # a table's columns are exactly the coordinates its trivial spec reads:
+    # values, shapes, strides and read-only flag
+    rng = np.random.default_rng(2020)
+    seen = set()
+    for case in range(300):
+        if case % 5 == 0:  # a rank-0 target
+            source = random_shape(rng, max_rank=3, min_extent=0, max_extent=3)
+            provision = ProvisionTensor(np.zeros(source + (0,), np.int64), ())
+        else:
+            provision = random_provision(rng, collisions=case % 5 == 1,
+                                         min_source_extent=0)
+        got = _coordinates(provision)
+        want = _coordinates(trivial_spec(provision))
+        assert len(got) == len(want) == provision.target_rank, case
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.strides) == (w.dtype, w.shape, w.strides), case
+            assert not g.flags.writeable and not w.flags.writeable, case
+            assert np.array_equal(g, w), case
+        source = provision.source_shape
+        seen.add("rank 0" if not provision.target_rank else
+                 "empty" if 0 in source else "extent 1" if 1 in source else "other")
+    assert seen == {"rank 0", "empty", "extent 1", "other"}
+
+
+def test_a_table_copies_what_its_caller_can_still_write():
+    # a table copies an array its caller may still write, and adopts a
+    # read-only one that owns its memory
+    array = np.arange(6, dtype=np.int64).reshape(3, 2)
+    view = array[1:]  # C-ordered, so only its base shows it is shared
+    view.setflags(write=False)
+    tables = [ProvisionTensor(array, (6, 6)), ProvisionTensor(view, (6, 6))]
+    array[...] = 5
+    for provision, want in zip(tables, ([[0, 1], [2, 3], [4, 5]], [[2, 3], [4, 5]])):
+        assert provision.table.tolist() == want
+        assert not provision.table.flags.writeable
+    owned = np.array([[0, 1], [2, 3]], dtype=np.int64)
+    owned.setflags(write=False)
+    assert ProvisionTensor(owned, (4, 4)).table is owned
 
 
 def test_compose_diag_structure():
