@@ -12,7 +12,6 @@ from scatterkit import (
     ProvisionTensor,
     XTransformerSpec,
     compose_provision,
-    identity_pick,
     validate_provision,
 )
 from scatterkit import fixtures as fx
@@ -45,7 +44,7 @@ spec = XTransformerSpec(
     inner=fx.diag_inner(),
     inner_pick=(0,),
     pass_pick=(1, 2),
-    out_pick=identity_pick(4),
+    out_pick=tuple(range(4)),
     source_shape=(2, 2, 2),
     target_shape=(2, 2, 2, 2),
 )

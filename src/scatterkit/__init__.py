@@ -11,16 +11,12 @@ from .analysis import (
     detect_collisions,
     max_sliceable_suffix,
     pass_through_map,
-    representation_overlap,
     slicing_impossibility,
     weak_decomposition,
 )
 from .core import (
     as_data_tensor,
     as_index_tensor,
-    as_pick,
-    as_shape,
-    identity_pick,
     shape_size,
 )
 from .engine import (
@@ -44,7 +40,6 @@ from .transform import (
     XTransformerSpec,
     compose_provision,
     tf_transformer,
-    trivial_spec,
     validate_provision,
 )
 
@@ -68,14 +63,10 @@ __all__ = [
     "XTransformerSpec",
     "as_data_tensor",
     "as_index_tensor",
-    "as_pick",
-    "as_shape",
     "compose_provision",
     "detect_collisions",
-    "identity_pick",
     "max_sliceable_suffix",
     "pass_through_map",
-    "representation_overlap",
     "scatter",
     "scatter_nd_update",
     "scatter_x",
@@ -83,7 +74,6 @@ __all__ = [
     "slicing_impossibility",
     "tf_transformer",
     "torch_scatter",
-    "trivial_spec",
     "validate_provision",
     "weak_decomposition",
 ]

@@ -186,11 +186,6 @@ def _decompose(coords, shape, target_shape, pairs):
     )
 
 
-def representation_overlap(spec: XTransformerSpec) -> set[int]:
-    """Source dims read by both the inner pick and the pass pick."""
-    return set(spec.inner_pick) & set(spec.pass_pick)
-
-
 @dataclass(frozen=True, eq=False)
 class SliceabilityReport:
     """Full sliceability diagnosis for one transformer.
@@ -223,7 +218,7 @@ def slicing_impossibility(transformer) -> SliceabilityReport:
     r, inner = _suffix(coords, shape, target_shape)
     pairs = _pass_through(coords, shape)
     canonical = _decompose(coords, shape, target_shape, pairs)
-    overlap = frozenset(representation_overlap(canonical))
+    overlap = frozenset(canonical.inner_pick) & frozenset(canonical.pass_pick)
     if r >= 1:
         verdict = SLICEABLE
     elif canonical.pass_pick:

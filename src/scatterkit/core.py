@@ -78,12 +78,16 @@ def as_data_tensor(values) -> np.ndarray:
     else:
         bad = ()
     if len(bad):
-        at = tuple(map(int, np.unravel_index(bad[0], arr.shape)))
-        raise ArgumentError(
-            f"data entry {arr.flat[bad[0]]} at {at} is an integer outside "
-            "[-2**53, 2**53], where float64 holds every integer"
-        )
+        raise _rounding_error(arr.flat[bad[0]], bad[0], arr.shape)
     return arr.astype(np.float64, copy=False)
+
+
+def _rounding_error(value, flat, shape) -> ArgumentError:
+    at = tuple(map(int, np.unravel_index(flat, shape)))
+    return ArgumentError(
+        f"data entry {value} at {at} is an integer outside "
+        "[-2**53, 2**53], where float64 holds every integer"
+    )
 
 
 def as_index_tensor(values) -> np.ndarray:
@@ -107,12 +111,3 @@ def as_index_tensor(values) -> np.ndarray:
         value = arr.flat[bad[0]]
         raise ArgumentError(f"index entry {value} at {at} is not an int64 integer")
     return cast
-
-
-def as_pick(values) -> Pick:
-    return tuple(int(v) for v in values)
-
-
-def identity_pick(n: int) -> Pick:
-    return tuple(range(n))
-

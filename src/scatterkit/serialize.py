@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .analysis import CollisionReport, SliceabilityReport
-from .core import shape_size
+from .core import _rounding_error, shape_size
 from .engine import ScatterReport
 from .errors import ArgumentError, FormatError
 from .transform import ProvisionTensor, XTransformerSpec
@@ -68,15 +68,21 @@ def tensor_from_json(doc) -> np.ndarray:
             f"tensor data length {len(data)} does not match shape {shape}"
         )
     integral = dtype == "i64"
+    types = set(map(type, data))
     # json reads true and false as bool, which is not int here
-    if not set(map(type, data)) <= ({int} if integral else {int, float}):
+    if not types <= ({int} if integral else {int, float}):
         raise FormatError(f"{dtype} tensor data must be numbers, integers for i64")
     try:
-        arr = np.array(data, dtype=np.int64 if integral else np.float64).reshape(shape)
+        arr = np.array(data, dtype=np.int64 if integral else np.float64)
+        arr.shape = shape  # in place: the array owns its memory, so a table adopts it
     except (OverflowError, ValueError) as exc:
         raise FormatError(f"tensor document out of range: {exc}") from exc
-    if not np.isfinite(arr).all():
+    if not integral and not np.isfinite(arr).all():
         raise FormatError("f64 tensor data must be finite")
+    if not integral and int in types:  # a listed int past 2**53 casts to 2**53 or more
+        for i in np.flatnonzero(np.abs(arr) >= 2**53):
+            if type(data[i]) is int and not -(2**53) <= data[i] <= 2**53:
+                raise _rounding_error(data[i], i, shape)
     return arr
 
 
@@ -98,6 +104,7 @@ def provision_from_json(doc, target_shape=None) -> ProvisionTensor:
         raise ArgumentError("provision tables must have at least one axis")
     if target_shape is None:
         target_shape = inferred_target_shape(table)
+    table.setflags(write=False)  # no other reference: adopted, not copied
     return ProvisionTensor(table, target_shape)
 
 

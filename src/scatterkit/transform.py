@@ -23,10 +23,8 @@ from .core import (
     Pick,
     Shape,
     as_index_tensor,
-    as_pick,
     as_shape,
     flat_offsets,
-    identity_pick,
     shape_size,
 )
 from .errors import ArgumentError, PickRangeError, ValidationError
@@ -69,10 +67,6 @@ class ProvisionTensor:
     @property
     def target_rank(self) -> int:
         return self.table.shape[-1]
-
-    @property
-    def source_size(self) -> int:
-        return shape_size(self.source_shape)
 
 
 def validate_provision(
@@ -130,9 +124,9 @@ class XTransformerSpec:
     target_shape: Shape
 
     def __post_init__(self):
-        object.__setattr__(self, "inner_pick", as_pick(self.inner_pick))
-        object.__setattr__(self, "pass_pick", as_pick(self.pass_pick))
-        object.__setattr__(self, "out_pick", as_pick(self.out_pick))
+        object.__setattr__(self, "inner_pick", tuple(map(int, self.inner_pick)))
+        object.__setattr__(self, "pass_pick", tuple(map(int, self.pass_pick)))
+        object.__setattr__(self, "out_pick", tuple(map(int, self.out_pick)))
         object.__setattr__(self, "source_shape", as_shape(self.source_shape))
         object.__setattr__(self, "target_shape", as_shape(self.target_shape))
         k, inner_shape = len(self.source_shape), self.inner.source_shape
@@ -164,22 +158,6 @@ class XTransformerSpec:
     @property
     def concat_rank(self) -> int:
         return self.inner.target_rank + len(self.pass_pick)
-
-
-def trivial_spec(provision: ProvisionTensor) -> XTransformerSpec:
-    """The always-available factoring with the provision as its own inner.
-
-    Its outputs are the table's columns, which is how the engine and the
-    analyzer read a table, without building this spec.
-    """
-    return XTransformerSpec(
-        inner=provision,
-        inner_pick=identity_pick(len(provision.source_shape)),
-        pass_pick=(),
-        out_pick=identity_pick(provision.target_rank),
-        source_shape=provision.source_shape,
-        target_shape=provision.target_shape,
-    )
 
 
 def compose_provision(spec: XTransformerSpec) -> ProvisionTensor:
@@ -355,7 +333,7 @@ def tf_transformer(indices, target_shape) -> XTransformerSpec:
         inner=inner,
         inner_pick=tuple(range(batch)),
         pass_pick=tuple(range(batch, len(source_shape))),
-        out_pick=identity_pick(len(target_shape)),
+        out_pick=tuple(range(len(target_shape))),
         source_shape=source_shape,
         target_shape=target_shape,
     )

@@ -54,6 +54,19 @@ def random_provision(rng, *, collisions=False, max_source_rank=3,
     return ProvisionTensor(table, target_shape)
 
 
+def trivial_spec(provision):
+    """The always-available factoring with the provision as its own inner:
+    its outputs are the table's columns."""
+    return XTransformerSpec(
+        inner=provision,
+        inner_pick=tuple(range(len(provision.source_shape))),
+        pass_pick=(),
+        out_pick=tuple(range(provision.target_rank)),
+        source_shape=provision.source_shape,
+        target_shape=provision.target_shape,
+    )
+
+
 def random_scattering(rng, provision):
     updates = rng.standard_normal(provision.source_shape)
     background = rng.standard_normal(provision.target_shape)

@@ -128,7 +128,7 @@ def test_criterion_3_brute_force_oracle_equivalence():
             max_target_extent=5,
         )
         scattering = random_scattering(rng, provision)
-        n = provision.source_size
+        n = shape_size(provision.source_shape)
         if forced:
             report = detect_collisions(provision)
             rate = sum(len(s) for _, s in report.groups) / n

@@ -284,6 +284,16 @@ def test_integer_data_float64_would_round_exits_2(tmp_path):
         doc = stdout_doc(proc)  # the whole stream is one document
         assert doc["exit_code"] == 2, args[0]
         assert "data entry 9007199254740993 at (0,)" in doc["error"], args[0]
+    # so is such an integer listed in an f64 document, where float64 would round it
+    for value in (2**53 + 1, -(2**53 + 1), 2**70):
+        updates = write_doc(tmp_path / "f64.json",
+                            {"dtype": "f64", "shape": [1], "data": [value]})
+        proc = run_cli("tf-scatter", "--tensor", zeros, "--indices", table,
+                       "--updates", updates)
+        assert proc.returncode == 2, (value, proc.stderr)
+        doc = stdout_doc(proc)
+        assert doc["exit_code"] == 2, value
+        assert f"data entry {value} at (0,)" in doc["error"], value
 
 
 def test_tf_scatter_command(fixture_dir, tmp_path):

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import re
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scatterkit
 from scatterkit import (
     ArgumentError,
     ProvisionTensor,
@@ -18,6 +21,38 @@ from scatterkit import (
 from scatterkit.core import flat_offsets
 
 from oracles import literal_traversal
+
+# the table, the factored spec, the scatter entry points and the analyzer,
+# with the errors, reports and coercions they take and return
+SURFACE = [
+    "ArgumentError", "CollisionError", "CollisionPolicy", "CollisionReport",
+    "FormatError", "PickRangeError", "ProvisionTensor", "SLICEABLE",
+    "ScatterReport", "Scattering", "SliceabilityReport", "TRIVIAL_ONLY",
+    "ValidationError", "WEAKLY_SLICEABLE_ONLY", "XTransformerSpec",
+    "as_data_tensor", "as_index_tensor", "compose_provision",
+    "detect_collisions", "max_sliceable_suffix", "pass_through_map", "scatter",
+    "scatter_nd_update", "scatter_x", "shape_size", "slicing_impossibility",
+    "tf_transformer", "torch_scatter", "validate_provision", "weak_decomposition",
+]
+REMOVED = ["trivial_spec", "representation_overlap", "as_pick", "identity_pick"]
+
+
+def test_the_public_surface_is_what_runs():
+    assert sorted(scatterkit.__all__) == SURFACE
+    assert all(hasattr(scatterkit, name) for name in SURFACE)
+    modules = [scatterkit] + [
+        importlib.import_module(f"scatterkit.{info.name}")
+        for info in pkgutil.iter_modules(scatterkit.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    for module in modules:
+        for name in REMOVED:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(ProvisionTensor, "source_size")
+    # the extent check the table and the spec run stays, off the surface
+    assert not hasattr(scatterkit, "as_shape")
+    assert callable(importlib.import_module("scatterkit.core").as_shape)
+
 
 small_shapes = st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple)
 

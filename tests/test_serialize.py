@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,11 +101,39 @@ def test_tensor_from_json_rejects_malformed(doc):
         tensor_from_json(doc)
 
 
-def test_tensor_from_json_integers_round_as_float():
-    # integers become the double float() rounds them to
-    ints = [2**53 + 1, -(2**60) - 3, 10**300, 7]
-    got = tensor_from_json({"dtype": "f64", "shape": [4], "data": ints})
-    assert got.tobytes() == np.array([float(v) for v in ints]).tobytes()
+def test_tensor_from_json_refuses_integers_float64_would_round():
+    # an f64 document's integer past 2**53 is refused, the first in row-major
+    # order named; integers up to 2**53 and floats load as float() gives them
+    for value in (2**53 + 1, -(2**53 + 1), -(2**60) - 3, 2**70, 10**300):
+        doc = {"dtype": "f64", "shape": [2, 2], "data": [7, 1e300, 2**53, value]}
+        text = f"data entry {value} at (1, 1) is an integer outside [-2**53, 2**53]"
+        with pytest.raises(ArgumentError, match=re.escape(text)):
+            tensor_from_json(doc)
+    doc = {"dtype": "f64", "shape": [3], "data": [2.0**70, 2**70, 2**53 + 1]}
+    with pytest.raises(ArgumentError, match=re.escape(f"data entry {2**70} at (1,)")):
+        tensor_from_json(doc)
+    values = [2**53, -(2**53), 7, 1e300, -1e300, 2.0**70]
+    got = tensor_from_json({"dtype": "f64", "shape": [6], "data": values})
+    assert got.tobytes() == np.array([float(v) for v in values]).tobytes()
+
+
+def test_a_loaded_table_is_held_once():
+    # the loaded array owns its memory and a table adopts it: an 8 MiB table
+    # peaks at about 8 MiB after parsing, not twice that
+    n = 2**19
+    doc = {"dtype": "i64", "shape": [n, 2], "data": list(range(2 * n))}
+    tracemalloc.start()
+    try:
+        provision = provision_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20, peak
+    assert provision.table.base is None and not provision.table.flags.writeable
+    assert provision.table[-1].tolist() == [2 * n - 2, 2 * n - 1]
+    # updates and backgrounds stay the caller's to write
+    loaded = tensor_from_json(doc)
+    assert loaded.flags.writeable and loaded.flags.owndata
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

@@ -8,17 +8,21 @@ from scatterkit import (
     ValidationError,
     XTransformerSpec,
     compose_provision,
-    identity_pick,
     tf_transformer,
     torch_scatter,
-    trivial_spec,
     validate_provision,
 )
 from scatterkit import fixtures as fx
 
 from scatterkit.transform import _coordinates
 
-from generators import random_provision, random_shape, random_spec, random_suffix_spec
+from generators import (
+    random_provision,
+    random_shape,
+    random_spec,
+    random_suffix_spec,
+    trivial_spec,
+)
 from oracles import direct_xtransform, identity_provision, literal_traversal, transform
 
 
@@ -142,7 +146,7 @@ def test_compose_diag_structure():
         inner=fx.diag_inner(),
         inner_pick=(0,),
         pass_pick=(1, 2),
-        out_pick=identity_pick(4),
+        out_pick=tuple(range(4)),
         source_shape=(2, 2, 2),
         target_shape=(2, 2, 2, 2),
     )
