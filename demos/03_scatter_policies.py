@@ -1,4 +1,4 @@
-"""Scattering and the five collision policies.
+"""Scattering through a table under the five collision policies.
 
 Relocating updates through a transformer is ambiguous when two sources hit
 one target cell.  The engine refuses to be ambiguous: you name the policy,
@@ -12,16 +12,14 @@ from scatterkit import (
     CollisionError,
     CollisionPolicy,
     ProvisionTensor,
-    Scattering,
-    scatter,
+    scatter_x,
 )
 from scatterkit import fixtures as fx
 
 # injective case: the embed worked example; every policy agrees
-scattering = Scattering(
-    fx.embed_provision(), fx.embed_updates(), fx.embed_background()
+result, report = scatter_x(
+    fx.embed_background(), fx.embed_updates(), fx.embed_provision(), "last"
 )
-result, report = scatter(scattering, "last")
 print("embed result:")
 print(result)
 print("report:", report)
@@ -34,9 +32,8 @@ background = np.array([100.0])
 
 print("\ntwo writes onto one cell, background 100:")
 for policy in CollisionPolicy:
-    scattering = Scattering(dup, updates, background)
     try:
-        result, report = scatter(scattering, policy)
+        result, report = scatter_x(background, updates, dup, policy)
     except CollisionError as exc:
         print(f"  {policy.value:>5}: raises CollisionError at {exc.target}")
         continue
@@ -47,6 +44,6 @@ print("value at a written cell is replaced, never folded in.")
 
 # uncovered cells always keep the background
 sparse = ProvisionTensor(np.array([[2]], dtype=np.int64), (4,))
-result, report = scatter(Scattering(sparse, np.array([7.0]), np.arange(4.0)), "last")
+result, report = scatter_x(np.arange(4.0), np.array([7.0]), sparse, "last")
 print("\nsingle write into cell 2 of [0,1,2,3]:", result)
 print("uncovered targets:", report.uncovered_targets)

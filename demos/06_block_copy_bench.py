@@ -3,7 +3,7 @@
 The transformer remaps the leading axis and copies the two trailing axes,
 so the scatter moves rows of 1024 contiguous floats.  The floor is the
 hand-written NumPy code with the same semantics, ``out[sigma] = updates``
-on a copy of the background.  The same map is scattered twice: ``scatter``
+on a copy of the background.  The same map is scattered twice: ``scatter_x``
 reads it from a table, whose scan for the copied suffix costs more than
 the floor, and ``scatter_nd_update`` from ``sigma`` itself.  Rows this
 wide copy only the background rows no key reaches, half of them here,
@@ -19,10 +19,9 @@ import numpy as np
 
 from scatterkit import (
     ProvisionTensor,
-    Scattering,
     max_sliceable_suffix,
-    scatter,
     scatter_nd_update,
+    scatter_x,
 )
 
 lead_src, lead_tgt, suffix = 512, 1024, (32, 32)
@@ -41,16 +40,13 @@ print("source:", source_shape, "->", "target:", target_shape,
 print("copied suffix length:", max_sliceable_suffix(provision)[0])
 
 rng = np.random.default_rng(0)
-scattering = Scattering(
-    provision,
-    rng.standard_normal(source_shape),
-    rng.standard_normal(target_shape),
-)
+updates = rng.standard_normal(source_shape)
+background = rng.standard_normal(target_shape)
 
 
 def numpy_floor():
-    out = scattering.background.copy()
-    out[sigma] = scattering.updates
+    out = background.copy()
+    out[sigma] = updates
     return out
 
 
@@ -63,14 +59,17 @@ def best_of(fn, n=5):
     return min(times)
 
 
+def table_scatter():
+    return scatter_x(background, updates, provision, "last")
+
+
 def tf_scatter():
-    return scatter_nd_update(scattering.background, sigma[:, None],
-                             scattering.updates, "last")
+    return scatter_nd_update(background, sigma[:, None], updates, "last")
 
 
 floor = numpy_floor().tobytes()
 identical = {
-    "scatter": scatter(scattering, "last")[0].tobytes() == floor,
+    "scatter_x": table_scatter()[0].tobytes() == floor,
     "scatter_nd_update": tf_scatter()[0].tobytes() == floor,
 }
 for name, same in identical.items():
@@ -78,11 +77,11 @@ for name, same in identical.items():
 if not all(identical.values()):
     sys.exit(1)
 
-t_scatter = best_of(lambda: scatter(scattering, "last"))
+t_table = best_of(table_scatter)
 t_tf = best_of(tf_scatter)
 t_floor = best_of(numpy_floor)
-print(f"scatterkit scatter:           {t_scatter * 1e3:7.2f} ms "
-      f"({t_scatter / t_floor:.2f}x the floor)")
+print(f"scatterkit scatter_x:         {t_table * 1e3:7.2f} ms "
+      f"({t_table / t_floor:.2f}x the floor)")
 print(f"scatterkit scatter_nd_update: {t_tf * 1e3:7.2f} ms "
       f"({t_tf / t_floor:.2f}x the floor)")
 print(f"NumPy floor:                  {t_floor * 1e3:7.2f} ms")

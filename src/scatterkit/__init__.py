@@ -22,8 +22,6 @@ from .core import (
 from .engine import (
     CollisionPolicy,
     ScatterReport,
-    Scattering,
-    scatter,
     scatter_nd_update,
     scatter_x,
     torch_scatter,
@@ -55,7 +53,6 @@ __all__ = [
     "ProvisionTensor",
     "SLICEABLE",
     "ScatterReport",
-    "Scattering",
     "SliceabilityReport",
     "TRIVIAL_ONLY",
     "ValidationError",
@@ -67,7 +64,6 @@ __all__ = [
     "detect_collisions",
     "max_sliceable_suffix",
     "pass_through_map",
-    "scatter",
     "scatter_nd_update",
     "scatter_x",
     "shape_size",

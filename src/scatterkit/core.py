@@ -62,32 +62,48 @@ def flat_offsets(coords, shape) -> np.ndarray:
     return offsets
 
 
+def _real_kind(arr, what) -> str:
+    """The dtype kind of ``arr``, refusing what numpy would cast to a number
+    though it is none: another dtype, or a str, bytes or complex entry."""
+    kind = arr.dtype.kind
+    if kind == "O":
+        for i, v in enumerate(arr.flat):
+            if isinstance(v, (str, bytes, complex, np.complexfloating)):
+                at = tuple(map(int, np.unravel_index(i, arr.shape)))
+                raise ArgumentError(f"{what} entry {v!r} at {at} is not a real number")
+    elif kind not in "biuf":
+        raise ArgumentError(f"{what} dtype {arr.dtype} is not bool, integer or float")
+    return kind
+
+
 def as_data_tensor(values) -> np.ndarray:
     """Coerce to a C-ordered float64 array, returning one given as it is.
 
-    Raises ArgumentError naming the first integer entry, in row-major
-    order, outside [-2**53, 2**53], where float64 stops holding every
-    integer, rather than round it.
-    """
+    Raises ArgumentError on data that is no real numbers, and on the first
+    integer entry, in row-major order, outside [-2**53, 2**53], where
+    float64 stops holding every integer, rather than round it."""
     arr = np.asarray(values, order="C")
-    if arr.dtype.kind in "iu":
-        bad = np.flatnonzero((arr > 2**53) | (arr < -(2**53)))
-    elif arr.dtype.kind == "O":  # entries as listed, such as an int past uint64
-        bad = [i for i, v in enumerate(arr.flat)
-               if isinstance(v, (int, np.integer)) and not -(2**53) <= v <= 2**53]
-    else:
-        bad = ()
-    if len(bad):
-        raise _rounding_error(arr.flat[bad[0]], bad[0], arr.shape)
+    kind = _real_kind(arr, "data")
+    if kind in "iu":
+        at = np.flatnonzero((arr > 2**53) | (arr < -(2**53)))[:1]
+        _refuse_rounded_ints(arr.reshape(-1), at, arr.shape)
+    elif kind == "O":  # entries as listed, such as an int past uint64
+        _refuse_rounded_ints(arr.reshape(-1), range(arr.size), arr.shape)
+    elif kind == "f" and not isinstance(values, np.ndarray):  # a listed int beside a float
+        at = np.flatnonzero(np.abs(arr) >= 2**53)
+        listed = np.asarray(values, dtype=object).reshape(-1) if len(at) else ()
+        _refuse_rounded_ints(listed, at, arr.shape)
     return arr.astype(np.float64, copy=False)
 
 
-def _rounding_error(value, flat, shape) -> ArgumentError:
-    at = tuple(map(int, np.unravel_index(flat, shape)))
-    return ArgumentError(
-        f"data entry {value} at {at} is an integer outside "
-        "[-2**53, 2**53], where float64 holds every integer"
-    )
+def _refuse_rounded_ints(listed, at, shape) -> None:
+    """Raise ArgumentError naming the first integer outside [-2**53, 2**53]
+    among the row-major entries ``listed[i]`` of ``shape``, ``i`` in ``at``."""
+    for i in at:
+        if isinstance(listed[i], (int, np.integer)) and not -(2**53) <= listed[i] <= 2**53:
+            where = tuple(map(int, np.unravel_index(i, shape)))
+            raise ArgumentError(f"data entry {listed[i]} at {where} is an integer outside "
+                                "[-2**53, 2**53], where float64 holds every integer")
 
 
 def as_index_tensor(values) -> np.ndarray:
@@ -95,9 +111,10 @@ def as_index_tensor(values) -> np.ndarray:
     first entry, in row-major order, whose value the cast would change: a
     fraction, NaN, an infinity or a value outside int64."""
     arr = np.asarray(values, order="C")
-    if arr.dtype.kind in "bi" or np.can_cast(arr.dtype, np.int64):  # exact casts
+    kind = _real_kind(arr, "index")
+    if kind in "bi" or np.can_cast(arr.dtype, np.int64):  # exact casts
         return arr.astype(np.int64, copy=False)
-    if isinstance(values, np.ndarray) and arr.dtype.kind in "fu":
+    if isinstance(values, np.ndarray) and kind in "fu":
         with np.errstate(invalid="ignore"):  # NaN and out-of-range casts
             cast = arr.astype(np.int64)
         bad = np.flatnonzero(cast != arr)

@@ -134,7 +134,8 @@ class ScatterReport:
 
 @dataclass(frozen=True, eq=False)
 class Scattering:
-    """A transformer together with its update and background tensors."""
+    """Not exported and built by no entry point: kept only while
+    ``perfbench/spans.py`` wraps its ``__post_init__``, then deleted."""
 
     transformer: ProvisionTensor
     updates: np.ndarray
@@ -157,20 +158,6 @@ class Scattering:
         background.setflags(write=False)
         object.__setattr__(self, "updates", updates)
         object.__setattr__(self, "background", background)
-
-
-def scatter(
-    scattering: Scattering,
-    policy: CollisionPolicy | str = CollisionPolicy.LAST_WINS,
-) -> tuple[np.ndarray, ScatterReport]:
-    """Execute a scattering, returning a fresh result tensor and a report.
-
-    The table scatters through :func:`scatter_x`, read as its columns, in
-    whole rows along the largest copied suffix of the transformer; without
-    one, rows are single elements.
-    """
-    s = scattering
-    return scatter_x(s.background, s.updates, s.transformer, policy)
 
 
 def _scatter_rows(keys, lead_shape, updates, background, policy):

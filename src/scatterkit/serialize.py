@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .analysis import CollisionReport, SliceabilityReport
-from .core import _rounding_error, shape_size
+from .core import _refuse_rounded_ints, shape_size
 from .engine import ScatterReport
 from .errors import ArgumentError, FormatError
 from .transform import ProvisionTensor, XTransformerSpec
@@ -80,9 +80,7 @@ def tensor_from_json(doc) -> np.ndarray:
     if not integral and not np.isfinite(arr).all():
         raise FormatError("f64 tensor data must be finite")
     if not integral and int in types:  # a listed int past 2**53 casts to 2**53 or more
-        for i in np.flatnonzero(np.abs(arr) >= 2**53):
-            if type(data[i]) is int and not -(2**53) <= data[i] <= 2**53:
-                raise _rounding_error(data[i], i, shape)
+        _refuse_rounded_ints(data, np.flatnonzero(np.abs(arr) >= 2**53), shape)
     return arr
 
 

@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 
-from scatterkit import ProvisionTensor, Scattering, XTransformerSpec, shape_size
+from scatterkit import CollisionPolicy, ProvisionTensor, XTransformerSpec, shape_size
+from scatterkit.core import flat_offsets
+from scatterkit.engine import _scatter_rows
 
 
 def random_shape(rng, min_rank=0, max_rank=4, min_extent=1, max_extent=5):
@@ -68,9 +70,17 @@ def trivial_spec(provision):
 
 
 def random_scattering(rng, provision):
+    """``(updates, background)`` shaped for the provision's source and target."""
     updates = rng.standard_normal(provision.source_shape)
     background = rng.standard_normal(provision.target_shape)
-    return Scattering(provision, updates, background)
+    return updates, background
+
+
+def element_view(provision, updates, background, policy):
+    """The kernel keyed on the whole table: every row a single element."""
+    shape = provision.target_shape
+    keys = flat_offsets(np.moveaxis(provision.table, -1, 0), shape)
+    return _scatter_rows(keys, shape, updates, background, CollisionPolicy(policy))
 
 
 def random_spec(rng, max_rank=3, max_extent=4):

@@ -18,11 +18,9 @@ from scatterkit import (
     CollisionError,
     CollisionPolicy,
     ProvisionTensor,
-    Scattering,
     compose_provision,
     detect_collisions,
     max_sliceable_suffix,
-    scatter,
     scatter_nd_update,
     scatter_x,
     shape_size,
@@ -31,11 +29,10 @@ from scatterkit import (
     weak_decomposition,
 )
 from scatterkit import fixtures as fx
-from scatterkit.core import flat_offsets
-from scatterkit.engine import _scatter_rows
 from scatterkit.serialize import tensor_to_json
 
 from generators import (
+    element_view,
     random_provision,
     random_scattering,
     random_suffix_provision,
@@ -68,26 +65,19 @@ def bits(arr):
     return (arr.shape, arr.dtype.str, arr.tobytes())
 
 
-def element_view(scattering, policy):
-    """The kernel keyed on the whole table: every row a single element."""
-    s = scattering
-    shape = s.transformer.target_shape
-    keys = flat_offsets(np.moveaxis(s.transformer.table, -1, 0), shape)
-    return _scatter_rows(keys, shape, s.updates, s.background, CollisionPolicy(policy))
-
-
 def test_criterion_1_worked_example():
     """criterion 1: worked example reproduced bit-equal under all five policies, < 1 ms"""
     emb = fx.embed_provision()
     expected = fx.embed_expected()
-    scattering = Scattering(emb, fx.embed_updates(), fx.embed_background())
+    updates, background = fx.embed_updates(), fx.embed_background()
     for policy in ALL_POLICIES:
-        result, _ = scatter(scattering, policy)
+        result, _ = scatter_x(background, updates, emb, policy)
         assert bits(result) == bits(expected)
         assert result.size == 16
-        scatter(scattering, policy)  # warm
+        scatter_x(background, updates, emb, policy)  # warm
         best = min(
-            _timed(lambda: scatter(scattering, policy)) for _ in range(10)
+            _timed(lambda: scatter_x(background, updates, emb, policy))
+            for _ in range(10)
         )
         assert best < 1e-3, f"{policy}: {best * 1e3:.3f} ms"
 
@@ -127,7 +117,7 @@ def test_criterion_3_brute_force_oracle_equivalence():
             max_target_rank=4,
             max_target_extent=5,
         )
-        scattering = random_scattering(rng, provision)
+        updates, background = random_scattering(rng, provision)
         n = shape_size(provision.source_shape)
         if forced:
             report = detect_collisions(provision)
@@ -138,16 +128,16 @@ def test_criterion_3_brute_force_oracle_equivalence():
                 expected = brute_force_scatter(
                     provision.table,
                     provision.target_shape,
-                    scattering.updates,
-                    scattering.background,
+                    updates,
+                    background,
                     policy.value,
                 )
             except OracleCollision as oracle_exc:
                 with pytest.raises(CollisionError) as engine_exc:
-                    scatter(scattering, policy)
+                    scatter_x(background, updates, provision, policy)
                 assert engine_exc.value.target == oracle_exc.target
                 continue
-            result, _ = scatter(scattering, policy)
+            result, _ = scatter_x(background, updates, provision, policy)
             assert bits(result) == bits(expected), (case, policy)
     elapsed = time.perf_counter() - start
     assert len(forced_rates) == 500
@@ -195,12 +185,10 @@ def test_criterion_5_composition_round_trips():
         assert np.array_equal(recomposed.table, provision.table), case
         assert recomposed.target_shape == provision.target_shape
 
-        scattering = random_scattering(rng, provision)
+        updates, background = random_scattering(rng, provision)
         policy = ALL_POLICIES[case % 4 + 1]  # skip error: collisions allowed
-        direct, _ = scatter(scattering, policy)
-        factored, _ = scatter_x(
-            scattering.background, scattering.updates, spec, policy
-        )
+        direct, _ = scatter_x(background, updates, provision, policy)
+        factored, _ = scatter_x(background, updates, spec, policy)
         assert bits(direct) == bits(factored), case
 
 
@@ -213,15 +201,13 @@ def test_criterion_6_background_preservation():
     for provision in provisions:
         target_size = shape_size(provision.target_shape)
         assert target_size <= 4096
-        scattering = random_scattering(rng, provision)
+        updates, background = random_scattering(rng, provision)
         covered = np.zeros(provision.target_shape, dtype=bool)
         for target in provision_image(provision):
             covered[target] = True
         for policy in ("first", "last", "sum", "prod"):
-            result, _ = scatter(scattering, policy)
-            assert np.array_equal(
-                result[~covered], scattering.background[~covered]
-            )
+            result, _ = scatter_x(background, updates, provision, policy)
+            assert np.array_equal(result[~covered], background[~covered])
 
 
 def test_criterion_7_fast_path_equivalence_and_bench(capsys, tmp_path):
@@ -234,13 +220,13 @@ def test_criterion_7_fast_path_equivalence_and_bench(capsys, tmp_path):
     for provision in provisions:
         r, _ = max_sliceable_suffix(provision)
         assert r >= 1
-        scattering = random_scattering(rng, provision)
+        updates, background = random_scattering(rng, provision)
         colliding = detect_collisions(provision).collision_count > 0
         for policy in ALL_POLICIES:
             if policy is CollisionPolicy.ERROR and colliding:
                 continue
-            fast, frep = scatter(scattering, policy)
-            slow, srep = element_view(scattering, policy)
+            fast, frep = scatter_x(background, updates, provision, policy)
+            slow, srep = element_view(provision, updates, background, policy)
             assert frep.fast_path_used and not srep.fast_path_used
             assert bits(fast) == bits(slow)
             assert (frep.writes, frep.colliding_groups, frep.uncovered_targets) == (
@@ -258,18 +244,19 @@ def test_criterion_7_fast_path_equivalence_and_bench(capsys, tmp_path):
     rows[:, 0] = sigma[grid[:, 0]]
     rows[:, 1:] = grid[:, 1:]
     provision = ProvisionTensor(rows.reshape(source_shape + (3,)), target_shape)
-    scattering = Scattering(
-        provision,
-        rng.standard_normal(source_shape),
-        rng.standard_normal(target_shape),
-    )
-    fast, frep = scatter(scattering, "last")
-    slow, _ = element_view(scattering, "last")
+    updates = rng.standard_normal(source_shape)
+    background = rng.standard_normal(target_shape)
+    fast, frep = scatter_x(background, updates, provision, "last")
+    slow, _ = element_view(provision, updates, background, "last")
     assert frep.fast_path_used
     assert bits(fast) == bits(slow)
-    t_fast = min(_timed(lambda: scatter(scattering, "last")) for _ in range(3))
+    t_fast = min(
+        _timed(lambda: scatter_x(background, updates, provision, "last"))
+        for _ in range(3)
+    )
     t_slow = min(
-        _timed(lambda: element_view(scattering, "last")) for _ in range(3)
+        _timed(lambda: element_view(provision, updates, background, "last"))
+        for _ in range(3)
     )
     bench = {
         "target_elements": shape_size(target_shape),

@@ -27,17 +27,19 @@ from oracles import literal_traversal
 SURFACE = [
     "ArgumentError", "CollisionError", "CollisionPolicy", "CollisionReport",
     "FormatError", "PickRangeError", "ProvisionTensor", "SLICEABLE",
-    "ScatterReport", "Scattering", "SliceabilityReport", "TRIVIAL_ONLY",
-    "ValidationError", "WEAKLY_SLICEABLE_ONLY", "XTransformerSpec",
-    "as_data_tensor", "as_index_tensor", "compose_provision",
-    "detect_collisions", "max_sliceable_suffix", "pass_through_map", "scatter",
-    "scatter_nd_update", "scatter_x", "shape_size", "slicing_impossibility",
-    "tf_transformer", "torch_scatter", "validate_provision", "weak_decomposition",
+    "ScatterReport", "SliceabilityReport", "TRIVIAL_ONLY", "ValidationError",
+    "WEAKLY_SLICEABLE_ONLY", "XTransformerSpec", "as_data_tensor",
+    "as_index_tensor", "compose_provision", "detect_collisions",
+    "max_sliceable_suffix", "pass_through_map", "scatter_nd_update", "scatter_x",
+    "shape_size", "slicing_impossibility", "tf_transformer", "torch_scatter",
+    "validate_provision", "weak_decomposition",
 ]
-REMOVED = ["trivial_spec", "representation_overlap", "as_pick", "identity_pick"]
+REMOVED = ["trivial_spec", "representation_overlap", "as_pick", "identity_pick",
+           "scatter"]
 
 
 def test_the_public_surface_is_what_runs():
+    assert len(SURFACE) == 28
     assert sorted(scatterkit.__all__) == SURFACE
     assert all(hasattr(scatterkit, name) for name in SURFACE)
     modules = [scatterkit] + [
@@ -52,6 +54,10 @@ def test_the_public_surface_is_what_runs():
     # the extent check the table and the spec run stays, off the surface
     assert not hasattr(scatterkit, "as_shape")
     assert callable(importlib.import_module("scatterkit.core").as_shape)
+    # a map scatters through scatter_x alone; the class the tracing wraps
+    # stays in the engine, off the surface
+    assert not hasattr(scatterkit, "Scattering")
+    assert callable(importlib.import_module("scatterkit.engine").Scattering.__post_init__)
 
 
 small_shapes = st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple)
@@ -145,3 +151,30 @@ def test_entry_points_refuse_fractional_indices():
     assert ProvisionTensor([[1.0, 0.0]], (2, 2)).table.tolist() == [[1, 0]]
     result, _ = torch_scatter(np.zeros(3), 0, [2.0, 0.0], [5.0, 6.0])
     assert result.tolist() == [6.0, 0.0, 5.0]
+
+
+def test_entry_points_refuse_indices_that_are_no_real_numbers():
+    # strings, complex numbers and dates would fail a comparison with a
+    # TypeError; each is refused, naming its dtype or its entry, which lies
+    # at (1,) in the list and at (1, 0) in its column
+    dates = np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")
+    refused = [
+        (["0", "2"], "index dtype <U1 is not bool, integer or float"),
+        (np.array([0j, 2j]), "index dtype complex128 is not bool, integer or float"),
+        (dates, "index dtype datetime64[D] is not bool, integer or float"),
+        (np.array([0, "2"], dtype=object), "index entry '2' at (1,"),
+        ([2**70, 1j], "index entry 1j at (1,"),
+    ]
+    for values, text in refused:
+        column = np.asarray(values)[:, None]
+        for call in (
+            lambda: as_index_tensor(values),
+            lambda: torch_scatter(np.zeros(3), 0, values, [5.0, 6.0]),
+            lambda: scatter_nd_update(np.zeros(3), column, [5.0, 6.0]),
+            lambda: ProvisionTensor(column, (3,)),
+        ):
+            with pytest.raises(ArgumentError, match=re.escape(text)):
+                call()
+    # bools index as 0 and 1
+    result, _ = torch_scatter(np.zeros(3), 0, [True, False], [5.0, 6.0])
+    assert result.tolist() == [6.0, 5.0, 0.0]

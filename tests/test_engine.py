@@ -12,13 +12,11 @@ from scatterkit import (
     CollisionError,
     CollisionPolicy,
     ProvisionTensor,
-    Scattering,
     ValidationError,
     XTransformerSpec,
     compose_provision,
     detect_collisions,
     max_sliceable_suffix,
-    scatter,
     scatter_nd_update,
     scatter_x,
     shape_size,
@@ -29,11 +27,10 @@ from scatterkit import (
 import scatterkit
 from scatterkit import analysis, core, engine, transform
 from scatterkit import fixtures as fx
-from scatterkit.core import flat_offsets
-from scatterkit.engine import _scatter_rows
 from scatterkit.transform import _coordinates, _lower
 
 from generators import (
+    element_view,
     random_provision,
     random_scattering,
     random_suffix_provision,
@@ -60,16 +57,17 @@ def bits(arr):
 DUP = ProvisionTensor(np.array([[0], [0]], dtype=np.int64), (1,))
 
 
-def dup_scattering(background=(0.0,)):
-    return Scattering(DUP, np.array([10.0, 20.0]), np.array(background))
+def dup_scatter(policy, background=(0.0,)):
+    return scatter_x(np.array(background), np.array([10.0, 20.0]), DUP, policy)
 
 
 def test_worked_example_all_policies():
     emb = fx.embed_provision()
     expected = fx.embed_expected()
     for policy in ALL_POLICIES:
-        scattering = Scattering(emb, fx.embed_updates(), fx.embed_background())
-        result, report = scatter(scattering, policy)
+        result, report = scatter_x(
+            fx.embed_background(), fx.embed_updates(), emb, policy
+        )
         assert np.array_equal(result, expected)
         assert report.colliding_groups == 0
         assert report.uncovered_targets == 8
@@ -78,9 +76,7 @@ def test_worked_example_all_policies():
 def test_empty_source_is_noop():
     empty = ProvisionTensor(np.zeros((0, 2), dtype=np.int64), (2, 3))
     background = np.arange(6, dtype=np.float64).reshape(2, 3)
-    result, report = scatter(
-        Scattering(empty, np.zeros((0,)), background), "last"
-    )
+    result, report = scatter_x(background, np.zeros((0,)), empty, "last")
     assert np.array_equal(result, background)
     assert report.writes == 0
     assert report.uncovered_targets == 6
@@ -91,28 +87,27 @@ def test_empty_source_is_noop():
     [("last", [20.0]), ("first", [10.0]), ("sum", [30.0]), ("prod", [200.0])],
 )
 def test_duplicate_rows_policies(policy, expected):
-    result, report = scatter(dup_scattering(), policy)
+    result, report = dup_scatter(policy)
     assert np.array_equal(result, expected)
     assert report.colliding_groups == 1
 
 
 def test_duplicate_rows_error_policy():
     with pytest.raises(CollisionError) as info:
-        scatter(dup_scattering(), "error")
+        dup_scatter("error")
     assert info.value.target == (0,)
 
 
 def test_sum_excludes_background():
-    result, _ = scatter(dup_scattering(background=(100.0,)), "sum")
+    result, _ = dup_scatter("sum", background=(100.0,))
     assert np.array_equal(result, [30.0])
 
 
 def test_error_policy_names_first_collision():
     table = np.array([[3], [1], [3], [1]], dtype=np.int64)
     prov = ProvisionTensor(table, (4,))
-    scattering = Scattering(prov, np.arange(4.0), np.zeros(4))
     with pytest.raises(CollisionError) as info:
-        scatter(scattering, "error")
+        scatter_x(np.zeros(4), np.arange(4.0), prov, "error")
     # source 2 is the first row-major re-hit, landing on target (3,)
     assert info.value.target == (3,)
 
@@ -120,15 +115,19 @@ def test_error_policy_names_first_collision():
 def test_invalid_provision_rejected():
     bad = ProvisionTensor(np.array([[5]], dtype=np.int64), (2,))
     with pytest.raises(ValidationError):
-        scatter(Scattering(bad, np.zeros((1,)), np.zeros(2)), "last")
+        scatter_x(np.zeros(2), np.zeros((1,)), bad, "last")
 
 
 def test_scattering_shape_checks():
     emb = fx.embed_provision()
-    with pytest.raises(ArgumentError):
-        Scattering(emb, np.zeros((4, 3)), fx.embed_background())
-    with pytest.raises(ArgumentError):
-        Scattering(emb, fx.embed_updates(), np.zeros((2, 2, 2)))
+    with pytest.raises(ArgumentError, match=re.escape(
+            "updates shape (4, 3) and target shape (2, 2, 2, 2) must equal the "
+            "spec's source shape (4, 2) and target shape (2, 2, 2, 2)")):
+        scatter_x(fx.embed_background(), np.zeros((4, 3)), emb, "last")
+    with pytest.raises(ArgumentError, match=re.escape(
+            "updates shape (4, 2) and target shape (2, 2, 2) must equal the "
+            "spec's source shape (4, 2) and target shape (2, 2, 2, 2)")):
+        scatter_x(np.zeros((2, 2, 2)), fx.embed_updates(), emb, "last")
 
 
 def test_scatter_nd_update_rows():
@@ -273,18 +272,18 @@ def test_policies_match_brute_force_random():
     rng = np.random.default_rng(1234)
     for case in range(60):
         provision = random_provision(rng, collisions=case % 2 == 0)
-        scattering = random_scattering(rng, provision)
+        updates, background = random_scattering(rng, provision)
         for policy in ALL_POLICIES:
             try:
                 expected = brute_force_scatter(
                     provision.table, provision.target_shape,
-                    scattering.updates, scattering.background, policy.value,
+                    updates, background, policy.value,
                 )
             except Exception:
                 with pytest.raises(CollisionError):
-                    scatter(scattering, policy)
+                    scatter_x(background, updates, provision, policy)
                 continue
-            result, _ = scatter(scattering, policy)
+            result, _ = scatter_x(background, updates, provision, policy)
             assert np.array_equal(result, expected), (policy, case)
 
 
@@ -306,9 +305,9 @@ def counter_cases(rng):
         updates = rng.standard_normal((n,) + trail)
         indices = keys[:, None]
         table = tf_table(indices, ts.shape)
-        scattering = Scattering(ProvisionTensor(table, ts.shape), updates, ts)
+        provision = ProvisionTensor(table, ts.shape)
         yield "tf", table, ts.shape, lambda p: scatter_nd_update(ts, indices, updates, p)
-        yield "scatter", table, ts.shape, lambda p: scatter(scattering, p)
+        yield "table", table, ts.shape, lambda p: scatter_x(ts, updates, provision, p)
         # an index constant along the trailing axes has a copied suffix
         index = np.broadcast_to(keys.reshape((n,) + (1,) * len(trail)), updates.shape)
         if case % 2 and injective:  # a permutation per column
@@ -342,7 +341,7 @@ def test_report_counters_match_traversal():
             seen.add((entry, report.fast_path_used))
     assert seen >= {(True, True), (True, False), (False, True), (False, False)}
     assert ("3+", True) in seen
-    assert seen >= {(name, fast) for name in ("tf", "scatter", "torch")
+    assert seen >= {(name, fast) for name in ("tf", "table", "torch")
                     for fast in (True, False)}
 
 
@@ -397,18 +396,12 @@ def test_first_wins_is_reversed_last_wins():
     rng = np.random.default_rng(9)
     for _ in range(20):
         provision = random_provision(rng, collisions=True)
-        scattering = random_scattering(rng, provision)
-        first, _ = scatter(scattering, "first")
+        updates, background = random_scattering(rng, provision)
+        first, _ = scatter_x(background, updates, provision, "first")
         reversed_rows = np.flip(provision.table, tuple(range(provision.table.ndim - 1)))
-        reversed_updates = scattering.updates.reshape(-1)[::-1].reshape(
-            provision.source_shape
-        )
-        flipped = Scattering(
-            ProvisionTensor(reversed_rows, provision.target_shape),
-            reversed_updates,
-            scattering.background,
-        )
-        last, _ = scatter(flipped, "last")
+        reversed_updates = updates.reshape(-1)[::-1].reshape(provision.source_shape)
+        flipped = ProvisionTensor(reversed_rows, provision.target_shape)
+        last, _ = scatter_x(background, reversed_updates, flipped, "last")
         assert np.array_equal(first, last)
 
 
@@ -418,30 +411,22 @@ def test_background_preserved_outside_image(data):
     seed = data.draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
     provision = random_provision(rng)
-    scattering = random_scattering(rng, provision)
+    updates, background = random_scattering(rng, provision)
     policy = data.draw(st.sampled_from(["first", "last", "sum", "prod"]))
-    result, _ = scatter(scattering, policy)
+    result, _ = scatter_x(background, updates, provision, policy)
     covered = provision_image(provision)
     for target in np.ndindex(*provision.target_shape):
         if target not in covered:
-            assert result[target] == scattering.background[target]
-
-
-def element_view(scattering, policy):
-    """The kernel keyed on the whole table: every row a single element."""
-    s = scattering
-    shape = s.transformer.target_shape
-    keys = flat_offsets(np.moveaxis(s.transformer.table, -1, 0), shape)
-    return _scatter_rows(keys, shape, s.updates, s.background, CollisionPolicy(policy))
+            assert result[target] == background[target]
 
 
 def test_fast_path_equals_elementwise_on_goldens():
     for provision in (fx.embed_provision(), fx.diag_provision()):
         rng = np.random.default_rng(0)
-        scattering = random_scattering(rng, provision)
+        updates, background = random_scattering(rng, provision)
         for policy in ALL_POLICIES:
-            fast, frep = scatter(scattering, policy)
-            slow, srep = element_view(scattering, policy)
+            fast, frep = scatter_x(background, updates, provision, policy)
+            slow, srep = element_view(provision, updates, background, policy)
             assert np.array_equal(fast, slow)
             assert frep.fast_path_used and not srep.fast_path_used
             assert (frep.writes, frep.colliding_groups, frep.uncovered_targets) == (
@@ -453,23 +438,21 @@ def test_fast_path_equals_elementwise_random_suffix_provisions():
     rng = np.random.default_rng(77)
     for case in range(40):
         provision = random_suffix_provision(rng, collisions=case % 2 == 0)
-        scattering = random_scattering(rng, provision)
+        updates, background = random_scattering(rng, provision)
         if case % 4 < 2:
             # signed zeros: only the 0.0 / 1.0 seed makes a lone -0.0 under
             # sum become 0.0, as sequential accumulation does
-            updates = scattering.updates.copy()
             updates.reshape(-1)[::3] = -0.0
-            scattering = Scattering(provision, updates, scattering.background)
         for policy in ALL_POLICIES:
             report = detect_collisions(provision)
             if policy is CollisionPolicy.ERROR and report.collision_count:
                 with pytest.raises(CollisionError):
-                    scatter(scattering, policy)
+                    scatter_x(background, updates, provision, policy)
                 with pytest.raises(CollisionError):
-                    element_view(scattering, policy)
+                    element_view(provision, updates, background, policy)
                 continue
-            fast, frep = scatter(scattering, policy)
-            slow, srep = element_view(scattering, policy)
+            fast, frep = scatter_x(background, updates, provision, policy)
+            slow, srep = element_view(provision, updates, background, policy)
             assert bits(fast) == bits(slow)
             assert (frep.writes, frep.colliding_groups, frep.uncovered_targets) == (
                 srep.writes, srep.colliding_groups, srep.uncovered_targets
@@ -478,8 +461,8 @@ def test_fast_path_equals_elementwise_random_suffix_provisions():
                 want = brute_force_scatter(
                     provision.table,
                     provision.target_shape,
-                    scattering.updates,
-                    scattering.background,
+                    updates,
+                    background,
                     policy.value,
                 )
                 assert bits(fast) == bits(want)
@@ -490,11 +473,11 @@ def test_fast_path_error_collision_targets_match():
         [[[0, 0], [0, 1]], [[0, 0], [0, 1]]], dtype=np.int64
     )  # two lead rows hit prefix (0,)
     prov = ProvisionTensor(table, (1, 2))
-    scattering = Scattering(prov, np.zeros((2, 2)), np.zeros((1, 2)))
+    updates, background = np.zeros((2, 2)), np.zeros((1, 2))
     with pytest.raises(CollisionError) as fast_info:
-        scatter(scattering, "error")
+        scatter_x(background, updates, prov, "error")
     with pytest.raises(CollisionError) as slow_info:
-        element_view(scattering, "error")
+        element_view(prov, updates, background, "error")
     assert fast_info.value.target == slow_info.value.target == (0, 0)
 
 
@@ -504,8 +487,7 @@ def test_inputs_not_mutated():
     background = fx.embed_background()
     updates_before = updates.copy()
     background_before = background.copy()
-    scattering = Scattering(emb, updates, background)
-    scatter(scattering, "sum")
+    scatter_x(background, updates, emb, "sum")
     assert np.array_equal(updates, updates_before)
     assert np.array_equal(background, background_before)
 
@@ -552,15 +534,13 @@ def test_injective_scatter_neither_writes_nor_aliases_inputs(policy):
     index = np.argsort(rng.random((6, 3)), axis=0)[:4]  # a permutation per column
     src = rng.standard_normal((5, 4))
     src[:4:2, :3] = -0.0
-    scattering = Scattering(ProvisionTensor(tf_table(indices, ts.shape), ts.shape),
-                            updates, ts)
+    provision = ProvisionTensor(tf_table(indices, ts.shape), ts.shape)
     spec = tf_transformer(indices, ts.shape)
     for call, inputs, read in (
         (lambda: scatter_nd_update(ts, indices, updates, policy), (ts, updates), updates),
         (lambda: scatter_x(ts, updates, spec, policy), (ts, updates), updates),
         (lambda: torch_scatter(self_t, 0, index, src, policy), (self_t, src), src[:4, :3]),
-        (lambda: scatter(scattering, policy),
-         (scattering.background, scattering.updates), updates),
+        (lambda: scatter_x(ts, updates, provision, policy), (ts, updates), updates),
     ):
         before = [bits(a) for a in inputs]
         result, _ = call()
@@ -607,14 +587,14 @@ def crossover_cases(rng):
                 updates.reshape(-1)[::3] = -0.0
                 indices = keys[:, None]
                 table = tf_table(indices, ts.shape)
-                scattering = Scattering(ProvisionTensor(table, ts.shape), updates, ts)
+                provision = ProvisionTensor(table, ts.shape)
                 index = np.broadcast_to(keys.reshape((n,) + (1,) * len(trail)),
                                         updates.shape)
                 side = (trail != (), 2 * losers <= n)
                 yield ("tf",) + side, table, ts, updates, (
                     lambda p: scatter_nd_update(ts, indices, updates, p))
-                yield ("scatter",) + side, table, ts, updates, (
-                    lambda p: scatter(scattering, p))
+                yield ("table",) + side, table, ts, updates, (
+                    lambda p: scatter_x(ts, updates, provision, p))
                 yield ("torch",) + side, torch_table(index, 0), ts, updates, (
                     lambda p: torch_scatter(ts, 0, index, updates, p))
 
@@ -639,7 +619,7 @@ def test_kernel_crossover_matches_oracles():
             got = (report.writes, report.colliding_groups, report.uncovered_targets)
             assert got == brute_force_counters(table, ts.shape, policy.value), (
                 case, policy)
-    assert seen == {(entry, wide, most_win) for entry in ("tf", "scatter", "torch")
+    assert seen == {(entry, wide, most_win) for entry in ("tf", "table", "torch")
                     for wide in (False, True) for most_win in (False, True)}
 
 
@@ -773,10 +753,9 @@ def move_buffer_cases(rng, chunk):
         background = rng.standard_normal((int(keys.max()) + 1, 4, 5))
         grid = np.broadcast_arrays(keys[:, None, None], *np.indices((2, 3), sparse=True))
         table = np.stack(grid, axis=-1)
-        scattering = Scattering(ProvisionTensor(table, background.shape), updates,
-                                background)
+        provision = ProvisionTensor(table, background.shape)
         yield (("region", most_win), keys, block, chunks, table, background, updates,
-               lambda p: scatter(scattering, p))
+               lambda p: scatter_x(background, updates, provision, p))
 
         for trail, wide, contiguous in (((2, 3), (3, 4), False), ((3,), (5,), True)):
             keys, corner, block, chunks = draw(trail, most_win)
@@ -864,9 +843,9 @@ def flat_fold_cases(rng):
     background = rng.standard_normal((6, 4, 5))
     grid = np.broadcast_arrays(keys[:, None, None], *np.indices((2, 3), sparse=True))
     table = np.stack(grid, axis=-1)
-    scattering = Scattering(ProvisionTensor(table, background.shape), updates, background)
+    provision = ProvisionTensor(table, background.shape)
     yield ("region",), keys, 6, table, background, updates, (
-        lambda p: scatter(scattering, p))
+        lambda p: scatter_x(background, updates, provision, p))
 
     # rows of 2 x 3 read through strides move through their region; rows of
     # 3 whose last axis alone is contiguous still move as void items
@@ -1008,13 +987,13 @@ def wide_row_cases(rng):
             updates[::3] = -0.0
             indices = keys[:, None]
             table = tf_table(indices, ts.shape)
-            scattering = Scattering(ProvisionTensor(table, ts.shape), updates, ts)
+            provision = ProvisionTensor(table, ts.shape)
             index = np.broadcast_to(indices, updates.shape)
             side = (block, True, 2 * losers <= len(keys), reached)
             yield ("tf",) + side, table, ts, updates, updates, (
                 lambda p: scatter_nd_update(ts, indices, updates, p))
-            yield ("scatter",) + side, table, ts, updates, updates, (
-                lambda p: scatter(scattering, p))
+            yield ("table",) + side, table, ts, updates, updates, (
+                lambda p: scatter_x(ts, updates, provision, p))
             yield ("torch",) + side, torch_table(index, 0), ts, updates, updates, (
                 lambda p: torch_scatter(ts, 0, index, updates, p))
 
@@ -1131,7 +1110,7 @@ def outcome(call, text=False):
 
 def tabulated(target, updates, spec, policy):
     """The reference for scatter_x: compose the whole map, then scatter."""
-    return scatter(Scattering(compose_provision(spec), updates, target), policy)
+    return scatter_x(target, updates, compose_provision(spec), policy)
 
 
 def declares_suffix(spec):
@@ -1172,8 +1151,8 @@ def test_scatter_x_matches_tabulated_scatter():
 
 
 def test_scatter_of_a_table_is_scatter_x_of_its_trivial_spec():
-    # scatter, scatter_x of the table and scatter_x of its trivial spec agree:
-    # same result bits, counters, collision targets and bounds-error texts
+    # scatter_x of the table and scatter_x of its trivial spec agree: same
+    # result bits, counters, collision targets and bounds-error texts
     # under every policy, over tables with collisions, out-of-bounds entries,
     # and empty and extent-1 source dims
     rng = np.random.default_rng(1818)
@@ -1194,14 +1173,11 @@ def test_scatter_of_a_table_is_scatter_x_of_its_trivial_spec():
         updates = rng.standard_normal(provision.source_shape)
         background = rng.standard_normal(provision.target_shape)
         for policy in ALL_POLICIES:
-            got = outcome(lambda: scatter(
-                Scattering(provision, updates, background), policy), text=True)
+            got = outcome(lambda: scatter_x(
+                background, updates, provision, policy), text=True)
             want = outcome(lambda: scatter_x(
                 background, updates, trivial_spec(provision), policy), text=True)
             assert got == want, (case, policy)
-            assert outcome(lambda: scatter_x(
-                background, updates, provision, policy), text=True) == want, (
-                case, policy)
             seen.add(got[0])
         source = provision.source_shape
         seen.add("empty" if 0 in source else "extent 1" if 1 in source else "other")
@@ -1214,12 +1190,9 @@ def test_a_table_is_read_without_its_trivial_spec():
         assert not hasattr(module, "trivial_spec"), module.__name__
     emb = fx.embed_provision()
     updates, background = fx.embed_updates(), fx.embed_background()
-    for result, report in (
-        scatter(Scattering(emb, updates, background)),
-        scatter_x(background, updates, emb),
-    ):
-        assert bits(result) == bits(fx.embed_expected())
-        assert (report.writes, report.uncovered_targets) == (8, 8)
+    result, report = scatter_x(background, updates, emb)
+    assert bits(result) == bits(fx.embed_expected())
+    assert (report.writes, report.uncovered_targets) == (8, 8)
     assert detect_collisions(emb).collision_count == 0
     assert max_sliceable_suffix(emb)[0] == 1
     assert analysis.pass_through_map(emb) == {(1, 3)}
@@ -1229,10 +1202,9 @@ def test_a_table_is_read_without_its_trivial_spec():
 
 def data_entry_points(provision):
     """Every scatter entry point as ``call(updates, background)`` on the map
-    of the one-row ``provision``, a single-axis table."""
+    of ``provision``, a table of one row per source and a single axis."""
     indices = provision.table
     return {
-        "scatter": lambda u, b: scatter(Scattering(provision, u, b)),
         "scatter_x of a table": lambda u, b: scatter_x(b, u, provision),
         "scatter_x of a spec": lambda u, b: scatter_x(b, u, trivial_spec(provision)),
         "scatter_nd_update": lambda u, b: scatter_nd_update(b, indices, u),
@@ -1270,6 +1242,53 @@ def test_integer_data_is_refused_where_float64_could_round_it():
     floats = np.array([0.5, 2.0**70, -np.inf])
     assert core.as_data_tensor(floats) is floats
     assert bits(core.as_data_tensor([True, False])) == bits(np.array([1.0, 0.0]))
+
+
+def test_a_listed_int_beside_a_float_is_refused_where_float64_rounds_it():
+    # numpy makes float64 of a list that mixes floats and ints, rounding an
+    # int past 2**53; (0,) -> (1,) and (1,) -> (2,) in a target of 3 cells
+    calls = data_entry_points(ProvisionTensor([[1], [2]], (3,)))
+    text = "data entry {} at (1,) is an integer outside [-2**53, 2**53]"
+    for entry_point, call in calls.items():
+        with pytest.raises(ArgumentError, match=re.escape(text.format(2**53 + 1))):
+            call([1.5, 2**53 + 1], np.zeros(3))
+        with pytest.raises(ArgumentError, match=re.escape(text.format(-(2**53) - 1))):
+            call(np.zeros(2), [0.5, -(2**53) - 1, 2.0])
+        # 2**53 itself, and a listed float past it, load exactly
+        result, _ = call([1.5, 2**53], [2.0**70, 0.5, 7])
+        assert bits(result) == bits(np.array([2.0**70, 1.5, 2.0**53])), entry_point
+
+
+def test_data_that_is_no_real_numbers_is_refused():
+    # numpy casts strings, bytes, complex numbers and dates to floats, the
+    # imaginary part dropped with a warning; each is refused, naming its
+    # dtype or its entry.  Bools cast exactly and still pass
+    calls = data_entry_points(ProvisionTensor([[0], [2]], (3,)))
+    dates = np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")
+    refused = [
+        (["1e3", b"5"], "data dtype <U3 is not bool, integer or float"),
+        ([b"1", b"5"], "data dtype |S1 is not bool, integer or float"),
+        (np.array([1.0, 2j]), "data dtype complex128 is not bool, integer or float"),
+        (dates, "data dtype datetime64[D] is not bool, integer or float"),
+        (np.array([1.0, "7"], dtype=object), "data entry '7' at (1,) is not a real number"),
+        (np.array([b"7", 1.0], dtype=object), "data entry b'7' at (0,) is not a real number"),
+        ([2**70, 2j], "data entry 2j at (1,) is not a real number"),
+        # numpy 2 and numpy 1 show a numpy scalar differently
+        (np.array([1, np.complex64(1)], dtype=object), "at (1,) is not a real number"),
+    ]
+    for values, text in refused:
+        for entry_point, call in calls.items():
+            with pytest.raises(ArgumentError, match=re.escape(text)):
+                call(values, np.zeros(3))
+            # the background holds the same entries one cell later
+            background = np.concatenate([np.zeros(1, dtype=np.asarray(values).dtype),
+                                         np.asarray(values)])
+            with pytest.raises(ArgumentError, match=re.escape(
+                    re.sub(r"\((\d)", lambda m: f"({int(m[1]) + 1}", text))):
+                call(np.zeros(2), background)
+    for entry_point, call in calls.items():
+        result, _ = call([True, False], [False, True, True])
+        assert bits(result) == bits(np.array([1.0, 1.0, 0.0])), entry_point
 
 
 def test_lowering_finds_the_tabulated_maps_suffix():
@@ -1437,7 +1456,7 @@ def tabulated_torch(self_t, dim, index, src, policy):
     """The reference for torch_scatter: tabulate its map, then scatter."""
     provision = ProvisionTensor(torch_table(index, dim), self_t.shape)
     corner = tuple(slice(0, e) for e in np.shape(index))
-    return scatter(Scattering(provision, src[corner], self_t), policy)
+    return scatter_x(self_t, src[corner], provision, policy)
 
 
 def test_torch_scatter_builds_no_scattering(monkeypatch):

@@ -115,6 +115,8 @@ def test_tensor_from_json_refuses_integers_float64_would_round():
     values = [2**53, -(2**53), 7, 1e300, -1e300, 2.0**70]
     got = tensor_from_json({"dtype": "f64", "shape": [6], "data": values})
     assert got.tobytes() == np.array([float(v) for v in values]).tobytes()
+    got = tensor_from_json({"dtype": "f64", "shape": [2], "data": [1.5, 2**53]})
+    assert got.tobytes() == np.array([1.5, 2.0**53]).tobytes()
 
 
 def test_a_loaded_table_is_held_once():
