@@ -11,38 +11,31 @@ tabulating it, and gives the answer of the table the spec composes to.
 
 import sys
 
-from scatterkit import (
-    compose_provision,
-    detect_collisions,
-    max_sliceable_suffix,
-    pass_through_map,
-    slicing_impossibility,
-    weak_decomposition,
-)
+from scatterkit import compose_provision, detect_collisions, slicing_impossibility
 from scatterkit import fixtures as fx
 from scatterkit.serialize import analysis_to_json
 import numpy as np
 
 # the diag transformer (i,j,k) -> (i,i,j,k): suffix of length 2
 diag = fx.diag_provision()
-r, inner = max_sliceable_suffix(diag)
+diag_report = slicing_impossibility(diag)
 print("diag transformer (i,j,k) -> (i,i,j,k)")
-print("  max copied suffix:", r)
-print("  inner leading map:", inner.table.tolist())
-print("  verdict:", slicing_impossibility(diag).verdict)
+print("  max copied suffix:", diag_report.max_suffix)
+print("  inner leading map:", diag_report.suffix_inner.table.tolist())
+print("  verdict:", diag_report.verdict)
 
 # the parity transformer (i,j) -> (i, j, i%2, j): no suffix exists
 parity = fx.parity_provision()
 print("\nparity transformer (i,j) -> (i, j, i%2, j)")
-print("  max copied suffix:", max_sliceable_suffix(parity)[0])
-print("  verbatim coordinate pairs:", sorted(pass_through_map(parity)))
+report = slicing_impossibility(parity)
+print("  max copied suffix:", report.max_suffix)
+print("  verbatim coordinate pairs:", sorted(report.pass_through))
 
-spec = weak_decomposition(parity)
+spec = report.canonical
 print("  canonical factoring:")
 print("    inner table:", spec.inner.table.tolist())
 print("    inner pick:", spec.inner_pick, " pass pick:", spec.pass_pick,
       " out pick:", spec.out_pick)
-report = slicing_impossibility(parity)
 print("  verdict:", report.verdict, " overlap:", sorted(report.overlap))
 print("  (source dim 0 feeds the inner map AND passes through: that is")
 print("   exactly what prevents a copied suffix)")

@@ -19,9 +19,9 @@ import numpy as np
 
 from scatterkit import (
     ProvisionTensor,
-    max_sliceable_suffix,
     scatter_nd_update,
     scatter_x,
+    slicing_impossibility,
 )
 
 lead_src, lead_tgt, suffix = 512, 1024, (32, 32)
@@ -37,7 +37,7 @@ provision = ProvisionTensor(rows.reshape(source_shape + (3,)), target_shape)
 
 print("source:", source_shape, "->", "target:", target_shape,
       f"({np.prod(target_shape)} elements)")
-print("copied suffix length:", max_sliceable_suffix(provision)[0])
+print("copied suffix length:", slicing_impossibility(provision).max_suffix)
 
 rng = np.random.default_rng(0)
 updates = rng.standard_normal(source_shape)

@@ -9,10 +9,7 @@ from .analysis import (
     CollisionReport,
     SliceabilityReport,
     detect_collisions,
-    max_sliceable_suffix,
-    pass_through_map,
     slicing_impossibility,
-    weak_decomposition,
 )
 from .core import (
     as_data_tensor,
@@ -62,8 +59,6 @@ __all__ = [
     "as_index_tensor",
     "compose_provision",
     "detect_collisions",
-    "max_sliceable_suffix",
-    "pass_through_map",
     "scatter_nd_update",
     "scatter_x",
     "shape_size",
@@ -71,5 +66,4 @@ __all__ = [
     "tf_transformer",
     "torch_scatter",
     "validate_provision",
-    "weak_decomposition",
 ]

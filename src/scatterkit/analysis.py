@@ -1,13 +1,12 @@
 """Static analysis of index transformers, tabulated or factored.
 
-Answers three questions about a transformer before any data moves: which
+Answers two questions about a transformer before any data moves: which
 target cells receive colliding writes and which receive none
-(:func:`detect_collisions`); whether the map splits into a leading
-transform plus a verbatim coordinate suffix, which is what lets a scatter
-lower to contiguous block copies (:func:`max_sliceable_suffix`); and, when
-it does not split, what the canonical factoring looks like and where its
-picks overlap (:func:`weak_decomposition`, :func:`slicing_impossibility`).
-A nonempty overlap in the canonical factoring is the witness that the
+(:func:`detect_collisions`), and whether scatter through it can lower to
+contiguous block copies (:func:`slicing_impossibility`).  The second
+answer is one report: the longest copied coordinate suffix, the verbatim
+coordinate pairs, and the canonical factoring with its pick overlap.  A
+nonempty overlap in the canonical factoring is the witness that the
 pass-through structure cannot be straightened into a copied suffix.
 Each takes a table or a spec, reads it as the engine does (one coordinate
 per target axis, ``transform._read``) and tabulates only the tables its
@@ -87,64 +86,6 @@ def _indices(offsets, shape) -> list[Index]:
     return list(zip(*(axis.tolist() for axis in axes))) or [()] * len(offsets)
 
 
-def max_sliceable_suffix(transformer) -> tuple[int, ProvisionTensor | None]:
-    """Largest r splitting the map into a leading transform plus a copied
-    r-coordinate suffix.
-
-    r qualifies when (a) the last r output coordinates always equal the
-    last r input coordinates and (b) the leading output coordinates are a
-    function of the leading input coordinates alone.  Returns (0, None)
-    when no nonempty suffix works; otherwise (r, inner) with inner
-    tabulating the leading map over the leading source dims.
-    """
-    return _suffix(*_read(transformer))
-
-
-def _suffix(coords, source_shape, target_shape):
-    """:func:`max_sliceable_suffix` of the map :func:`_read` returned."""
-    k, rank = len(source_shape), len(target_shape)
-    r = _copied_suffix(coords, source_shape)
-    if r == 0:
-        return 0, None
-    lead = _tabulate(coords[: rank - r], source_shape, range(k - r))
-    return r, ProvisionTensor(lead, target_shape[: rank - r])
-
-
-def pass_through_map(transformer) -> set[tuple[int, int]]:
-    """All (source dim, target coord) pairs copied verbatim for every index.
-
-    Defined by the brute scan: (i, j) is in the map iff T(I)[j] == I[i]
-    for every source index I.  Source dims of extent 1 therefore pair with
-    any constantly-zero output coordinate; decomposition treats those
-    degenerate pairs as a last resort.
-    """
-    coords, source_shape, _ = _read(transformer)
-    return _pass_through(coords, source_shape)
-
-
-def _pass_through(coords, source_shape):
-    return {
-        (i, j)
-        for i, extent in enumerate(source_shape)
-        for j, coord in enumerate(coords)
-        if _copies(coord, i, extent)
-    }
-
-
-def weak_decomposition(transformer) -> XTransformerSpec:
-    """Canonical factoring into an inner tabulation plus verbatim passes.
-
-    Output coordinates with a pass-through partner are routed around the
-    inner transformer (preferring partners of extent >= 2, then the
-    smallest dim); the remaining outputs are tabulated over exactly the
-    source dims they vary along.  Recomposing the result reproduces the
-    table bit for bit.  Falls back to the trivial factoring when nothing
-    passes through.
-    """
-    coords, shape, target_shape = _read(transformer)
-    return _decompose(coords, shape, target_shape, _pass_through(coords, shape))
-
-
 def _decompose(coords, shape, target_shape, pairs):
     rank = len(target_shape)
     source_for: dict[int, int] = {}
@@ -188,12 +129,23 @@ def _decompose(coords, shape, target_shape, pairs):
 
 @dataclass(frozen=True, eq=False)
 class SliceabilityReport:
-    """Full sliceability diagnosis for one transformer.
+    """Full sliceability diagnosis for one transformer T.
 
-    ``max_suffix``/``suffix_inner`` come from the suffix decision,
-    ``canonical`` and ``overlap`` from the canonical factoring; ``verdict``
-    is one of SLICEABLE, WEAKLY_SLICEABLE_ONLY, TRIVIAL_ONLY.  The overlap
-    claim is scoped to the canonical factoring, not to every possible one.
+    ``max_suffix`` is the largest r such that (a) the last r output
+    coordinates always equal the last r input coordinates and (b) the
+    leading outputs are a function of the leading inputs alone;
+    ``suffix_inner`` tabulates that leading map over the leading source
+    dims, or is None when r is 0.  ``pass_through`` holds every (source
+    dim i, target coord j) with T(I)[j] == I[i] for every source index I,
+    so a dim of extent 1 pairs with any constantly-zero output coordinate.
+    ``canonical`` routes each output with such a partner around its inner
+    table, preferring partners of extent >= 2 and then the smallest dim,
+    and tabulates the others over exactly the dims they vary along; it
+    recomposes to T bit for bit, and is the trivial factoring when nothing
+    passes through.  ``overlap`` holds the dims it reads both through the
+    inner table and verbatim, a claim scoped to the canonical factoring,
+    not to every possible one.  ``verdict`` is one of SLICEABLE,
+    WEAKLY_SLICEABLE_ONLY, TRIVIAL_ONLY.
     """
 
     max_suffix: int
@@ -215,8 +167,14 @@ def slicing_impossibility(transformer) -> SliceabilityReport:
     TRIVIAL_ONLY: no suffix and no pass-through structure at all.
     """
     coords, shape, target_shape = _read(transformer)
-    r, inner = _suffix(coords, shape, target_shape)
-    pairs = _pass_through(coords, shape)
+    k, rank = len(shape), len(target_shape)
+    r = _copied_suffix(coords, shape)
+    inner = None
+    if r:
+        lead = _tabulate(coords[: rank - r], shape, range(k - r))
+        inner = ProvisionTensor(lead, target_shape[: rank - r])
+    pairs = frozenset((i, j) for i, extent in enumerate(shape)
+                      for j, coord in enumerate(coords) if _copies(coord, i, extent))
     canonical = _decompose(coords, shape, target_shape, pairs)
     overlap = frozenset(canonical.inner_pick) & frozenset(canonical.pass_pick)
     if r >= 1:
@@ -228,7 +186,7 @@ def slicing_impossibility(transformer) -> SliceabilityReport:
     return SliceabilityReport(
         max_suffix=r,
         suffix_inner=inner,
-        pass_through=frozenset(pairs),
+        pass_through=pairs,
         canonical=canonical,
         overlap=overlap,
         verdict=verdict,

@@ -207,7 +207,7 @@ def main(argv=None) -> int:
         return _fail(3, exc)
     except (FormatError, OSError) as exc:
         return _fail(1, exc)
-    except (ArgumentError, IndexError) as exc:
+    except ArgumentError as exc:
         return _fail(2, exc)
     sys.stdout.write(dump_document(doc))
     return 0

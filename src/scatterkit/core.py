@@ -9,6 +9,9 @@ values immutable once built, so everything can be shared freely.
 
 from __future__ import annotations
 
+from decimal import Decimal
+from numbers import Real
+
 import numpy as np
 
 from .errors import ArgumentError
@@ -64,11 +67,12 @@ def flat_offsets(coords, shape) -> np.ndarray:
 
 def _real_kind(arr, what) -> str:
     """The dtype kind of ``arr``, refusing what numpy would cast to a number
-    though it is none: another dtype, or a str, bytes or complex entry."""
+    though it is none: another dtype, or an object entry other than a bool,
+    int, float, NumPy real scalar, Fraction or Decimal."""
     kind = arr.dtype.kind
     if kind == "O":
-        for i, v in enumerate(arr.flat):
-            if isinstance(v, (str, bytes, complex, np.complexfloating)):
+        for i, v in enumerate(arr.flat):  # numpy's timedelta64 is an integer
+            if not isinstance(v, (Real, Decimal, np.bool_)) or isinstance(v, np.timedelta64):
                 at = tuple(map(int, np.unravel_index(i, arr.shape)))
                 raise ArgumentError(f"{what} entry {v!r} at {at} is not a real number")
     elif kind not in "biuf":

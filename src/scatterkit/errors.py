@@ -5,8 +5,8 @@ class ArgumentError(ValueError):
     """Arguments violate a documented precondition (shape, rank, or flag)."""
 
 
-class PickRangeError(ArgumentError):
-    """A pick value falls outside the coordinates it must select from."""
+class PickRangeError(ArgumentError, IndexError):
+    """A pick value, or a source extent it picks, falls outside its range."""
 
 
 class ValidationError(ArgumentError):

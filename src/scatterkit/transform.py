@@ -112,7 +112,7 @@ class XTransformerSpec:
     and ``out_pick`` rearranges the concatenation of the inner output and
     the passed coordinates into the final target index.
 
-    Construction checks the picks, and raises IndexError when a picked
+    Construction checks the picks, and raises PickRangeError when a picked
     source extent exceeds the inner table's, even for an empty source.
     """
 
@@ -150,7 +150,7 @@ class XTransformerSpec:
                 f"{len(self.target_shape)}"
             )
         if any(self.source_shape[d] > e for d, e in zip(self.inner_pick, inner_shape)):
-            raise IndexError(
+            raise PickRangeError(
                 "inner pick selects indices outside the inner source shape "
                 f"{inner_shape}"
             )

@@ -5,14 +5,16 @@ python loops and dicts, sharing no code path with the package: sequential
 row-major traversal, a collision-tracking scatter and the counters it
 reports, the documented framework semantics for the two adapter entry
 points, the tables of the tf and torch maps, and the map a table
-tabulates, read one source index at a time.
+tabulates, read one source index at a time.  ``check_against_oracles``
+runs one scatter call and checks it against the traversal.  The benchmark
+loads this module too, so it imports nothing beyond numpy and the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from scatterkit import ProvisionTensor
+from scatterkit import CollisionError, ProvisionTensor
 
 
 class OracleCollision(Exception):
@@ -105,6 +107,30 @@ def brute_force_counters(table, target_shape, policy):
     for e in target_shape:
         cells *= e
     return writes, colliding, cells - len(hits)
+
+
+def check_against_oracles(call, table, background, updates, policy, case=None):
+    """Check ``call(policy)`` against the row-major traversal of ``table``:
+    the result bit for bit and its three counters, or, where the traversal
+    collides under "error", the target of the CollisionError the call must
+    raise.  Returns the call's result, or None when it raised."""
+    try:
+        want = brute_force_scatter(table, background.shape, updates, background,
+                                   policy.value)
+    except OracleCollision as exc:
+        try:
+            call(policy)
+        except CollisionError as err:
+            assert err.target == exc.target, (case, policy)
+            return None
+        raise AssertionError(f"no CollisionError at {exc.target}: {case}, {policy}")
+    result, report = call(policy)
+    assert (result.shape, result.dtype.str, result.tobytes()) == (
+        want.shape, want.dtype.str, want.tobytes()), (case, policy)
+    got = (report.writes, report.colliding_groups, report.uncovered_targets)
+    want = brute_force_counters(table, background.shape, policy.value)
+    assert got == want, (case, policy)
+    return result
 
 
 def tf_table(indices, target_shape):

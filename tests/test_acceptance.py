@@ -20,13 +20,11 @@ from scatterkit import (
     ProvisionTensor,
     compose_provision,
     detect_collisions,
-    max_sliceable_suffix,
     scatter_nd_update,
     scatter_x,
     shape_size,
     slicing_impossibility,
     torch_scatter,
-    weak_decomposition,
 )
 from scatterkit import fixtures as fx
 from scatterkit.serialize import tensor_to_json
@@ -180,7 +178,7 @@ def test_criterion_5_composition_round_trips():
         random_provision(rng, collisions=case % 3 == 0) for case in range(500)
     ]
     for case, provision in enumerate(provisions):
-        spec = weak_decomposition(provision)
+        spec = slicing_impossibility(provision).canonical
         recomposed = compose_provision(spec)
         assert np.array_equal(recomposed.table, provision.table), case
         assert recomposed.target_shape == provision.target_shape
@@ -218,8 +216,7 @@ def test_criterion_7_fast_path_equivalence_and_bench(capsys, tmp_path):
         random_suffix_provision(rng, collisions=case % 2 == 0) for case in range(60)
     ]
     for provision in provisions:
-        r, _ = max_sliceable_suffix(provision)
-        assert r >= 1
+        assert slicing_impossibility(provision).max_suffix >= 1
         updates, background = random_scattering(rng, provision)
         colliding = detect_collisions(provision).collision_count > 0
         for policy in ALL_POLICIES:

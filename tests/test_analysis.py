@@ -15,18 +15,14 @@ from scatterkit import (
     WEAKLY_SLICEABLE_ONLY,
     CollisionReport,
     ProvisionTensor,
-    SliceabilityReport,
     ValidationError,
     XTransformerSpec,
     compose_provision,
     detect_collisions,
-    max_sliceable_suffix,
-    pass_through_map,
     scatter_x,
     shape_size,
     slicing_impossibility,
     validate_provision,
-    weak_decomposition,
 )
 from scatterkit import fixtures as fx
 
@@ -143,28 +139,32 @@ def test_detect_collisions_groups_rows_as_tuples(drawn):
 
 
 def test_max_suffix_diag():
-    r, inner = max_sliceable_suffix(fx.diag_provision())
-    assert r == 2
+    report = slicing_impossibility(fx.diag_provision())
+    assert report.max_suffix == 2
+    inner = report.suffix_inner
     assert np.array_equal(inner.table, [[0, 0], [1, 1]])
     assert inner.target_shape == (2, 2)
 
 
 def test_max_suffix_parity():
-    assert max_sliceable_suffix(fx.parity_provision()) == (0, None)
+    report = slicing_impossibility(fx.parity_provision())
+    assert (report.max_suffix, report.suffix_inner) == (0, None)
 
 
 def test_max_suffix_identity():
     ident = identity_provision((2, 3, 2))
-    r, inner = max_sliceable_suffix(ident)
-    assert r == 3
+    report = slicing_impossibility(ident)
+    assert report.max_suffix == 3
+    inner = report.suffix_inner
     assert inner.table.shape == (0,)
     assert inner.target_shape == ()
 
 
 def test_max_suffix_embed():
     # last output coordinate copies the last input coordinate
-    r, inner = max_sliceable_suffix(fx.embed_provision())
-    assert r == 1
+    report = slicing_impossibility(fx.embed_provision())
+    assert report.max_suffix == 1
+    inner = report.suffix_inner
     assert np.array_equal(inner.table, [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]])
 
 
@@ -188,7 +188,8 @@ def test_suffix_soundness_and_maximality():
         random_provision(rng) for _ in range(30)
     ]
     for provision in provisions:
-        r, inner = max_sliceable_suffix(provision)
+        report = slicing_impossibility(provision)
+        r, inner = report.max_suffix, report.suffix_inner
         k = len(provision.source_shape)
         if shape_size(provision.source_shape) == 0:
             # every condition holds vacuously, so the suffix is as long as
@@ -221,12 +222,13 @@ def test_suffix_soundness_and_maximality():
 
 
 def test_pass_through_examples():
-    assert pass_through_map(fx.parity_provision()) == {(0, 0), (1, 1), (1, 3)}
-    assert pass_through_map(fx.diag_provision()) == {
+    parity = slicing_impossibility(fx.parity_provision())
+    assert parity.pass_through == {(0, 0), (1, 1), (1, 3)}
+    assert slicing_impossibility(fx.diag_provision()).pass_through == {
         (0, 0), (0, 1), (1, 2), (2, 3)
     }
     constant = ProvisionTensor(np.ones((2, 3, 2), dtype=np.int64), (2, 2))
-    assert pass_through_map(constant) == set()
+    assert slicing_impossibility(constant).pass_through == set()
 
 
 def test_pass_through_degenerate_extent1():
@@ -234,12 +236,23 @@ def test_pass_through_degenerate_extent1():
     table = np.zeros((1, 3, 2), dtype=np.int64)
     table[:, :, 1] = np.arange(3).reshape(1, 3)
     prov = ProvisionTensor(table, (1, 3))
-    assert pass_through_map(prov) == {(0, 0), (1, 1)}
+    assert slicing_impossibility(prov).pass_through == {(0, 0), (1, 1)}
 
 
 def test_pass_through_is_brute_scan():
     rng = np.random.default_rng(41)
     provisions = empty_provisions() + [random_provision(rng) for _ in range(30)]
+    rng = np.random.default_rng(71)
+    empty = rank0 = 0
+    for case in range(150):  # empty and rank-0 sources among them
+        if case % 3 == 2:
+            provision = random_suffix_provision(rng, collisions=case % 2 == 0)
+        else:
+            provision = random_provision(rng, min_source_extent=0)
+        empty += shape_size(provision.source_shape) == 0
+        rank0 += len(provision.source_shape) == 0
+        provisions.append(provision)
+    assert empty >= 5 and rank0 >= 5
     for provision in provisions:
         expected = set()
         for i in range(len(provision.source_shape)):
@@ -249,27 +262,29 @@ def test_pass_through_is_brute_scan():
                     for index in literal_traversal(provision.source_shape)
                 ):
                     expected.add((i, j))
-        assert pass_through_map(provision) == expected
+        assert slicing_impossibility(provision).pass_through == expected
 
 
 def test_weak_decomposition_diag():
-    spec = weak_decomposition(fx.diag_provision())
+    report = slicing_impossibility(fx.diag_provision())
+    spec = report.canonical
     assert spec.pass_pick == (0, 1, 2)
     assert spec.inner_pick == ()
     assert spec.out_pick == (0, 0, 1, 2)
-    assert slicing_impossibility(fx.diag_provision()).overlap == set()
+    assert report.overlap == set()
     assert np.array_equal(
         compose_provision(spec).table, fx.diag_provision().table
     )
 
 
 def test_weak_decomposition_parity():
-    spec = weak_decomposition(fx.parity_provision())
+    report = slicing_impossibility(fx.parity_provision())
+    spec = report.canonical
     assert spec.inner_pick == (0,)
     assert spec.pass_pick == (0, 1)
     assert spec.out_pick == (1, 2, 0, 2)
     assert np.array_equal(spec.inner.table, [[0], [1], [0], [1]])
-    assert slicing_impossibility(fx.parity_provision()).overlap == {0}
+    assert report.overlap == {0}
     assert np.array_equal(
         compose_provision(spec).table, fx.parity_provision().table
     )
@@ -277,7 +292,7 @@ def test_weak_decomposition_parity():
 
 def test_weak_decomposition_constant_is_trivial():
     constant = ProvisionTensor(np.ones((2, 3, 2), dtype=np.int64), (2, 2))
-    spec = weak_decomposition(constant)
+    spec = slicing_impossibility(constant).canonical
     assert spec.pass_pick == ()
     assert spec.inner_pick == (0, 1)
     assert spec.out_pick == (0, 1)
@@ -290,7 +305,7 @@ def test_weak_decomposition_prefers_wide_dims():
     table = np.zeros((1, 3, 2), dtype=np.int64)
     table[:, :, 1] = np.arange(3).reshape(1, 3)
     prov = ProvisionTensor(table, (1, 3))
-    spec = weak_decomposition(prov)
+    spec = slicing_impossibility(prov).canonical
     assert spec.pass_pick == (0, 1)
     assert np.array_equal(compose_provision(spec).table, prov.table)
 
@@ -299,7 +314,7 @@ def test_weak_decomposition_round_trip_random():
     rng = np.random.default_rng(51)
     for case in range(120):
         provision = random_provision(rng, collisions=case % 3 == 0)
-        spec = weak_decomposition(provision)
+        spec = slicing_impossibility(provision).canonical
         assert np.array_equal(compose_provision(spec).table, provision.table)
         assert compose_provision(spec).target_shape == provision.target_shape
 
@@ -308,8 +323,8 @@ def test_suffix_implies_pass_through_pairs():
     rng = np.random.default_rng(61)
     for _ in range(30):
         provision = random_suffix_provision(rng)
-        r, _ = max_sliceable_suffix(provision)
-        pairs = pass_through_map(provision)
+        report = slicing_impossibility(provision)
+        r, pairs = report.max_suffix, report.pass_through
         k = len(provision.source_shape)
         rank = provision.target_rank
         for t in range(r):
@@ -362,42 +377,15 @@ def spec_fields(spec):
     )
 
 
-def test_sliceability_report_matches_standalone_functions():
-    rng = np.random.default_rng(71)
-    empty = rank0 = 0
-    for case in range(150):
-        if case % 3 == 2:
-            provision = random_suffix_provision(rng, collisions=case % 2 == 0)
-        else:
-            provision = random_provision(rng, min_source_extent=0)
-        empty += shape_size(provision.source_shape) == 0
-        rank0 += len(provision.source_shape) == 0
-        report = slicing_impossibility(provision)
-        r, inner = max_sliceable_suffix(provision)
-        assert report.max_suffix == r
-        assert provision_fields(report.suffix_inner) == provision_fields(inner)
-        assert report.pass_through == pass_through_map(provision)
-        canonical = weak_decomposition(provision)
-        assert spec_fields(report.canonical) == spec_fields(canonical)
-        assert report.overlap == set(canonical.inner_pick) & set(canonical.pass_pick)
-    assert empty >= 5 and rank0 >= 5
-
-
 def answer_fields(answer):
-    """An analyzer answer as comparable plain values."""
+    """An analyzer report as comparable plain values."""
     if isinstance(answer, CollisionReport):
         return answer.groups, answer.uncovered_count
-    if isinstance(answer, SliceabilityReport):
-        return (
-            answer.max_suffix, provision_fields(answer.suffix_inner),
-            answer.pass_through, spec_fields(answer.canonical), answer.overlap,
-            answer.verdict,
-        )
-    if isinstance(answer, XTransformerSpec):
-        return spec_fields(answer)
-    if isinstance(answer, tuple):  # max_sliceable_suffix's (r, inner)
-        return answer[0], provision_fields(answer[1])
-    return answer  # pass_through_map's set
+    return (
+        answer.max_suffix, provision_fields(answer.suffix_inner),
+        answer.pass_through, spec_fields(answer.canonical), answer.overlap,
+        answer.verdict,
+    )
 
 
 def analysis_outcome(entry_point, transformer):
@@ -424,10 +412,7 @@ def torch_spec(rng, case):
     )
 
 
-ANALYZER = (
-    detect_collisions, max_sliceable_suffix, pass_through_map,
-    weak_decomposition, slicing_impossibility,
-)
+ANALYZER = (detect_collisions, slicing_impossibility)
 
 
 def test_spec_analysis_is_its_composed_tables():

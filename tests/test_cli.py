@@ -499,6 +499,27 @@ def test_every_command_refuses_a_bad_provision_with_exit_2(tmp_path, table):
         assert stdout_doc(proc)["exit_code"] == 2, args[0]
 
 
+def test_only_argument_errors_exit_2(fixture_dir, tmp_path, monkeypatch, capsys):
+    # a spec whose inner pick reads past its inner table refuses itself with
+    # an ArgumentError, so it exits 2; any other IndexError is a fault of the
+    # package and propagates rather than pass for a refusal
+    spec_path = write_doc(tmp_path / "escape.json", {
+        "inner": tensor_to_json(np.array([[0], [1]], dtype=np.int64)),
+        "inner_pick": [0], "pass_pick": [1], "out_pick": [0, 1],
+        "source_shape": [3, 0], "target_shape": [4, 0],
+    })
+    assert cli.main(["compose", "--spec", str(spec_path)]) == 2
+    assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+
+    def broken(provision):
+        raise IndexError("index 5 is out of bounds")
+
+    monkeypatch.setattr(cli, "detect_collisions", broken)
+    provision = str(fixture_dir / "diag_provision.json")
+    with pytest.raises(IndexError, match="index 5 is out of bounds"):
+        cli.main(["analyze", "--provision", provision])
+
+
 def test_analyze_malformed_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")

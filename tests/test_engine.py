@@ -1,3 +1,4 @@
+import datetime
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -16,7 +17,6 @@ from scatterkit import (
     XTransformerSpec,
     compose_provision,
     detect_collisions,
-    max_sliceable_suffix,
     scatter_nd_update,
     scatter_x,
     shape_size,
@@ -40,9 +40,9 @@ from generators import (
     trivial_spec,
 )
 from oracles import (
-    OracleCollision,
     brute_force_counters,
     brute_force_scatter,
+    check_against_oracles,
     provision_image,
     tf_table,
     torch_table,
@@ -607,18 +607,7 @@ def test_kernel_crossover_matches_oracles():
     for case, table, ts, updates, call in crossover_cases(rng):
         seen.add(case)
         for policy in ALL_POLICIES:
-            try:
-                want = brute_force_scatter(table, ts.shape, updates, ts, policy.value)
-            except OracleCollision as exc:
-                with pytest.raises(CollisionError) as info:
-                    call(policy)
-                assert info.value.target == exc.target, (case, policy)
-                continue
-            result, report = call(policy)
-            assert bits(result) == bits(want), (case, policy)
-            got = (report.writes, report.colliding_groups, report.uncovered_targets)
-            assert got == brute_force_counters(table, ts.shape, policy.value), (
-                case, policy)
+            check_against_oracles(call, table, ts, updates, policy, case)
     assert seen == {(entry, wide, most_win) for entry in ("tf", "table", "torch")
                     for wide in (False, True) for most_win in (False, True)}
 
@@ -784,19 +773,7 @@ def test_move_buffer_matches_oracles(monkeypatch):
     for case, keys, block, chunks, table, background, updates, call in (
             move_buffer_cases(rng, chunk)):
         for policy in ALL_POLICIES:
-            try:
-                want = brute_force_scatter(table, background.shape, updates,
-                                           background, policy.value)
-            except OracleCollision as exc:
-                with pytest.raises(CollisionError) as info:
-                    call(policy)
-                assert info.value.target == exc.target, (case, policy)
-                continue
-            result, report = call(policy)
-            assert bits(result) == bits(want), (case, policy)
-            got = (report.writes, report.colliding_groups, report.uncovered_targets)
-            want = brute_force_counters(table, background.shape, policy.value)
-            assert got == want, (case, policy)
+            check_against_oracles(call, table, background, updates, policy, case)
         # the winners, or every row, fill three chunks and part of a fourth
         _, first = np.unique(keys, return_index=True)
         most_win = 2 * (len(keys) - len(first)) <= len(keys)
@@ -872,19 +849,7 @@ def test_flat_fold_matches_oracles():
     seen = set()
     for case, keys, block, table, background, updates, call in flat_fold_cases(rng):
         for policy in ALL_POLICIES:
-            try:
-                want = brute_force_scatter(table, background.shape, updates,
-                                           background, policy.value)
-            except OracleCollision as exc:
-                with pytest.raises(CollisionError) as info:
-                    call(policy)
-                assert info.value.target == exc.target, (case, policy)
-                continue
-            result, report = call(policy)
-            assert bits(result) == bits(want), (case, policy)
-            got = (report.writes, report.colliding_groups, report.uncovered_targets)
-            want = brute_force_counters(table, background.shape, policy.value)
-            assert got == want, (case, policy)
+            check_against_oracles(call, table, background, updates, policy, case)
         # the losing rows under sum and prod: all but each key's first
         _, first = np.unique(keys, return_index=True)
         losing = np.setdiff1d(np.arange(len(keys)), first)
@@ -914,18 +879,8 @@ def test_strided_src_where_most_rows_win_matches_oracles(monkeypatch):
     self_t = rng.standard_normal((400, 3))
     table = torch_table(index, 0)
     for policy in ALL_POLICIES:
-        try:
-            want = brute_force_scatter(table, self_t.shape, src[:, :3], self_t,
-                                       policy.value)
-        except OracleCollision as exc:
-            with pytest.raises(CollisionError) as info:
-                torch_scatter(self_t, 0, index, src, policy)
-            assert info.value.target == exc.target
-            continue
-        result, report = torch_scatter(self_t, 0, index, src, policy)
-        assert bits(result) == bits(want), policy
-        got = (report.writes, report.colliding_groups, report.uncovered_targets)
-        assert got == brute_force_counters(table, self_t.shape, policy.value), policy
+        check_against_oracles(lambda p: torch_scatter(self_t, 0, index, src, p),
+                              table, self_t, src[:, :3], policy)
 
 
 def test_colliding_fold_gathers_a_chunk_not_every_losing_row():
@@ -1050,20 +1005,10 @@ def test_wide_rows_copy_only_unreached_background_matches_oracles(monkeypatch):
         for policy in ALL_POLICIES:
             before = [bits(a) for a in (background, arg)]
             masked.clear()
-            try:
-                want = brute_force_scatter(table, background.shape, updates,
-                                           background, policy.value)
-            except OracleCollision as exc:
-                with pytest.raises(CollisionError) as info:
-                    call(policy)
-                assert info.value.target == exc.target, (case, policy)
+            result = check_against_oracles(call, table, background, updates, policy, case)
+            if result is None:  # the call raised CollisionError
                 assert masked == [], (case, policy)
                 continue
-            result, report = call(policy)
-            assert bits(result) == bits(want), (case, policy)
-            got = (report.writes, report.colliding_groups, report.uncovered_targets)
-            want = brute_force_counters(table, background.shape, policy.value)
-            assert got == want, (case, policy)
             assert masked == ([True] if copies else []), (case, policy)
             assert [bits(a) for a in (background, arg)] == before, (case, policy)
             assert not np.shares_memory(result, background), (case, policy)
@@ -1194,10 +1139,11 @@ def test_a_table_is_read_without_its_trivial_spec():
     assert bits(result) == bits(fx.embed_expected())
     assert (report.writes, report.uncovered_targets) == (8, 8)
     assert detect_collisions(emb).collision_count == 0
-    assert max_sliceable_suffix(emb)[0] == 1
-    assert analysis.pass_through_map(emb) == {(1, 3)}
-    assert analysis.weak_decomposition(emb).pass_pick == (1,)
-    assert analysis.slicing_impossibility(emb).verdict == analysis.SLICEABLE
+    report = analysis.slicing_impossibility(emb)
+    assert report.max_suffix == 1
+    assert report.pass_through == {(1, 3)}
+    assert report.canonical.pass_pick == (1,)
+    assert report.verdict == analysis.SLICEABLE
 
 
 def data_entry_points(provision):
@@ -1261,8 +1207,8 @@ def test_a_listed_int_beside_a_float_is_refused_where_float64_rounds_it():
 
 def test_data_that_is_no_real_numbers_is_refused():
     # numpy casts strings, bytes, complex numbers and dates to floats, the
-    # imaginary part dropped with a warning; each is refused, naming its
-    # dtype or its entry.  Bools cast exactly and still pass
+    # imaginary part dropped with a warning, and None to NaN; each is
+    # refused, naming its dtype or its entry.  Bools cast exactly and still pass
     calls = data_entry_points(ProvisionTensor([[0], [2]], (3,)))
     dates = np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")
     refused = [
@@ -1275,6 +1221,13 @@ def test_data_that_is_no_real_numbers_is_refused():
         ([2**70, 2j], "data entry 2j at (1,) is not a real number"),
         # numpy 2 and numpy 1 show a numpy scalar differently
         (np.array([1, np.complex64(1)], dtype=object), "at (1,) is not a real number"),
+        ([None, 1.0], "data entry None at (0,) is not a real number"),
+        (np.array([1.0, np.datetime64("2020-01-01")], dtype=object),
+         "at (1,) is not a real number"),
+        (np.array([np.timedelta64(5, "D"), 1.0], dtype=object),
+         "at (0,) is not a real number"),
+        # the shift below would also move the year in the entry's text
+        ([1.0, datetime.date(2020, 1, 1)], "at (1,) is not a real number"),
     ]
     for values, text in refused:
         for entry_point, call in calls.items():
@@ -1322,7 +1275,7 @@ def test_lowering_finds_the_tabulated_maps_suffix():
             assert validate_provision(provision)[0] or provision.table.size == 0
             continue
         suffix = provision.target_rank - len(lead_shape)
-        assert suffix == max_sliceable_suffix(provision)[0], case
+        assert suffix == analysis.slicing_impossibility(provision).max_suffix, case
         edge = ("empty" if 0 in source_shape
                 else "extent 1" if 1 in source_shape else "other")
         seen.add((kind, edge, suffix > 0))
@@ -1484,7 +1437,7 @@ def test_torch_scatter_builds_no_scattering(monkeypatch):
 
     monkeypatch.setattr(engine, "Scattering", refuse)
     for module in (core, transform, analysis, engine):
-        for name in ("index_matrix", "check_provision_bounds", "max_sliceable_suffix"):
+        for name in ("index_matrix", "check_provision_bounds"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for (dim, index), want in zip(cases, expected):
