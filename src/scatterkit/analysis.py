@@ -10,8 +10,10 @@ nonempty overlap in the canonical factoring is the witness that the
 pass-through structure cannot be straightened into a copied suffix.
 Each takes a table or a spec, reads it as the engine does (one coordinate
 per target axis, ``transform._read``) and tabulates only the tables its
-answer holds.  A spec's answer, bounds errors included, is its composed
-table's: an empty source raises nothing, though ``scatter_x`` would.
+answer holds.  Both refuse a map with an entry outside its target with
+the same ValidationError.  A spec's answer, bounds errors included, is its
+composed table's: an empty source raises nothing, though ``scatter_x``
+would.
 """
 
 from __future__ import annotations
@@ -54,12 +56,19 @@ class CollisionReport:
         return len(self.groups)
 
 
-def detect_collisions(transformer) -> CollisionReport:
-    """Group source indices whose targets coincide; count uncovered targets."""
+def _read_in_bounds(transformer):
+    """:func:`transform._read`, refusing a map with an entry outside its
+    target: an analysis of such a map would answer for a different map."""
     coords, source_shape, target_shape = _read(transformer)
     count, first = _escapes(coords, source_shape, target_shape)
     if count:  # a bad entry would alias an offset
         raise _bounds_error(count, *first)
+    return coords, source_shape, target_shape
+
+
+def detect_collisions(transformer) -> CollisionReport:
+    """Group source indices whose targets coincide; count uncovered targets."""
+    coords, source_shape, target_shape = _read_in_bounds(transformer)
     n = shape_size(source_shape)
     target_size = shape_size(target_shape)
     if n == 0:
@@ -165,8 +174,10 @@ def slicing_impossibility(transformer) -> SliceabilityReport:
     both through the inner transformer and verbatim, which is exactly what
     blocks a suffix split.
     TRIVIAL_ONLY: no suffix and no pass-through structure at all.
+    An entry outside the target raises ValidationError, as in
+    :func:`detect_collisions`.
     """
-    coords, shape, target_shape = _read(transformer)
+    coords, shape, target_shape = _read_in_bounds(transformer)
     k, rank = len(shape), len(target_shape)
     r = _copied_suffix(coords, shape)
     inner = None

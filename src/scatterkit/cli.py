@@ -19,11 +19,11 @@ from .errors import ArgumentError, CollisionError, FormatError
 from .serialize import (
     analysis_to_json,
     dump_document,
+    iter_document,
     provision_from_json,
     scatter_report_to_json,
     spec_from_json,
     tensor_from_json,
-    tensor_to_json,
     write_document,
 )
 from .transform import compose_provision
@@ -65,10 +65,10 @@ def _result_doc(result, report, args):
     in_place = args.background if getattr(args, "in_place", False) else None
     out = getattr(args, "out", None) or in_place
     if out:
-        write_document(out, tensor_to_json(result))
+        write_document(out, result)
         doc["out"] = out
     else:
-        doc["result"] = tensor_to_json(result)
+        doc["result"] = result
     return doc
 
 
@@ -115,9 +115,9 @@ def cmd_compose(args):
     spec = spec_from_json(_load_json(args.spec))
     table = compose_provision(spec).table
     if args.out:
-        write_document(args.out, tensor_to_json(table))
+        write_document(args.out, table)
         return {"out": args.out}
-    return tensor_to_json(table)
+    return table
 
 
 def cmd_fixtures(args):
@@ -202,14 +202,16 @@ def _fail(code, exc):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = args.handler(args)
+        # a document's tensors are checked before its first piece is written
+        pieces = iter_document(args.handler(args))
     except CollisionError as exc:
         return _fail(3, exc)
     except (FormatError, OSError) as exc:
         return _fail(1, exc)
     except ArgumentError as exc:
         return _fail(2, exc)
-    sys.stdout.write(dump_document(doc))
+    for piece in pieces:
+        sys.stdout.write(piece)
     return 0
 
 

@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from .core import as_data_tensor, as_index_tensor
-from .serialize import tensor_to_json, write_document
+from .serialize import write_document
 from .transform import ProvisionTensor
 
 EMBED_TABLE = [
@@ -98,6 +98,5 @@ def write_fixtures(directory) -> list[str]:
     os.makedirs(directory, exist_ok=True)
     names = sorted(FIXTURE_BUILDERS)
     for name in names:
-        doc = tensor_to_json(FIXTURE_BUILDERS[name]())
-        write_document(os.path.join(directory, name), doc)
+        write_document(os.path.join(directory, name), FIXTURE_BUILDERS[name]())
     return names

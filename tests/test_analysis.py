@@ -79,6 +79,23 @@ def test_detect_collisions_rejects_out_of_bounds_table():
         detect_collisions(ProvisionTensor([[5], [6]], (1,)))
 
 
+@pytest.mark.parametrize("table, target", [
+    ([[0], [5]], (3,)),
+    ([[0, 5], [1, 0]], (2, 5)),
+    ([[[0, 0], [0, -1]]], (1, 2)),
+])
+def test_both_analyses_refuse_an_escaping_table_alike(table, target):
+    # an answer for a table whose entries leave the target would describe
+    # another map; slicing_impossibility refuses it with detect_collisions' text
+    prov = ProvisionTensor(table, target)
+    with pytest.raises(ValidationError) as collisions:
+        detect_collisions(prov)
+    with pytest.raises(ValidationError) as sliceability:
+        slicing_impossibility(prov)
+    assert str(sliceability.value) == str(collisions.value)
+    assert "out of bounds; first at source index" in str(collisions.value)
+
+
 def test_detect_collisions_accounting():
     rng = np.random.default_rng(21)
     for case in range(40):

@@ -475,6 +475,29 @@ def test_non_finite_numbers_exit_1_with_strict_json(tmp_path, case):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_a_refused_result_leaves_existing_files_as_they_were(tmp_path):
+    # the result is refused before a byte of it is written: one error
+    # document on stdout, and neither --out nor --in-place touches its file
+    dup = write_doc(
+        tmp_path / "dup.json", tensor_to_json(np.array([[0], [0]], dtype=np.int64))
+    )
+    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.array([1e308, 1e308])))
+    background = write_doc(tmp_path / "bg.json", tensor_to_json(np.zeros(1)))
+    out = tmp_path / "out.json"
+    out.write_bytes(b'{"an earlier":"result"}\n')
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    args = ["scatter", "--provision", dup, "--updates", updates,
+            "--background", background, "--policy", "sum"]
+    for extra in ([], ["--out", out], ["--in-place"]):
+        proc = run_cli(*args, *extra)
+        assert proc.returncode == 1, proc.stderr
+        assert strict_doc(proc) == {
+            "error": "tensor data is not finite; JSON has no NaN or infinity",
+            "exit_code": 1,
+        }
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
 @pytest.mark.parametrize("table", [
     {"dtype": "f64", "shape": [2, 1], "data": [0.0, 1.0]},
     {"dtype": "i64", "shape": [], "data": [0]},

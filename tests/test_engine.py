@@ -1412,9 +1412,20 @@ def tabulated_torch(self_t, dim, index, src, policy):
     return scatter_x(self_t, src[corner], provision, policy)
 
 
+# functions that tabulate a map; a path that must build no table has them
+# refused in every module that binds them
+TABULATORS = ("_tabulate", "compose_provision")
+PACKAGE_MODULES = (core, transform, analysis, engine)
+
+
+def test_refused_names_are_bound():
+    # a refusal patched under hasattr checks nothing once its name is gone
+    for name in TABULATORS:
+        assert any(hasattr(module, name) for module in PACKAGE_MODULES), name
+
+
 def test_torch_scatter_builds_no_scattering(monkeypatch):
-    # torch_scatter copies no input into a Scattering, builds no table and
-    # runs neither the table bounds check nor the table suffix scan
+    # torch_scatter copies no input into a Scattering and tabulates no map
     rng = np.random.default_rng(9)
     self_t = rng.standard_normal((6, 5, 4))
     cases = [
@@ -1436,8 +1447,8 @@ def test_torch_scatter_builds_no_scattering(monkeypatch):
         raise AssertionError("torch_scatter copied its inputs or tabulated its map")
 
     monkeypatch.setattr(engine, "Scattering", refuse)
-    for module in (core, transform, analysis, engine):
-        for name in ("index_matrix", "check_provision_bounds"):
+    for module in PACKAGE_MODULES:
+        for name in TABULATORS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for (dim, index), want in zip(cases, expected):

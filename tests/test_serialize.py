@@ -15,15 +15,18 @@ from scatterkit import (
 )
 from scatterkit import fixtures as fx
 from scatterkit.serialize import (
+    _SLICE,
     analysis_to_json,
     dump_document,
     inferred_target_shape,
+    iter_document,
     provision_from_json,
     scatter_report_to_json,
     spec_from_json,
     spec_to_json,
     tensor_from_json,
     tensor_to_json,
+    write_document,
 )
 from scatterkit.engine import ScatterReport
 
@@ -206,3 +209,81 @@ def test_dump_document_stable():
     assert dump_document(small) == (
         '{"dtype":"f64","shape":[1,2],"data":[1.5,-0.0]}\n'
     )
+
+
+def whole_document(doc) -> str:
+    """The text of a document as one json.dumps call writes it."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def streamed_cases(rng):
+    """Tensors for the streamed encoder: edge shapes, sizes around the slice
+    length, edge values, then 500 random ones of either dtype."""
+    yield np.array(-0.0)
+    yield np.array(7, dtype=np.int64).reshape(())
+    for shape in [(0,), (3, 0), (0, 2, 5)]:
+        yield np.zeros(shape)
+        yield np.zeros(shape, dtype=np.int64)
+    for k in (1, 2, 3):
+        for n in (k * _SLICE - 1, k * _SLICE, k * _SLICE + 1):
+            yield rng.standard_normal(n)
+            yield rng.integers(-(2**53), 2**53 + 1, size=n)
+    yield np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1e16, -1e16, 1e-5, 1e-7, 0.1, 1.7976931348623157e308,
+                    float(2**53), float(-(2**53))])
+    yield np.array([2**53, -(2**53), 2**63 - 1, -(2**63), 0, -1], dtype=np.int64)
+    for _ in range(500):
+        shape = tuple(rng.integers(0, 7, size=rng.integers(0, 4)).tolist())
+        size = int(np.prod(shape, dtype=np.int64))
+        if rng.random() < 0.5:
+            # every finite bit pattern: subnormals, -0.0, both exponent ends
+            arr = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+            arr[~np.isfinite(arr)] = -0.0
+        else:
+            arr = rng.integers(-(2**63), 2**63, size=size, dtype=np.int64)
+        arr = arr.reshape(shape)
+        yield arr.T if arr.ndim >= 2 and rng.random() < 0.3 else arr  # any layout
+
+
+def test_streamed_tensors_are_the_whole_documents_bytes():
+    cases = 0
+    for arr in streamed_cases(np.random.default_rng(26)):
+        doc = tensor_to_json(arr)
+        want = whole_document(doc)
+        pieces = list(iter_document(arr))
+        assert "".join(pieces) == want == dump_document(doc), arr.shape
+        assert dump_document(arr) == want
+        # one slice of entries per piece, not the whole tensor
+        assert max(map(len, pieces)) <= 32 * _SLICE
+        result = {"report": {"writes": 2}, "result": arr, "out": None}
+        assert dump_document(result) == whole_document({**result, "result": doc})
+        cases += 1
+    assert cases >= 520
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([1.0, np.nan]), np.array([[-np.inf]]), np.array(np.inf),
+    np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.int32),
+], ids=["nan", "-inf", "inf_rank0", "f32", "i32"])
+def test_a_refused_tensor_raises_before_the_first_piece(tmp_path, arr):
+    for doc in (arr, {"report": {}, "result": arr}):
+        with pytest.raises(FormatError):
+            iter_document(doc)  # not iterated: the check runs when it is made
+    with pytest.raises(FormatError):
+        write_document(tmp_path / "out.json", arr)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writing_a_large_tensor_holds_one_slice(tmp_path):
+    # 2**20 float64 entries: about 20 MB of text, written a slice at a time
+    # (71 MB peak when the document was built as one string)
+    arr = np.random.default_rng(3).standard_normal(2**20)
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        write_document(path, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert tensor_from_json(json.loads(path.read_text())).tobytes() == arr.tobytes()
