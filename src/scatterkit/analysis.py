@@ -11,18 +11,21 @@ pass-through structure cannot be straightened into a copied suffix.
 Each takes a table or a spec, reads it as the engine does (one coordinate
 per target axis, ``transform._read``) and tabulates only the tables its
 answer holds.  Both refuse a map with an entry outside its target with
-the same ValidationError.  A spec's answer, bounds errors included, is its
-composed table's: an empty source raises nothing, though ``scatter_x``
-would.
+the same ValidationError.  Either also takes the map ``_read_in_bounds``
+returns, read and checked, so a caller that asks both reads its map once.
+A spec's answer, bounds errors included, is its composed table's: an
+empty source raises nothing, though ``scatter_x`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Index, flat_offsets, shape_size
+from .core import Index, Shape, flat_offsets, shape_size
 from .transform import (
     ProvisionTensor,
     XTransformerSpec,
@@ -44,55 +47,95 @@ TRIVIAL_ONLY = "TRIVIAL_ONLY"
 class CollisionReport:
     """Preimage classes of size >= 2, plus the count of unreached targets.
 
-    Groups are ordered by target flat offset; sources within a group keep
-    row-major order.
+    The classes live in three read-only int64 arrays.  ``targets`` (G,
+    target rank) holds the colliding targets in flat target order;
+    ``sources`` (M, source rank) holds their sources group after group,
+    row-major within each group; ``sizes`` (G,) holds the number of sources
+    in each group, so group g is the ``sizes[g]`` rows of ``sources`` that
+    follow the rows of groups 0 to g - 1.  A rank-0 shape gives rows of no
+    columns.  ``groups`` builds the same classes as index tuples, and only
+    when it is read.
     """
 
-    groups: tuple[tuple[Index, tuple[Index, ...]], ...]
+    targets: np.ndarray
+    sources: np.ndarray
+    sizes: np.ndarray
     uncovered_count: int
 
     @property
     def collision_count(self) -> int:
-        return len(self.groups)
+        return len(self.sizes)
+
+    @property
+    def groups(self) -> tuple[tuple[Index, tuple[Index, ...]], ...]:
+        """``(target, sources)`` per group, as tuples of ints."""
+        return tuple((tuple(target), tuple(map(tuple, sources)))
+                     for target, sources in self._group_lists())
+
+    def _group_lists(self):
+        # (target, sources) per group as lists of ints, as a document holds them
+        sources = iter(self.sources.tolist())
+        for target, size in zip(self.targets.tolist(), self.sizes.tolist()):
+            yield target, list(islice(sources, size))
 
 
 def _read_in_bounds(transformer):
     """:func:`transform._read`, refusing a map with an entry outside its
-    target: an analysis of such a map would answer for a different map."""
+    target: an analysis of such a map would answer for a different map.
+    A map this function has read already is returned as it is."""
+    if isinstance(transformer, _InBounds):
+        return transformer
     coords, source_shape, target_shape = _read(transformer)
     count, first = _escapes(coords, source_shape, target_shape)
     if count:  # a bad entry would alias an offset
         raise _bounds_error(count, *first)
-    return coords, source_shape, target_shape
+    return _InBounds(coords, source_shape, target_shape)
+
+
+class _InBounds(NamedTuple):
+    """A map read by :func:`_read_in_bounds`; either analysis takes one in
+    place of a table or a spec, so the CLI reads its table once for both."""
+
+    coords: list[np.ndarray]
+    source_shape: Shape
+    target_shape: Shape
 
 
 def detect_collisions(transformer) -> CollisionReport:
     """Group source indices whose targets coincide; count uncovered targets."""
     coords, source_shape, target_shape = _read_in_bounds(transformer)
     n = shape_size(source_shape)
-    target_size = shape_size(target_shape)
-    if n == 0:
-        return CollisionReport((), target_size)
-    offs = np.broadcast_to(flat_offsets(coords, target_shape), source_shape).reshape(n)
+    offs = np.zeros(0, dtype=np.int64)
+    if n:  # an empty source has no offsets to overflow, whatever its target
+        offs = np.broadcast_to(flat_offsets(coords, target_shape), source_shape).reshape(n)
     # stable, so each group lists its sources in row-major order
     order = np.argsort(offs, kind="stable")
     ordered = offs[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    first = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     sizes = np.diff(np.r_[starts, n])
     colliding = sizes >= 2
-    sources = _indices(order[np.repeat(colliding, sizes)], source_shape)
-    targets = _indices(ordered[starts[colliding]], target_shape)
-    groups, end = [], 0
-    for target, size in zip(targets, sizes[colliding].tolist()):
-        begin, end = end, end + size
-        groups.append((target, tuple(sources[begin:end])))
-    return CollisionReport(tuple(groups), target_size - len(starts))
+    return CollisionReport(
+        targets=_rows(ordered[starts[colliding]], target_shape),
+        sources=_rows(order[np.repeat(colliding, sizes)], source_shape),
+        sizes=_frozen(sizes[colliding]),
+        uncovered_count=shape_size(target_shape) - len(starts),
+    )
 
 
-def _indices(offsets, shape) -> list[Index]:
-    # index tuples of row-major offsets; every offset of a rank-0 shape is 0
-    axes = np.unravel_index(offsets, shape) if shape else ()
-    return list(zip(*(axis.tolist() for axis in axes))) or [()] * len(offsets)
+def _rows(offsets, shape) -> np.ndarray:
+    # one index row per row-major offset; every offset of a rank-0 shape is
+    # 0, and no offsets need no unravel_index, which refuses a shape whose
+    # size exceeds intp even with nothing to unravel
+    if not shape or not len(offsets):
+        return _frozen(np.zeros((len(offsets), len(shape)), dtype=np.int64))
+    return _frozen(np.stack(np.unravel_index(offsets, shape), axis=-1))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _decompose(coords, shape, target_shape, pairs):

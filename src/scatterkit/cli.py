@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import fixtures
-from .analysis import detect_collisions, slicing_impossibility
+from .analysis import _read_in_bounds, detect_collisions, slicing_impossibility
 from .engine import CollisionPolicy, scatter_nd_update, scatter_x, torch_scatter
 from .errors import ArgumentError, CollisionError, FormatError
 from .serialize import (
@@ -107,8 +107,9 @@ def cmd_analyze(args):
     doc = _load_json(args.provision)
     shape = None if args.target_shape is None else _parse_shape(args.target_shape)
     provision = provision_from_json(doc, shape)
-    collisions = detect_collisions(provision)  # rejects bad entries first
-    return analysis_to_json(slicing_impossibility(provision), collisions)
+    read = _read_in_bounds(provision)  # read and bounds-checked once, for both
+    collisions = detect_collisions(read)
+    return analysis_to_json(slicing_impossibility(read), collisions)
 
 
 def cmd_compose(args):

@@ -95,6 +95,8 @@ def tensor_from_json(doc) -> np.ndarray:
         arr = np.array(data, dtype=np.int64 if integral else np.float64)
         arr.shape = shape  # in place: the array owns its memory, so a table adopts it
     except (OverflowError, ValueError) as exc:
+        if not integral:  # only a listed int too large for a double overflows
+            _refuse_rounded_ints(data, range(len(data)), shape)
         raise FormatError(f"tensor document out of range: {exc}") from exc
     if not integral and not np.isfinite(arr).all():
         raise FormatError("f64 tensor data must be finite")
@@ -161,8 +163,8 @@ def collision_report_to_json(report: CollisionReport) -> dict:
     return {
         "count": report.collision_count,
         "groups": [
-            {"target": list(target), "sources": [list(s) for s in sources]}
-            for target, sources in report.groups
+            {"target": target, "sources": sources}
+            for target, sources in report._group_lists()  # lists, not groups' tuples
         ],
     }
 

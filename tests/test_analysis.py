@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import scatterkit.analysis
 import scatterkit.transform
+from scatterkit import cli
 from scatterkit import (
     SLICEABLE,
     ArgumentError,
@@ -25,6 +27,7 @@ from scatterkit import (
     validate_provision,
 )
 from scatterkit import fixtures as fx
+from scatterkit.serialize import dump_document
 
 from generators import (
     random_provision,
@@ -68,6 +71,14 @@ def test_detect_collisions_refuses_offset_wrap():
     prov = ProvisionTensor([[0, 0], [2**61, 0]], (2**62, 8))
     with pytest.raises(ArgumentError):
         detect_collisions(prov)
+
+
+def test_detect_collisions_empty_source_of_a_huge_target():
+    # no offsets to unravel, so a target larger than intp raises nothing
+    report = detect_collisions(ProvisionTensor(np.zeros((0, 2), np.int64), (2**62, 8)))
+    assert report.groups == () and report.collision_count == 0
+    assert report.uncovered_count == 2**65
+    assert report.targets.shape == (0, 2) and report.sources.shape == (0, 1)
 
 
 def test_detect_collisions_rejects_out_of_bounds_table():
@@ -153,6 +164,19 @@ def test_detect_collisions_groups_rows_as_tuples(drawn):
     )
     assert report.groups == groups
     assert report.uncovered_count == shape_size(target_shape) - len(by_row)
+    # the arrays the groups are built from: targets in flat order, sources
+    # group after group, one size per group
+    targets = [list(target) for target, _ in groups]
+    sources = [list(source) for _, group in groups for source in group]
+    sizes = [len(group) for _, group in groups]
+    assert report.targets.shape == (len(targets), len(target_shape))
+    assert report.sources.shape == (len(sources), table.ndim - 1)
+    assert report.sizes.shape == (len(sizes),)
+    got = report.targets.tolist(), report.sources.tolist(), report.sizes.tolist()
+    assert got == (targets, sources, sizes)
+    for arr in (report.targets, report.sources, report.sizes):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert report.collision_count == len(groups)
 
 
 def test_max_suffix_diag():
@@ -526,16 +550,48 @@ def test_tables_the_library_builds_are_held_once():
     assert peak <= 2.5e6, peak
 
 
-def test_slicing_impossibility_reads_its_map_once(monkeypatch):
-    reads = []
+@pytest.fixture
+def reads(monkeypatch):
+    """The transformers ``analysis._read`` is called with, in order."""
+    seen = []
     read = scatterkit.analysis._read
 
     def counted(transformer):
-        reads.append(transformer)
+        seen.append(transformer)
         return read(transformer)
 
     monkeypatch.setattr(scatterkit.analysis, "_read", counted)
+    return seen
+
+
+def test_slicing_impossibility_reads_its_map_once(reads):
     for transformer in (fx.parity_provision(), fx.embed_provision(), torch_collide_spec()):
         reads.clear()
         slicing_impossibility(transformer)
         assert reads == [transformer]
+
+
+def test_cli_analyze_reads_its_map_once(reads, tmp_path, capsys):
+    # analyze answers both questions from one read and one bounds check
+    for provision in (fx.parity_provision(), fx.embed_provision()):
+        path = tmp_path / "provision.json"
+        path.write_text(dump_document(provision.table))
+        reads.clear()
+        assert cli.main(["analyze", "--provision", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(reads) == 1 and doc["collisions"]["count"] == 0
+
+
+def test_detect_collisions_holds_arrays_not_tuples():
+    # the groups live in three int64 arrays, so finding torch_collide's 28,162
+    # groups over 2**18 sources peaks below 4x its composed 4 MiB table
+    # (21.2 MiB while every colliding source and target was a tuple)
+    spec = torch_collide_spec()
+    reports = []
+    peak = traced_peak(lambda: reports.append(detect_collisions(spec)))
+    assert peak < 16 * 2**20, peak
+    report = reports[0]
+    assert report.collision_count == 28162
+    for arr in (report.targets, report.sources, report.sizes):
+        assert type(arr) is np.ndarray and arr.dtype == np.int64
+    assert report.sources.shape == (int(report.sizes.sum()), 2)

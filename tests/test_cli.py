@@ -408,11 +408,23 @@ def test_analyze_offset_overflow_exits_2(tmp_path):
     assert stdout_doc(proc)["exit_code"] == 2
 
 
+def test_analyze_empty_table_of_a_huge_target(tmp_path):
+    prov = write_doc(tmp_path / "empty.json", tensor_to_json(np.zeros((0, 2), np.int64)))
+    proc = run_cli(
+        "analyze", "--provision", prov, "--target-shape", f"{2**62},8"
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = stdout_doc(proc)
+    assert doc["collisions"] == {"count": 0, "groups": []}
+    assert doc["uncovered"] == 2**65
+
+
 OUT_OF_RANGE = {
     # an i64 entry int64 cannot hold
     "i64_entry": (1, {"dtype": "i64", "shape": [1, 1], "data": [2**63]}, None),
-    # an f64 entry beyond the largest double
-    "f64_entry": (1, {"dtype": "f64", "shape": [1], "data": [10**400]}, None),
+    # an f64 entry written as an integer beyond the largest double, refused
+    # as every listed integer float64 would change is
+    "f64_entry": (2, {"dtype": "f64", "shape": [1], "data": [10**400]}, None),
     # a zero-size shape whose extent numpy cannot allocate
     "shape_extent": (1, {"dtype": "i64", "shape": [2**63, 0], "data": []}, None),
     # a target extent beyond int64

@@ -106,8 +106,10 @@ def test_tensor_from_json_rejects_malformed(doc):
 
 def test_tensor_from_json_refuses_integers_float64_would_round():
     # an f64 document's integer past 2**53 is refused, the first in row-major
-    # order named; integers up to 2**53 and floats load as float() gives them
-    for value in (2**53 + 1, -(2**53 + 1), -(2**60) - 3, 2**70, 10**300):
+    # order named, also where it is too large for a double at all; integers
+    # up to 2**53 and floats load as float() gives them
+    for value in (2**53 + 1, -(2**53 + 1), -(2**60) - 3, 2**70, 10**300,
+                  10**400, -(10**400)):
         doc = {"dtype": "f64", "shape": [2, 2], "data": [7, 1e300, 2**53, value]}
         text = f"data entry {value} at (1, 1) is an integer outside [-2**53, 2**53]"
         with pytest.raises(ArgumentError, match=re.escape(text)):
