@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import fixtures
@@ -17,6 +16,7 @@ from .analysis import _read_in_bounds, detect_collisions, slicing_impossibility
 from .engine import CollisionPolicy, scatter_nd_update, scatter_x, torch_scatter
 from .errors import ArgumentError, CollisionError, FormatError
 from .serialize import (
+    _read_document,
     analysis_to_json,
     dump_document,
     iter_document,
@@ -31,16 +31,8 @@ from .transform import compose_provision
 POLICY_NAMES = [p.value for p in CollisionPolicy]
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
 def _load_tensor(path):
-    return tensor_from_json(_load_json(path))
+    return tensor_from_json(_read_document(path))
 
 
 def _load_index_tensor(path):
@@ -73,7 +65,7 @@ def _result_doc(result, report, args):
 
 
 def cmd_scatter(args):
-    doc = _load_json(args.provision)
+    doc = _read_document(args.provision)
     updates = _load_tensor(args.updates)
     background = _load_tensor(args.background)
     provision = provision_from_json(doc, target_shape=background.shape)
@@ -104,7 +96,7 @@ def cmd_torch_scatter(args):
 
 
 def cmd_analyze(args):
-    doc = _load_json(args.provision)
+    doc = _read_document(args.provision)
     shape = None if args.target_shape is None else _parse_shape(args.target_shape)
     provision = provision_from_json(doc, shape)
     read = _read_in_bounds(provision)  # read and bounds-checked once, for both
@@ -113,7 +105,7 @@ def cmd_analyze(args):
 
 
 def cmd_compose(args):
-    spec = spec_from_json(_load_json(args.spec))
+    spec = spec_from_json(_read_document(args.spec))
     table = compose_provision(spec).table
     if args.out:
         write_document(args.out, table)

@@ -100,12 +100,13 @@ def as_data_tensor(values) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def _refuse_rounded_ints(listed, at, shape) -> None:
+def _refuse_rounded_ints(listed, at, shape, start=0) -> None:
     """Raise ArgumentError naming the first integer outside [-2**53, 2**53]
-    among the row-major entries ``listed[i]`` of ``shape``, ``i`` in ``at``."""
+    among the entries ``listed[i]``, ``i`` in ``at``, which are the row-major
+    entries ``start + i`` of ``shape``."""
     for i in at:
         if isinstance(listed[i], (int, np.integer)) and not -(2**53) <= listed[i] <= 2**53:
-            where = tuple(map(int, np.unravel_index(i, shape)))
+            where = tuple(map(int, np.unravel_index(start + i, shape)))
             raise ArgumentError(f"data entry {listed[i]} at {where} is an integer outside "
                                 "[-2**53, 2**53], where float64 holds every integer")
 

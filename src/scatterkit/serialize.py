@@ -11,15 +11,32 @@ Documents are written by :func:`iter_document`, which yields the text of
 :func:`dump_document` in pieces.  Wherever a document holds an ndarray, as
 the whole document or as the value of a key, it is written as a tensor
 document ``_SLICE`` entries at a time, each slice through the C encoder of
-``json.dumps``.  So writing a tensor holds one slice's Python objects, not
-one per entry: a file of 2**20 float64 entries peaks at about 0.5 MB under
-tracemalloc, where building the document as one string took 71 MB.
+``json.dumps``; every other list too long for one such call, such as an
+analysis's collision groups, is written a slice of about ``_SLICE`` JSON
+values at a time.  No single ``json.dumps`` call then holds more than about
+75 KB under tracemalloc, and writing a file of 2**20 float64 entries peaks
+at about 0.08 MB, where building the document as one string took 71 MB.
+
+The CLI reads every document with :func:`_read_document`, ``_BLOCK``
+characters of its file at a time.  Where an object gives "dtype" and
+"shape" before "data", as every document scatterkit writes does, the data
+list is parsed one slice of at most ``_BLOCK`` characters at a time by the
+C decoder of ``json.loads``, and each slice goes straight into an array of
+its own; so reading holds the array, the block and one slice of Python
+numbers, and a file of 2**20 float64 entries peaks at about 8.1 MB, where
+``json.load`` peaked at 51.7 MB.  A list before its "dtype" or "shape" is
+read whole, and a document the reader cannot follow, such as a malformed
+one, is read again by ``json.load``, whose error the CLI reports.
+:func:`tensor_from_json` checks a list from a dict with the same
+:class:`_Entries` as the reader, so both give the same array or refusal.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -32,7 +49,10 @@ from .transform import ProvisionTensor, XTransformerSpec
 
 
 _SEPARATORS = (",", ":")
-_SLICE = 4096  # entries per json.dumps call when a tensor is written
+_SLICE = 512  # JSON values per json.dumps call when a document is written
+_BLOCK = 2**14  # characters per read, and the most one parsed slice spans
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE
 
 
 def _wire_dtype(arr: np.ndarray) -> str:
@@ -71,38 +91,260 @@ def _int_list(value, what) -> list[int]:
     return value
 
 
-def tensor_from_json(doc) -> np.ndarray:
-    dtype = _require(doc, "dtype", "tensor document")
-    shape = _require(doc, "shape", "tensor document")
-    data = _require(doc, "data", "tensor document")
+def _check_header(dtype, shape) -> list[int]:
+    """The shape of a tensor document with this dtype and shape."""
     if dtype not in ("f64", "i64"):
         raise FormatError(f"unknown dtype {dtype!r}")
     shape = _int_list(shape, "tensor shape")
     if any(d < 0 for d in shape):
         raise FormatError("tensor shape extents must be nonnegative")
-    if not isinstance(data, list):
-        raise FormatError("tensor data must be a list")
-    if len(data) != shape_size(shape):
-        raise FormatError(
-            f"tensor data length {len(data)} does not match shape {shape}"
-        )
-    integral = dtype == "i64"
-    types = set(map(type, data))
-    # json reads true and false as bool, which is not int here
-    if not types <= ({int} if integral else {int, float}):
-        raise FormatError(f"{dtype} tensor data must be numbers, integers for i64")
-    try:
-        arr = np.array(data, dtype=np.int64 if integral else np.float64)
-        arr.shape = shape  # in place: the array owns its memory, so a table adopts it
-    except (OverflowError, ValueError) as exc:
-        if not integral:  # only a listed int too large for a double overflows
-            _refuse_rounded_ints(data, range(len(data)), shape)
-        raise FormatError(f"tensor document out of range: {exc}") from exc
-    if not integral and not np.isfinite(arr).all():
-        raise FormatError("f64 tensor data must be finite")
-    if not integral and int in types:  # a listed int past 2**53 casts to 2**53 or more
-        _refuse_rounded_ints(data, np.flatnonzero(np.abs(arr) >= 2**53), shape)
-    return arr
+    return shape
+
+
+class _Entries:
+    """The data list of a tensor document, checked and gathered a slice at
+    a time.
+
+    Handing :meth:`add` the list's slices in order and then calling
+    :meth:`array` gives the array of the whole list or the refusal it earns.
+    Faults are kept until :meth:`array`, which raises the one that comes
+    first in this order: the length, a non-number, a cast that overflows, a
+    reshape numpy refuses, a non-finite value, and the first listed integer
+    that float64 would round.  The entries go straight into an array of
+    their own, allocated only when ``room``, a bound on the list's length,
+    admits the shape's size.
+    """
+
+    def __init__(self, dtype, shape, room):
+        self.dtype, self.shape = dtype, shape
+        self.size = shape_size(shape)
+        self.count = 0
+        self.arr = None  # no room: the length cannot match
+        if self.size <= room:
+            self.arr = np.empty(self.size, np.int64 if dtype == "i64" else np.float64)
+        self.non_number = False
+        self.overflow = None  # the exception of the cast
+        self.rounded = None  # the ArgumentError of the first rounded integer
+
+    def add(self, values: list) -> None:
+        start = self.count
+        self.count += len(values)
+        if self.arr is None or self.count > self.size or self.non_number:
+            return  # array() reports the length or a non-number
+        integral = self.dtype == "i64"
+        types = set(map(type, values))
+        # json reads true and false as bool, which is not int here
+        if not types <= ({int} if integral else {int, float}):
+            self.non_number = True
+            return
+        if self.overflow is not None:
+            return
+        cast = self.arr[start : self.count]
+        try:
+            cast[...] = values
+        except (OverflowError, ValueError) as exc:
+            self.overflow = exc
+            if not integral:  # only a listed int too large for a double overflows
+                self._find_rounded(values, range(len(values)), start)
+            return
+        if not integral and int in types:  # a listed int past 2**53 casts to 2**53 or more
+            self._find_rounded(values, np.flatnonzero(np.abs(cast) >= 2**53), start)
+
+    def _find_rounded(self, values, at, start) -> None:
+        if self.rounded is None:
+            try:
+                _refuse_rounded_ints(values, at, self.shape, start)
+            except ArgumentError as exc:
+                self.rounded = exc
+
+    def array(self) -> np.ndarray:
+        if self.count != self.size:
+            raise FormatError(
+                f"tensor data length {self.count} does not match shape {self.shape}"
+            )
+        if self.non_number:
+            raise FormatError(f"{self.dtype} tensor data must be numbers, integers for i64")
+        arr, fault = self.arr, self.overflow
+        if fault is None:
+            try:
+                arr.shape = self.shape  # in place: the array owns its memory
+            except (OverflowError, ValueError) as exc:
+                fault = exc
+        if fault is not None:
+            if self.rounded is not None:
+                raise self.rounded
+            raise FormatError(f"tensor document out of range: {fault}") from fault
+        # min and max carry any NaN or infinity, without an n-entry mask
+        if self.dtype == "f64" and arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+            raise FormatError("f64 tensor data must be finite")
+        if self.rounded is not None:
+            raise self.rounded
+        return arr
+
+
+def tensor_from_json(doc) -> np.ndarray:
+    """The array of a tensor document, owning its memory, so that a table
+    adopts it.  Its "data" is a list, or the :class:`_Entries` that
+    :func:`_read_document` gathered from a file."""
+    dtype = _require(doc, "dtype", "tensor document")
+    shape = _require(doc, "shape", "tensor document")
+    data = _require(doc, "data", "tensor document")
+    shape = _check_header(dtype, shape)
+    if not isinstance(data, _Entries):
+        if not isinstance(data, list):
+            raise FormatError("tensor data must be a list")
+        entries = _Entries(dtype, shape, room=len(data))
+        entries.add(data)  # the whole list as one slice
+        data = entries
+    return data.array()
+
+
+def _read_document(path):
+    """The JSON document in the file ``path``, as ``json.load`` reads it,
+    except that a data list the reader streamed is an :class:`_Entries`.
+
+    Raises FormatError, naming the path, where ``json.load`` refuses the
+    file: it is no JSON, no UTF-8, or holds an integer literal longer than
+    Python's digit limit.  A file that is not a regular one, such as a
+    pipe, is read whole.
+    """
+    with open(path, encoding="utf-8") as fh:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            try:
+                return _Reader(fh, st.st_size).document()
+            except (_Unread, UnicodeDecodeError):
+                fh.seek(0)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+
+
+class _Unread(Exception):
+    """The reader cannot follow the document, which is then read whole."""
+
+
+class _Reader:
+    """A JSON document read ``_BLOCK`` characters at a time: the top-level
+    object and the objects it holds key by key, a "data" list after a
+    tensor header a slice at a time, and every other value whole."""
+
+    def __init__(self, fh, size):
+        self.fh = fh
+        self.room = (size + 1) // 2  # n entries and their commas take 2n - 1 characters
+        self.buf, self.pos, self.eof = "", 0, False
+
+    def document(self):
+        doc = self._object(nested=True) if self._next() == "{" else self._value()
+        if self._next():  # json.load's "Extra data"
+            raise _Unread
+        return doc
+
+    def _fill(self, width) -> None:
+        # width characters after pos, or all that is left of the file
+        while not self.eof and len(self.buf) - self.pos < width:
+            block = self.fh.read(max(width - (len(self.buf) - self.pos), _BLOCK))
+            self.eof = not block
+            self.buf = self.buf[self.pos :] + block
+            self.pos = 0
+
+    def _next(self) -> str:
+        """The next character that is not whitespace; "" at the end."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos : self.pos + 1]
+            self._fill(_BLOCK)
+
+    def _value(self):
+        width = _BLOCK
+        while True:
+            self._fill(width)
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
+            except ValueError:  # cut short by the buffer, or no JSON
+                if self.eof:
+                    raise _Unread from None
+            else:
+                # a number the buffer cuts short reads as less: "1e" of "1e5" as 1
+                if self.eof or len(self.buf) - end > 2:
+                    self.pos = end
+                    return value
+            width = 2 * (len(self.buf) - self.pos)
+
+    def _object(self, nested):
+        # at "{"; while nested, an object value is read key by key too
+        self.pos += 1
+        doc = {}
+        c = self._next()
+        if c == "}":
+            self.pos += 1
+            return doc
+        while True:
+            if c != '"':
+                raise _Unread
+            key = self._value()
+            if self._next() != ":":
+                raise _Unread
+            self.pos += 1
+            c = self._next()
+            if key in ("dtype", "shape") and isinstance(doc.get("data"), _Entries):
+                raise _Unread  # the entries were checked under the earlier value
+            if key == "data" and c == "[" and (entries := self._entries(doc)) is not None:
+                doc[key] = self._data(entries)
+            elif c == "{" and nested:
+                doc[key] = self._object(nested=False)
+            else:
+                doc[key] = self._value()
+            c = self._next()
+            if c == "}":
+                self.pos += 1
+                return doc
+            if c != ",":
+                raise _Unread
+            self.pos += 1
+            c = self._next()
+
+    def _entries(self, doc):
+        # the entries for a list after a valid header, else None: read whole
+        if "dtype" not in doc or "shape" not in doc:
+            return None
+        try:
+            shape = _check_header(doc["dtype"], doc["shape"])
+        except FormatError:
+            return None
+        return _Entries(doc["dtype"], shape, self.room)
+
+    def _data(self, entries):
+        # at "[": each slice runs up to the last "," or the first "]" within
+        # the next width characters, and json.loads reads it as a list; the
+        # slice holds no "]", so no nested list, and a cut inside a string
+        # leaves that string open: it parses only where the cut is the
+        # list's own comma or close
+        self.pos += 1
+        width, first = _BLOCK, True
+        while True:
+            self._fill(width)
+            end = min(len(self.buf), self.pos + width)
+            close = self.buf.find("]", self.pos, end)
+            cut = close if close >= 0 else self.buf.rfind(",", self.pos, end)
+            if cut < 0:  # one entry, or whitespace, wider than the window
+                if self.eof and end == len(self.buf):
+                    raise _Unread
+                width *= 2
+                continue
+            try:
+                values = json.loads("[" + self.buf[self.pos : cut] + "]")
+            except ValueError:
+                raise _Unread from None
+            if not values and not (first and close >= 0):  # "[,", ",," or ",]"
+                raise _Unread
+            entries.add(values)
+            self.pos = cut + 1
+            if close >= 0:
+                return entries
+            width, first = _BLOCK, False
 
 
 def inferred_target_shape(table: np.ndarray) -> tuple[int, ...]:
@@ -194,49 +436,105 @@ def iter_document(doc):
     ``doc`` is JSON data with string keys in which an ndarray may stand for
     a tensor document, as the whole document or as the value of a key.
     Every such tensor is checked here, before the first piece is made, so a
-    refused tensor raises FormatError before anything is written.
+    refused tensor raises FormatError before anything is written.  Tensor
+    entries and every other long list are encoded a run of about ``_SLICE``
+    values at a time.
     """
-    parts = []
-    _lay_out(doc, parts)
-    parts.append("\n")
-    return _expand(parts)
+    for arr in _tensors(doc):
+        _wire_dtype(arr)
+    return itertools.chain(_pieces(doc), ("\n",))
 
 
-def _lay_out(doc, parts) -> None:
-    # appends text, or (dtype, array) for each tensor
+def _tensors(doc):
+    # the ndarrays that doc is or holds as the value of a key
     if isinstance(doc, np.ndarray):
-        parts.append((_wire_dtype(doc), doc))
-    elif _holds_tensor(doc):  # a dict, laid out key by key
-        parts.append("{")
-        for n, (key, value) in enumerate(doc.items()):
-            parts.append(("," if n else "") + json.dumps(key) + ":")
-            _lay_out(value, parts)
-        parts.append("}")
-    else:
-        parts.append(json.dumps(doc, separators=_SEPARATORS))
+        yield doc
+    elif isinstance(doc, dict):
+        for value in doc.values():
+            yield from _tensors(value)
 
 
-def _holds_tensor(doc) -> bool:
-    if isinstance(doc, dict):
-        return any(map(_holds_tensor, doc.values()))
-    return isinstance(doc, np.ndarray)
+def _pieces(doc):
+    if isinstance(doc, np.ndarray):
+        return _tensor_pieces(doc)
+    if isinstance(doc, dict) and next(_tensors(doc), None) is not None:
+        return _object_pieces(doc, _pieces)
+    return _json_pieces(doc)
 
 
-def _expand(parts):
-    for part in parts:
-        if isinstance(part, str):
-            yield part
-            continue
-        dtype, arr = part
-        shape = json.dumps(list(arr.shape), separators=_SEPARATORS)
-        yield f'{{"dtype":"{dtype}","shape":{shape},"data":['
-        for start in range(0, arr.size, _SLICE):
+def _object_pieces(doc, pieces):
+    yield "{"
+    for n, (key, value) in enumerate(doc.items()):
+        yield ("," if n else "") + json.dumps(key) + ":"
+        yield from pieces(value)
+    yield "}"
+
+
+def _tensor_pieces(arr):
+    shape = json.dumps(list(arr.shape), separators=_SEPARATORS)
+    yield f'{{"dtype":"{_wire_dtype(arr)}","shape":{shape},"data":['
+    # C-order entries whatever the layout
+    yield from _runs(arr.size, lambda start, stop: arr.flat[start:stop].tolist())
+    yield "]}"
+
+
+def _runs(count, entries):
+    # the text of count list entries, without brackets, _SLICE per json.dumps
+    for start in range(0, count, _SLICE):
+        if start:
+            yield ","
+        run = entries(start, start + _SLICE)
+        yield json.dumps(run, separators=_SEPARATORS)[1:-1]
+
+
+def _json_pieces(doc):
+    """The text of JSON data, no json.dumps call holding much more than
+    ``_SLICE`` of its values."""
+    if _weight(doc) <= _SLICE:
+        yield json.dumps(doc, separators=_SEPARATORS)
+    elif isinstance(doc, dict):
+        yield from _object_pieces(doc, _json_pieces)
+    elif not isinstance(doc[0], (dict, list)):  # a list of numbers or strings
+        yield "["
+        yield from _runs(len(doc), lambda start, stop: doc[start:stop])
+        yield "]"
+    else:  # a list of containers, in runs of about _SLICE values
+        yield "["
+        start = 0
+        while start < len(doc):
+            stop, weight = start, 0
+            while stop < len(doc) and weight + (w := _weight(doc[stop])) <= _SLICE:
+                stop, weight = stop + 1, weight + w
             if start:
                 yield ","
-            # C-order entries whatever the layout; the C encoder, one slice
-            entries = arr.flat[start : start + _SLICE].tolist()
-            yield json.dumps(entries, separators=_SEPARATORS)[1:-1]
-        yield "]}"
+            if stop == start:  # one entry heavier than a run: laid out alone
+                yield from _json_pieces(doc[start])
+                start += 1
+            else:
+                yield json.dumps(doc[start:stop], separators=_SEPARATORS)[1:-1]
+                start = stop
+        yield "]"
+
+
+def _weight(doc, cap=_SLICE) -> int:
+    """About how many JSON values ``doc`` holds.  Every entry of a list of
+    numbers or lists counts as its first does, which is exact for the lists
+    documents hold (tensor entries, index rows of one length); a list of
+    dicts, such as collision groups, is counted dict by dict until the
+    count passes cap."""
+    if isinstance(doc, dict):
+        return 1 + sum(map(_weight, doc.values()))
+    if not isinstance(doc, list) or not doc:
+        return 1
+    first = doc[0]
+    if not isinstance(first, dict):
+        return 1 + len(doc) * (_weight(first) if isinstance(first, list) else 1)
+    weight = 1
+    for entry in doc:
+        weight += _weight(entry)
+        if weight > cap:
+            break
+    return weight
 
 
 def dump_document(doc) -> str:

@@ -562,6 +562,41 @@ def test_analyze_malformed_exits_1(tmp_path):
     assert proc.returncode == 1
 
 
+UNREADABLE = {
+    # an integer literal past Python's 4300-digit int-to-str limit
+    "5000_digits": lambda text: text.replace("[0, 0]", "[0, " + "7" * 5000 + "]").encode(),
+    # a byte that is no UTF-8
+    "not_utf8": lambda text: text.replace('"shape"', '"sh\udcffape"').encode(
+        "utf-8", "surrogateescape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_a_file_json_cannot_read_exits_1_with_one_document(tmp_path, case):
+    # each file the CLI loads, a tensor, a provision table and a spec, is
+    # refused as a FormatError, not with a traceback
+    table = '{"dtype": "i64", "shape": [2, 1], "data": [0, 0]}'
+    spec = ('{"inner": ' + table + ', "inner_pick": [0], "pass_pick": [],'
+            ' "out_pick": [0], "source_shape": [2], "target_shape": [1]}')
+    good = write_doc(tmp_path / "good.json", tensor_to_json(np.zeros(1)))
+    indices = write_doc(tmp_path / "i.json", tensor_to_json(np.zeros((1, 1), np.int64)))
+    tensor, provision, spec_path = (tmp_path / f"{name}.json"
+                                    for name in ("tensor", "provision", "spec"))
+    tensor.write_bytes(UNREADABLE[case](table.replace("i64", "f64")))
+    provision.write_bytes(UNREADABLE[case](table))
+    spec_path.write_bytes(UNREADABLE[case](spec))
+    for args in (
+        ["tf-scatter", "--tensor", tensor, "--indices", indices, "--updates", good],
+        ["analyze", "--provision", provision],
+        ["compose", "--spec", spec_path],
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 1, (args[0], proc.stderr)
+        assert "Traceback" not in proc.stderr
+        doc = stdout_doc(proc)  # the whole stream is one document
+        assert doc["exit_code"] == 1 and doc["error"].startswith(str(args[2])), doc
+
+
 def test_compose_diag_spec(tmp_path, fixture_dir):
     spec = XTransformerSpec(
         inner=fx.diag_inner(),

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -13,9 +15,15 @@ from scatterkit import (
     detect_collisions,
     slicing_impossibility,
 )
+from scatterkit import ProvisionTensor
 from scatterkit import fixtures as fx
+from scatterkit.core import _refuse_rounded_ints, shape_size
 from scatterkit.serialize import (
+    _BLOCK,
     _SLICE,
+    _Entries,
+    _read_document,
+    _Reader,
     analysis_to_json,
     dump_document,
     inferred_target_shape,
@@ -277,8 +285,9 @@ def test_a_refused_tensor_raises_before_the_first_piece(tmp_path, arr):
 
 
 def test_writing_a_large_tensor_holds_one_slice(tmp_path):
-    # 2**20 float64 entries: about 20 MB of text, written a slice at a time
-    # (71 MB peak when the document was built as one string)
+    # 2**20 float64 entries: about 20 MB of text, written a slice at a time;
+    # 0.08 MB peak with slices of 512 entries (0.6 MB with 4096, 71 MB when
+    # the document was built as one string)
     arr = np.random.default_rng(3).standard_normal(2**20)
     path = tmp_path / "big.json"
     tracemalloc.start()
@@ -287,5 +296,295 @@ def test_writing_a_large_tensor_holds_one_slice(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
+    assert peak < 2**18, peak
     assert tensor_from_json(json.loads(path.read_text())).tobytes() == arr.tobytes()
+
+
+def test_a_long_analysis_is_dumped_a_slice_at_a_time():
+    # 2**14 collision groups: one json.dumps of the document takes 4 MB
+    # under tracemalloc; laid out in slices of about _SLICE values, its
+    # transient stays below 256 KB (63 KB measured), with the same bytes
+    n = 2**15
+    table = np.stack([np.arange(n) // 2, np.zeros(n, np.int64)], axis=1)
+    provision = ProvisionTensor(table, (n // 2, 1))
+    collisions = detect_collisions(provision)
+    assert collisions.collision_count == 2**14
+    doc = analysis_to_json(slicing_impossibility(provision), collisions)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        pieces = [len(piece) for piece in iter_document(doc)]
+        transient = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert transient < 2**18, transient
+    assert dump_document(doc) == whole_document(doc)
+    assert sum(pieces) == len(whole_document(doc)) and max(pieces) <= 32 * _SLICE
+
+
+@pytest.mark.parametrize("doc", [
+    # one group of 4000 sources is laid out by itself, its sources in slices
+    {"groups": [{"target": [1], "sources": [[i, 0] for i in range(4000)]},
+                {"target": [2], "sources": [[0, 1], [1, 1]]}]},
+    {"nested": {"long": list(range(3000)), "short": [1.5, None, "x", True]}},
+    [[], {}, [[]], "a" * 10, list(range(2 * _SLICE + 1))],
+    {"mixed": [1, [2, 3], {"a": [4] * 700}], "empty": [], "none": None},
+], ids=["one_large_group", "nested_long_list", "list_of_lists", "mixed"])
+def test_long_json_is_written_with_its_whole_bytes(doc):
+    pieces = list(iter_document(doc))
+    assert "".join(pieces) == whole_document(doc)
+    assert max(map(len, pieces)) <= 32 * _SLICE
+
+
+def test_reading_a_large_tensor_holds_one_slice(tmp_path):
+    # 2**20 float64 entries (20.6 MB of text): the reader parses the data
+    # list a slice at a time into the array, so the peak is the 8 MB array
+    # and about 0.15 MB more (json.load peaked at 51.7 MB)
+    arr = np.random.default_rng(3).standard_normal(2**20)
+    path = tmp_path / "big.json"
+    write_document(path, arr)
+    tracemalloc.start()
+    try:
+        loaded = tensor_from_json(_read_document(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
+    assert loaded.tobytes() == arr.tobytes()
+    assert loaded.flags.owndata and loaded.flags.writeable
+
+
+def test_a_table_read_from_a_file_is_held_once(tmp_path):
+    # as for a dict: the table read from a file owns its memory and is
+    # adopted read-only, so an 8 MiB table peaks at about 8 MiB
+    n = 2**19
+    path = tmp_path / "table.json"
+    write_document(path, np.arange(2 * n, dtype=np.int64).reshape(n, 2))
+    tracemalloc.start()
+    try:
+        provision = provision_from_json(_read_document(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20, peak
+    assert provision.table.base is None and not provision.table.flags.writeable
+    assert provision.table[-1].tolist() == [2 * n - 2, 2 * n - 1]
+
+
+def whole_list_reference(doc):
+    """``tensor_from_json`` as it checked a whole list at once, before
+    :class:`_Entries` checked one slice at a time: the reference both the
+    file reader and the dict path agree with."""
+    for key in ("dtype", "shape", "data"):
+        if not isinstance(doc, dict):
+            raise FormatError("tensor document must be a JSON object")
+        if key not in doc:
+            raise FormatError(f"tensor document missing key {key!r}")
+    dtype, shape, data = doc["dtype"], doc["shape"], doc["data"]
+    if dtype not in ("f64", "i64"):
+        raise FormatError(f"unknown dtype {dtype!r}")
+    if not isinstance(shape, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in shape
+    ):
+        raise FormatError("tensor shape must be a list of integers")
+    if any(d < 0 for d in shape):
+        raise FormatError("tensor shape extents must be nonnegative")
+    if not isinstance(data, list):
+        raise FormatError("tensor data must be a list")
+    if len(data) != shape_size(shape):
+        raise FormatError(f"tensor data length {len(data)} does not match shape {shape}")
+    integral = dtype == "i64"
+    types = set(map(type, data))
+    if not types <= ({int} if integral else {int, float}):
+        raise FormatError(f"{dtype} tensor data must be numbers, integers for i64")
+    try:
+        arr = np.array(data, dtype=np.int64 if integral else np.float64)
+        arr.shape = shape
+    except (OverflowError, ValueError) as exc:
+        if not integral:
+            _refuse_rounded_ints(data, range(len(data)), shape)
+        raise FormatError(f"tensor document out of range: {exc}") from exc
+    if not integral and not np.isfinite(arr).all():
+        raise FormatError("f64 tensor data must be finite")
+    if not integral and int in types:
+        _refuse_rounded_ints(data, np.flatnonzero(np.abs(arr) >= 2**53), shape)
+    return arr
+
+
+def load_whole(path):
+    """json.load of the file, refused as the CLI refuses a file it cannot parse."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def outcome(load, path):
+    try:
+        arr = load(path)
+    except (FormatError, ArgumentError) as exc:
+        return type(exc).__name__, str(exc)
+    return (arr.dtype.str, arr.shape, arr.tobytes(), arr.flags.owndata,
+            arr.flags.writeable)
+
+
+def the_three_loads_agree(path):
+    """The reader, the dict path and the whole-list reference give one outcome."""
+    read = outcome(lambda p: tensor_from_json(_read_document(p)), path)
+    assert read == outcome(lambda p: tensor_from_json(load_whole(p)), path)
+    assert read == outcome(lambda p: whole_list_reference(load_whole(p)), path)
+    return read
+
+
+WHITESPACE = ["", "", "", " ", "\n", "\t", "\r\n", " \t\n\r "]
+SIZES = [0, 1, 2, 7, _SLICE - 1, _SLICE, _SLICE + 1, 1500,
+         _BLOCK - 1, _BLOCK, _BLOCK + 1]
+
+
+def f64_token(rng):
+    kind = rng.integers(0, 8)
+    if kind == 0:
+        return str(int(rng.integers(-(2**53), 2**53 + 1)))  # an int in an f64 document
+    if kind == 1:
+        return str(rng.choice(["-0.0", "0", "-0", "5e-324", "1.7976931348623157e308",
+                               "1E5", "2.5e-3", "-1.0E+2", "9007199254740992"]))
+    if kind == 2 and rng.random() < 0.05:  # a token wider than a block
+        return "0.5" + "0" * (_BLOCK + 100)
+    return repr(float(rng.standard_normal() * 10.0 ** rng.integers(-20, 20)))
+
+
+def i64_token(rng):
+    if rng.random() < 0.5:
+        return str(int(rng.integers(-(2**63), 2**63)))
+    return str(int(rng.integers(-300, 300)))
+
+
+def ws(rng):
+    if rng.random() < 0.002:  # a run of whitespace wider than a block
+        return " " * (_BLOCK + 7)
+    return WHITESPACE[rng.integers(0, len(WHITESPACE))]
+
+
+def document_text(rng, dtype, shape, entries, order, extra):
+    """A tensor document with the given entry tokens, keys in ``order``,
+    whitespace from ``rng`` between every two tokens."""
+    data = "[" + ws(rng) + ("," + ws(rng)).join(e + ws(rng) for e in entries) + "]"
+    values = {
+        "dtype": json.dumps(dtype),
+        "shape": json.dumps(shape, separators=(ws(rng) + "," + ws(rng), ":")),
+        "data": data,
+        "note": '{"nested": {"data": [1, "x"]}, "shape": [1]}',
+        "bad_dtype": '"f32"',
+        "bad_data": '[1, "x", [2]]',
+    }
+    members = [f'"{key.removeprefix("bad_")}"{ws(rng)}:{ws(rng)}{values[key]}'
+               for key in order + extra]
+    return ws(rng) + "{" + ws(rng) + ("," + ws(rng)).join(members) + ws(rng) + "}" + ws(rng)
+
+
+@st.composite
+def tensor_documents(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from(["f64", "i64"]))
+    rank = draw(st.integers(0, 3))
+    size = 1 if rank == 0 else draw(st.sampled_from(SIZES))
+    shape = [size] + [1] * (rank - 1) if size else [0] + list(rng.integers(0, 4, rank - 1))
+    shape = [int(d) for d in rng.permutation(shape)]
+    token = f64_token if dtype == "f64" else i64_token
+    entries = [token(rng) for _ in range(shape_size(shape))]
+    order = draw(st.permutations(["dtype", "shape", "data"]))
+    # a duplicate key: the last one wins, as in json.load
+    extra = draw(st.sampled_from([[], [], ["note"], ["bad_dtype", "dtype"],
+                                  ["bad_data", "data"]]))
+    return rng, dtype, shape, entries, list(order), extra
+
+
+def write_text(directory, text):
+    path = os.path.join(directory, "doc.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+@given(tensor_documents())
+@settings(max_examples=120, deadline=None)
+def test_the_reader_agrees_with_json_load_on_valid_documents(case):
+    rng, dtype, shape, entries, order, extra = case
+    text = document_text(rng, dtype, shape, entries, order, extra)
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_text(directory, text)
+        got = the_three_loads_agree(path)
+        assert got[:2] == (("<f8" if dtype == "f64" else "<i8"), tuple(shape)), got
+        if order.index("data") == 2 and extra in ([], ["note"]):
+            # a header before the data: the list is read a slice at a time
+            with open(path, encoding="utf-8") as fh:
+                doc = _Reader(fh, os.path.getsize(path)).document()
+            assert isinstance(doc["data"], _Entries)
+
+
+BAD_ENTRIES = ['"x"', "true", "false", "null", "NaN", "Infinity", "-Infinity",
+               "1e400", "[1]", "[]", '{"a": 1}', "9007199254740993",
+               "-9007199254740993", "9223372036854775808", "1" * 5000]
+
+
+@given(tensor_documents(), st.sampled_from(
+    ["truncate", "trailing_comma", "bad_entry", "two_bad_entries",
+     "short_and_bad", "long_and_bad", "not_utf8"]))
+@settings(max_examples=150, deadline=None)
+def test_the_reader_agrees_with_json_load_on_broken_documents(case, fault):
+    rng, dtype, shape, entries, order, extra = case
+    if fault in ("bad_entry", "two_bad_entries") and entries:
+        for _ in range(1 if fault == "bad_entry" else 2):
+            entries[rng.integers(0, len(entries))] = str(rng.choice(BAD_ENTRIES))
+    elif fault == "short_and_bad" and entries:  # the length is reported first
+        entries = entries[1:]
+        if entries:
+            entries[rng.integers(0, len(entries))] = str(rng.choice(BAD_ENTRIES))
+    elif fault == "long_and_bad":
+        entries = entries + [str(rng.choice(BAD_ENTRIES))]
+    elif fault == "trailing_comma":  # "[1, 2,]", or "[,]"
+        entries = entries + [""] * (1 + (not entries))
+    raw = document_text(rng, dtype, shape, entries, order, extra).encode()
+    if fault == "truncate":
+        raw = raw[: rng.integers(0, len(raw))]
+    elif fault == "not_utf8":
+        at = rng.integers(0, len(raw) + 1)
+        raw = raw[:at] + b"\xff" + raw[at:]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        the_three_loads_agree(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"dtype": "f64", "shape": [2], "data": [1.5, 2]}',
+    '{"dtype": "f64", "shape": [2], "data": [1.5, 2], "dtype": "i64"}',
+    '{"dtype": "i64", "shape": [2], "data": [1, 2,]}',
+    '{"dtype": "i64", "shape": [2], "data": [1 2]}',
+    '{"dtype": "i64", "shape": [2], "data": [1, , 2]}',
+    '{"dtype": "i64", "shape": [0], "data": [,]}',
+    '{"dtype": "i64", "shape": [0], "data": [ ]}',
+    '{"dtype": "i64", "shape": [1], "data": [[1]]}',
+    '{"dtype": "i64", "shape": [1], "data": ["a]"]}',
+    '{"dtype": "i64", "shape": [2], "data": ["a,b", 1]}',
+    '{"dtype": "f64", "shape": [1], "data": [1e]}',
+    '{"dtype": "f64", "shape": [1], "data": [1]} x',
+    '{"dtype": "f64", "shape": [1], "data": [1]',
+    '{"dtype": "f64", "shape": [1] "data": [1]}',
+    '{"dtype": "f64", "shape": [1], "data": [1],}',
+    '{"dtype": "f64", "shape": [1], data: [1]}',
+    '\ufeff{"dtype": "f64", "shape": [1], "data": [1]}',
+    '[{"dtype": "f64", "shape": [1], "data": [1]}]',
+    '{"dtype": "f64", "shape": [100000000], "data": [1]}',
+    '{"dtype": "f64", "shape": [1], "data": [1], "shape": [1]}',
+    '{"dtype": "i64", "shape": [9223372036854775808, 0], "data": []}',
+    '{"dtype": "f64", "shape": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,'
+    ' 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,'
+    ' 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], "data": [1]}',
+    "",
+    "   ",
+])
+def test_the_reader_agrees_with_json_load_on_edge_documents(tmp_path, text):
+    the_three_loads_agree(write_text(tmp_path, text))
