@@ -58,9 +58,15 @@ def flat_offsets(coords, shape) -> np.ndarray:
             lone.setflags(write=False)
             return lone
     offsets = np.empty(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
-    offsets[...] = coords[0] if len(coords) else 0
-    for coord, extent in zip(coords[1:], shape[1:]):
-        offsets *= extent  # Horner's rule: every partial offset is in range
+    if len(coords) < 2:
+        offsets[...] = coords[0] if len(coords) else 0
+        return offsets
+    # Horner's rule, its first step written straight into offsets: every
+    # partial offset is in range
+    np.multiply(coords[0], shape[1], out=offsets, dtype=np.int64)
+    offsets += coords[1]
+    for coord, extent in zip(coords[2:], shape[2:]):
+        offsets *= extent
         offsets += coord
     return offsets
 
@@ -107,8 +113,20 @@ def _refuse_rounded_ints(listed, at, shape, start=0) -> None:
     for i in at:
         if isinstance(listed[i], (int, np.integer)) and not -(2**53) <= listed[i] <= 2**53:
             where = tuple(map(int, np.unravel_index(start + i, shape)))
-            raise ArgumentError(f"data entry {listed[i]} at {where} is an integer outside "
-                                "[-2**53, 2**53], where float64 holds every integer")
+            raise ArgumentError(f"data entry {_entry_text(listed[i])} at {where} is an "
+                                "integer outside [-2**53, 2**53], where float64 holds "
+                                "every integer")
+
+
+def _entry_text(value) -> str:
+    """``value`` as text, or, past Python's int-to-str digit limit, named by
+    its sign, the bit length of its integer part and its type, with no digit
+    converted."""
+    try:
+        return f"{value}"
+    except ValueError:
+        bits = int(abs(value)).bit_length()
+        return f"{'-' if value < 0 else ''}<{bits}-bit {type(value).__name__}>"
 
 
 def as_index_tensor(values) -> np.ndarray:
@@ -131,5 +149,6 @@ def as_index_tensor(values) -> np.ndarray:
     if len(bad):
         at = tuple(map(int, np.unravel_index(bad[0], arr.shape)))
         value = arr.flat[bad[0]]
-        raise ArgumentError(f"index entry {value} at {at} is not an int64 integer")
+        raise ArgumentError(f"index entry {_entry_text(value)} at {at} is not an int64 "
+                            "integer")
     return cast

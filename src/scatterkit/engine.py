@@ -23,6 +23,17 @@ target trail and is contiguous, both assignments move it as one opaque
 ``(np.void, 8 * b)`` item, a block copy of its bytes; a narrower or
 strided row moves through its region of the target row.
 
+Under ``error`` the winner array is built over row prefixes that double
+from ``_ERROR_PREFIX`` (2^11) rows, each step's rows checked against it
+once applied.  A later row cannot lower the minimum an earlier row set, so
+the first row to lose in its own step is the first colliding write, the
+one raised.  A colliding call thus costs the lowering, the one
+target-sized ``np.full`` and at most the larger of the first prefix and
+about twice the colliding row's position, not a pass over every row.  When
+no row loses, the gather of winners by key and the masks taken from it
+are skipped: every row won.  The other policies take one step over all
+rows.
+
 The result starts as a copy of the background, except when rows fill
 the target trail, hold at least ``_MASKED_COPY_BLOCK`` (64) elements,
 and the reached rows hold at least ``_MASKED_COPY_REACHED`` (2^16)
@@ -89,6 +100,11 @@ from .transform import (
     _tf_source_shape,
 )
 
+# rows of the first prefix over which ERROR resolves its winners; each
+# later prefix doubles the one before.  On a 2^18-row torch_scatter into
+# 2^20 cells, first colliding near row 1,200-2,800, 2^8-2^12 rows all took
+# 0.22-0.28 ms in the kernel, 2^11 fastest on 4 of 6 seeds
+_ERROR_PREFIX = 1 << 11
 # elements of losing rows that a sum or prod fold gathers at a time
 _FOLD_CHUNK = 1 << 12
 # elements of the buffer that identity-folded rows and gathered winners
@@ -108,7 +124,9 @@ class CollisionPolicy(enum.Enum):
     FIRST_WINS and LAST_WINS order writes by row-major source traversal.
     SUM and PROD fold the colliding update values only; the background
     value at a written cell never joins the reduction.  ERROR demands an
-    injective transformer and raises on the first colliding write.
+    injective transformer and raises on the first colliding write, found
+    over row prefixes that double in size, so a colliding call stops about
+    twice the colliding row's position in rather than reading every row.
     """
 
     ERROR = "error"
@@ -181,19 +199,44 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     # win is the only target-sized index array; besides the bool mask of
     # unreached rows, everything after it is row-sized
     pos_dtype = np.int32 if n < 2**31 else np.int64
-    pos = np.arange(n, dtype=pos_dtype)
     last_wins = policy is CollisionPolicy.LAST_WINS
+    error = policy is CollisionPolicy.ERROR
     unset = -1 if last_wins else n
     win = np.full(t, unset, dtype=pos_dtype)
-    (np.maximum if last_wins else np.minimum).at(win, keys, pos)
+    resolve = (np.maximum if last_wins else np.minimum).at
+    # ERROR steps over prefixes doubling from _ERROR_PREFIX rows and raises
+    # at the first row that loses in its own step, the first colliding
+    # write (see the module docstring); other policies take one step
+    start, stop = 0, min(n, _ERROR_PREFIX) if error else n
+    while start < n:
+        pos = np.arange(start, stop, dtype=pos_dtype)
+        resolve(win, keys[start:stop], pos)
+        if error:
+            lost = np.flatnonzero(win[keys[start:stop]] != pos)
+            if len(lost):
+                at = keys[start + lost[0]]
+                raise CollisionError(np.unravel_index(at, lead_shape) + (0,) * r)
+        start, stop = stop, min(n, 2 * stop)
     # the target rows no key reaches, for a masked copy of the background
     fill = source_trail == target_trail
     unreached = win == unset if fill and block >= _MASKED_COPY_BLOCK else None
-    win = win[keys]
-    chosen = win == pos
-    rest = np.flatnonzero(~chosen)  # every row but its key's winner, in row order
-    if policy is CollisionPolicy.ERROR and len(rest):
-        raise CollisionError(np.unravel_index(keys[rest[0]], lead_shape) + (0,) * r)
+    if error:  # every row won its key, or the loop raised
+        rest = fix = np.empty(0, dtype=np.intp)
+        colliding, most_win = 0, True
+    else:
+        win = win[keys]
+        chosen = win == pos
+        rest = np.flatnonzero(~chosen)  # every row but its key's winner, in row order
+        # a key collides when a rest row names its winner; intp indices
+        # scatter faster than int32 ones
+        mark = np.zeros(n, dtype=bool)
+        mark[win[rest].astype(np.intp)] = True
+        colliding = int(np.count_nonzero(mark))
+        most_win = 2 * len(rest) <= n
+        fix = np.flatnonzero(mark) if most_win else None
+        chosen = None if most_win else np.flatnonzero(chosen)
+        del mark
+    del pos, win  # freed before out is allocated
     distinct = n - len(rest)
     if len(rest):  # every take below copies strided updates whole: copy once
         updates = np.ascontiguousarray(updates)
@@ -202,15 +245,6 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     # opaque item of 8 * block bytes, a block copy rather than one per element
     whole = fill and updates[:1].flags.c_contiguous
     region = () if whole else tuple(slice(0, e) for e in source_trail)
-    # a key collides when a rest row names its winner; intp indices scatter
-    # faster than int32 ones
-    mark = np.zeros(n, dtype=bool)
-    mark[win[rest].astype(np.intp)] = True
-    colliding = int(np.count_nonzero(mark))
-    most_win = 2 * len(rest) <= n
-    fix = np.flatnonzero(mark) if most_win else None
-    chosen = None if most_win else np.flatnonzero(chosen)
-    del pos, win, mark  # row-sized; freed before out is allocated
 
     # one row as an opaque item, shared by the background copy and the moves
     item = np.dtype((np.void, 8 * block)) if fill else None

@@ -81,6 +81,16 @@ def test_flat_offsets_are_row_major(shape):
     # an open grid broadcasts to the same offsets, laid out in ``shape``
     grid = flat_offsets(np.indices(shape, sparse=True), shape)
     assert grid.shape == shape and grid.reshape(-1).tolist() == offsets
+    # 2 and 3 coordinates that broadcast against each other, of int64 and of
+    # narrower ints, as np.ravel_multi_index lays them out
+    if len(shape) >= 2 and shape_size(shape):
+        rng = np.random.default_rng(shape_size(shape))
+        for dtype in (np.int64, np.int32):
+            coords = [rng.integers(0, e, size=(3,) + (1,) * k + (2,)).astype(dtype)
+                      for k, e in enumerate(shape)]
+            want = np.ravel_multi_index(np.broadcast_arrays(*coords), shape)
+            got = flat_offsets(coords, shape)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 def test_flat_offsets_refuse_int64_wrap():

@@ -392,6 +392,115 @@ def test_kernel_fills_one_target_sized_array(monkeypatch):
                 assert big == ["at", "full"], (policy, calls)
 
 
+def error_prefix_cases(rng, prefix):
+    """Keys into 6 * prefix target rows around the edges of the prefixes
+    ERROR resolves over, rows [0, P), [P, 2P), [2P, 4P) and so on for
+    ``P = prefix``: 5P rows whose one colliding row is P - 1, P, P + 1,
+    3P - 1, 3P, 3P + 1 or the last, then injective maps of P - 1, P, P + 1
+    and 3P + 1 rows."""
+    t, n = 6 * prefix, 5 * prefix
+    for row in (prefix - 1, prefix, prefix + 1, 3 * prefix - 1, 3 * prefix,
+                3 * prefix + 1, n - 1):
+        keys = rng.permutation(t)[:n]
+        keys[row] = keys[rng.integers(row)]  # an earlier row's key: the only collision
+        yield f"collision at row {row} of {n}", keys
+    for m in (prefix - 1, prefix, prefix + 1, 3 * prefix + 1):
+        yield f"{m} injective rows", rng.permutation(t)[:m]
+
+
+def keyed_calls(rng, keys, t):
+    """``(name, call, table, background, updates)`` of each entry point on the
+    map sending row i to target row keys[i] of t: scatter_nd_update with
+    rows of 1 and 3, torch_scatter along dim 0 and dim 1, and scatter_x on
+    a table into (t // 3, 3)."""
+    n = len(keys)
+    column, row = keys[:, None], keys[None, :]
+    ts1, up1 = rng.standard_normal(t), rng.standard_normal(n)
+    ts3, up3 = rng.standard_normal((t, 3)), rng.standard_normal((n, 3))
+    yield ("scatter_nd_update, b = 1",
+           lambda p: scatter_nd_update(ts1, column, up1, p),
+           tf_table(column, ts1.shape), ts1, up1)
+    yield ("scatter_nd_update, b = 3",
+           lambda p: scatter_nd_update(ts3, column, up3, p),
+           tf_table(column, ts3.shape), ts3, up3)
+    yield ("torch_scatter, dim 0",
+           lambda p: torch_scatter(ts1[:, None], 0, column, up1[:, None], p),
+           torch_table(column, 0), ts1[:, None], up1[:, None])
+    yield ("torch_scatter, dim 1",
+           lambda p: torch_scatter(ts1[None], 1, row, up1[None], p),
+           torch_table(row, 1), ts1[None], up1[None])
+    shape = (t // 3, 3)
+    table = np.stack(np.unravel_index(keys, shape), axis=-1)
+    yield ("scatter_x, table",
+           lambda p: scatter_x(ts1.reshape(shape), up1, ProvisionTensor(table, shape), p),
+           table, ts1.reshape(shape), up1)
+
+
+def test_error_over_doubling_prefixes_matches_oracles(monkeypatch):
+    # ERROR raises in the prefix that holds the first colliding write, at the
+    # target one pass over every row names; the other policies, and ERROR
+    # on injective maps, give the oracles' results and counters
+    prefix = 8
+    monkeypatch.setattr(engine, "_ERROR_PREFIX", prefix)
+    rng = np.random.default_rng(29)
+    for case, keys in error_prefix_cases(rng, prefix):
+        for name, call, table, background, updates in keyed_calls(rng, keys, 6 * prefix):
+            for policy in ALL_POLICIES:
+                check_against_oracles(call, table, background, updates, policy,
+                                      (case, name))
+
+
+def test_error_at_the_kernels_own_prefix_matches_oracles():
+    prefix = engine._ERROR_PREFIX
+    rng = np.random.default_rng(30)
+    for case, keys in error_prefix_cases(rng, prefix):
+        name, call, table, background, updates = next(keyed_calls(rng, keys, 6 * prefix))
+        check_against_oracles(call, table, background, updates, CollisionPolicy.ERROR,
+                              (case, name))
+
+
+def test_a_colliding_error_call_stops_in_its_first_prefix(monkeypatch):
+    # rows 0 and 1 of 2^16 collide: ERROR resolves, checks and raises within
+    # its first prefix, handing minimum.at no more keys, building no longer
+    # positions and taking no longer flatnonzero than that prefix's rows
+    prefix = engine._ERROR_PREFIX
+    calls = []
+
+    def spy(label, fn, size):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((label, size(args, out)))
+            return out
+
+        return call
+
+    class Numpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name in ("maximum", "minimum"):
+                return SimpleNamespace(at=spy("at", attr.at, lambda args, out: np.size(args[1])))
+            if name in ("arange", "flatnonzero"):
+                return spy(name, attr, lambda args, out: np.size(out))
+            return attr
+
+    monkeypatch.setattr(engine, "np", Numpy())
+    n = 1 << 16
+    keys = np.random.default_rng(31).permutation(2 * n)[:n]
+    keys[1] = keys[0]
+    for run, target in (
+        (lambda: scatter_nd_update(np.zeros(2 * n), keys[:, None], np.ones(n), "error"),
+         (keys[0],)),
+        (lambda: torch_scatter(np.zeros((2 * n, 1)), 0, keys[:, None], np.ones((n, 1)),
+                               "error"), (keys[0], 0)),
+    ):
+        calls.clear()
+        with pytest.raises(CollisionError) as exc:
+            run()
+        assert exc.value.target == target
+        assert [label for label, _ in calls if label == "at"] == ["at"], calls
+        assert all(size <= prefix for _, size in calls), calls
+
+
 def test_first_wins_is_reversed_last_wins():
     rng = np.random.default_rng(9)
     for _ in range(20):

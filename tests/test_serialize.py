@@ -17,7 +17,12 @@ from scatterkit import (
 )
 from scatterkit import ProvisionTensor
 from scatterkit import fixtures as fx
-from scatterkit.core import _refuse_rounded_ints, shape_size
+from scatterkit.core import (
+    _refuse_rounded_ints,
+    as_data_tensor,
+    as_index_tensor,
+    shape_size,
+)
 from scatterkit.serialize import (
     _BLOCK,
     _SLICE,
@@ -130,6 +135,23 @@ def test_tensor_from_json_refuses_integers_float64_would_round():
     assert got.tobytes() == np.array([float(v) for v in values]).tobytes()
     got = tensor_from_json({"dtype": "f64", "shape": [2], "data": [1.5, 2**53]})
     assert got.tobytes() == np.array([1.5, 2.0**53]).tobytes()
+
+
+def test_an_integer_past_the_digit_limit_is_refused_by_its_bit_length():
+    # past Python's int-to-str limit (4300 digits) no message can hold the
+    # digits: the entry is named by its sign, bit length and type, and the
+    # refusal stays an ArgumentError with the entry's position
+    big = 10**5000
+    calls = [
+        (lambda: tensor_from_json({"dtype": "f64", "shape": [1], "data": [big]}),
+         "data entry <16610-bit int> at (0,) is an integer outside"),
+        (lambda: as_data_tensor([big]), "data entry <16610-bit int> at (0,)"),
+        (lambda: as_data_tensor([[1.5, -big]]), "data entry -<16610-bit int> at (0, 1)"),
+        (lambda: as_index_tensor([0, big]), "index entry <16610-bit int> at (1,)"),
+    ]
+    for call, text in calls:
+        with pytest.raises(ArgumentError, match=re.escape(text)):
+            call()
 
 
 def test_a_loaded_table_is_held_once():
