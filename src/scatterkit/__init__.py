@@ -11,11 +11,6 @@ from .analysis import (
     detect_collisions,
     slicing_impossibility,
 )
-from .core import (
-    as_data_tensor,
-    as_index_tensor,
-    shape_size,
-)
 from .engine import (
     CollisionPolicy,
     ScatterReport,
@@ -55,13 +50,10 @@ __all__ = [
     "ValidationError",
     "WEAKLY_SLICEABLE_ONLY",
     "XTransformerSpec",
-    "as_data_tensor",
-    "as_index_tensor",
     "compose_provision",
     "detect_collisions",
     "scatter_nd_update",
     "scatter_x",
-    "shape_size",
     "slicing_impossibility",
     "tf_transformer",
     "torch_scatter",

@@ -129,9 +129,19 @@ def _add_out(parser):
     parser.add_argument("--out", help="write the result tensor to this file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ArgumentError, which :func:`main` prints as
+    its one document, where argparse would exit 2 with nothing on stdout.
+    Subparsers are built by this class too; ``-h`` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ArgumentError(message)
+
+
 @functools.cache  # parse_args reads the parser and fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scatterkit",
         description="tensor scatter engine and sliceability analyzer",
     )
@@ -193,8 +203,8 @@ def _fail(code, exc):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # a document's tensors are checked before its first piece is written
         pieces = iter_document(args.handler(args))
     except CollisionError as exc:

@@ -25,7 +25,8 @@ def as_shape(dims) -> Shape:
     """Normalize to a tuple of ints in [0, 2**63), the extents int64 holds."""
     shape = tuple(int(d) for d in dims)
     if any(not 0 <= d < 2**63 for d in shape):
-        raise ArgumentError(f"shape extents must lie in [0, 2**63), got {shape}")
+        got = ", ".join(map(_entry_text, shape)) + "," * (len(shape) == 1)
+        raise ArgumentError(f"shape extents must lie in [0, 2**63), got ({got})")
     return shape
 
 

@@ -90,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_data_tensor, as_index_tensor, flat_offsets, shape_size
+from .core import _entry_text, as_data_tensor, as_index_tensor, flat_offsets, shape_size
 from .errors import ArgumentError, CollisionError
 from .transform import (
     ProvisionTensor,
@@ -152,30 +152,16 @@ class ScatterReport:
 
 @dataclass(frozen=True, eq=False)
 class Scattering:
-    """Not exported and built by no entry point: kept only while
-    ``perfbench/spans.py`` wraps its ``__post_init__``, then deleted."""
+    """Not exported and built by no entry point: kept, with its fields and
+    an empty ``__post_init__``, only while ``perfbench/spans.py`` wraps it,
+    then deleted."""
 
     transformer: ProvisionTensor
     updates: np.ndarray
     background: np.ndarray
 
     def __post_init__(self):
-        updates = np.array(as_data_tensor(self.updates))
-        background = np.array(as_data_tensor(self.background))
-        if updates.shape != self.transformer.source_shape:
-            raise ArgumentError(
-                f"updates shape {updates.shape} must equal the transformer "
-                f"source shape {self.transformer.source_shape}"
-            )
-        if background.shape != self.transformer.target_shape:
-            raise ArgumentError(
-                f"background shape {background.shape} must equal the "
-                f"transformer target shape {self.transformer.target_shape}"
-            )
-        updates.setflags(write=False)
-        background.setflags(write=False)
-        object.__setattr__(self, "updates", updates)
-        object.__setattr__(self, "background", background)
+        pass
 
 
 def _scatter_rows(keys, lead_shape, updates, background, policy):
@@ -392,7 +378,7 @@ def torch_scatter(
     if k != self_t.ndim:
         raise ArgumentError(f"index rank {k} must equal target rank {self_t.ndim}")
     if not 0 <= dim < k:
-        raise ArgumentError(f"dim {dim} out of range for rank {k}")
+        raise ArgumentError(f"dim {_entry_text(dim)} out of range for rank {k}")
     for d in range(k):
         if d != dim and index.shape[d] > self_t.shape[d]:
             raise ArgumentError(

@@ -8,14 +8,16 @@ entry point::
 Factored transformers carry their inner table inline as a tensor document.
 
 Documents are written by :func:`iter_document`, which yields the text of
-:func:`dump_document` in pieces.  Wherever a document holds an ndarray, as
-the whole document or as the value of a key, it is written as a tensor
-document ``_SLICE`` entries at a time, each slice through the C encoder of
-``json.dumps``; every other list too long for one such call, such as an
-analysis's collision groups, is written a slice of about ``_SLICE`` JSON
-values at a time.  No single ``json.dumps`` call then holds more than about
-75 KB under tracemalloc, and writing a file of 2**20 float64 entries peaks
-at about 0.08 MB, where building the document as one string took 71 MB.
+:func:`dump_document` in pieces by one layout rule.  A value of at most
+about ``_SLICE`` JSON values is one call of the C encoder of
+``json.dumps``; a heavier dict is laid out key by key, and a heavier list
+in runs of about ``_SLICE`` values, such as an analysis's collision
+groups.  An ndarray, which a document may hold as the whole document or as
+the value of a key, weighs more than a run, so it is written as a tensor
+document ``_SLICE`` entries at a time.  No single ``json.dumps`` call then
+holds more than about 75 KB under tracemalloc, and writing a file of
+2**20 float64 entries peaks at about 0.08 MB, where building the document
+as one string took 71 MB.
 
 The CLI reads every document with :func:`_read_document`, ``_BLOCK``
 characters of its file at a time.  Where an object gives "dtype" and
@@ -401,16 +403,6 @@ def scatter_report_to_json(report: ScatterReport) -> dict:
     }
 
 
-def collision_report_to_json(report: CollisionReport) -> dict:
-    return {
-        "count": report.collision_count,
-        "groups": [
-            {"target": target, "sources": sources}
-            for target, sources in report._group_lists()  # lists, not groups' tuples
-        ],
-    }
-
-
 def analysis_to_json(
     sliceability: SliceabilityReport, collisions: CollisionReport
 ) -> dict:
@@ -418,7 +410,13 @@ def analysis_to_json(
         "max_suffix": sliceability.max_suffix,
         "verdict": sliceability.verdict,
         "pass_through": [list(p) for p in sorted(sliceability.pass_through)],
-        "collisions": collision_report_to_json(collisions),
+        "collisions": {
+            "count": collisions.collision_count,
+            "groups": [
+                {"target": target, "sources": sources}
+                for target, sources in collisions._group_lists()  # lists, not tuples
+            ],
+        },
         "uncovered": collisions.uncovered_count,
         "canonical": spec_to_json(sliceability.canonical),
         "overlap": sorted(sliceability.overlap),
@@ -435,10 +433,10 @@ def iter_document(doc):
 
     ``doc`` is JSON data with string keys in which an ndarray may stand for
     a tensor document, as the whole document or as the value of a key.
-    Every such tensor is checked here, before the first piece is made, so a
-    refused tensor raises FormatError before anything is written.  Tensor
-    entries and every other long list are encoded a run of about ``_SLICE``
-    values at a time.
+    Every such tensor is checked here, once, before the first piece is
+    made, so a refused tensor raises FormatError before anything is
+    written.  Tensor entries and every other long list are encoded a run
+    of about ``_SLICE`` values at a time.
     """
     for arr in _tensors(doc):
         _wire_dtype(arr)
@@ -455,45 +453,23 @@ def _tensors(doc):
 
 
 def _pieces(doc):
-    if isinstance(doc, np.ndarray):
-        return _tensor_pieces(doc)
-    if isinstance(doc, dict) and next(_tensors(doc), None) is not None:
-        return _object_pieces(doc, _pieces)
-    return _json_pieces(doc)
-
-
-def _object_pieces(doc, pieces):
-    yield "{"
-    for n, (key, value) in enumerate(doc.items()):
-        yield ("," if n else "") + json.dumps(key) + ":"
-        yield from pieces(value)
-    yield "}"
-
-
-def _tensor_pieces(arr):
-    shape = json.dumps(list(arr.shape), separators=_SEPARATORS)
-    yield f'{{"dtype":"{_wire_dtype(arr)}","shape":{shape},"data":['
-    # C-order entries whatever the layout
-    yield from _runs(arr.size, lambda start, stop: arr.flat[start:stop].tolist())
-    yield "]}"
-
-
-def _runs(count, entries):
-    # the text of count list entries, without brackets, _SLICE per json.dumps
-    for start in range(0, count, _SLICE):
-        if start:
-            yield ","
-        run = entries(start, start + _SLICE)
-        yield json.dumps(run, separators=_SEPARATORS)[1:-1]
-
-
-def _json_pieces(doc):
-    """The text of JSON data, no json.dumps call holding much more than
-    ``_SLICE`` of its values."""
-    if _weight(doc) <= _SLICE:
+    """The text of ``doc``, no json.dumps call holding much more than
+    ``_SLICE`` of its values: the one layout rule of the module docstring."""
+    if isinstance(doc, np.ndarray):  # checked by iter_document: f64 or i64
+        shape = json.dumps(list(doc.shape), separators=_SEPARATORS)
+        tag = "f64" if doc.dtype == np.float64 else "i64"
+        yield f'{{"dtype":"{tag}","shape":{shape},"data":['
+        # C-order entries whatever the layout
+        yield from _runs(doc.size, lambda start, stop: doc.flat[start:stop].tolist())
+        yield "]}"
+    elif _weight(doc) <= _SLICE:
         yield json.dumps(doc, separators=_SEPARATORS)
     elif isinstance(doc, dict):
-        yield from _object_pieces(doc, _json_pieces)
+        yield "{"
+        for n, (key, value) in enumerate(doc.items()):
+            yield ("," if n else "") + json.dumps(key) + ":"
+            yield from _pieces(value)
+        yield "}"
     elif not isinstance(doc[0], (dict, list)):  # a list of numbers or strings
         yield "["
         yield from _runs(len(doc), lambda start, stop: doc[start:stop])
@@ -508,7 +484,7 @@ def _json_pieces(doc):
             if start:
                 yield ","
             if stop == start:  # one entry heavier than a run: laid out alone
-                yield from _json_pieces(doc[start])
+                yield from _pieces(doc[start])
                 start += 1
             else:
                 yield json.dumps(doc[start:stop], separators=_SEPARATORS)[1:-1]
@@ -516,8 +492,18 @@ def _json_pieces(doc):
         yield "]"
 
 
+def _runs(count, entries):
+    # the text of count list entries, without brackets, _SLICE per json.dumps
+    for start in range(0, count, _SLICE):
+        if start:
+            yield ","
+        run = entries(start, start + _SLICE)
+        yield json.dumps(run, separators=_SEPARATORS)[1:-1]
+
+
 def _weight(doc, cap=_SLICE) -> int:
-    """About how many JSON values ``doc`` holds.  Every entry of a list of
+    """About how many JSON values ``doc`` holds; an ndarray weighs more
+    than a run, so json.dumps never sees one.  Every entry of a list of
     numbers or lists counts as its first does, which is exact for the lists
     documents hold (tensor entries, index rows of one length); a list of
     dicts, such as collision groups, is counted dict by dict until the
@@ -525,7 +511,7 @@ def _weight(doc, cap=_SLICE) -> int:
     if isinstance(doc, dict):
         return 1 + sum(map(_weight, doc.values()))
     if not isinstance(doc, list) or not doc:
-        return 1
+        return _SLICE + 1 if isinstance(doc, np.ndarray) else 1
     first = doc[0]
     if not isinstance(first, dict):
         return 1 + len(doc) * (_weight(first) if isinstance(first, list) else 1)

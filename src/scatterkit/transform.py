@@ -22,6 +22,7 @@ from .core import (
     Index,
     Pick,
     Shape,
+    _entry_text,
     as_index_tensor,
     as_shape,
     flat_offsets,
@@ -137,7 +138,8 @@ class XTransformerSpec:
             for v in pick:  # a negative value is refused, not wrapped
                 if not 0 <= v < length:
                     raise PickRangeError(
-                        f"pick value {v} out of range for {what} of length {length}"
+                        f"pick value {_entry_text(v)} out of range for {what} of "
+                        f"length {length}"
                     )
         if len(self.inner_pick) != len(inner_shape):
             raise ArgumentError(

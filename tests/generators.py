@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from scatterkit import CollisionPolicy, ProvisionTensor, XTransformerSpec, shape_size
-from scatterkit.core import flat_offsets
+from scatterkit import CollisionPolicy, ProvisionTensor, XTransformerSpec
+from scatterkit.core import flat_offsets, shape_size
 from scatterkit.engine import _scatter_rows
 
 

@@ -185,3 +185,47 @@ def direct_xtransform(inner_table, inner_pick, pass_pick, out_pick, index):
     inner_out = tuple(int(c) for c in np.asarray(inner_table)[picked])
     cat = inner_out + tuple(index[v] for v in pass_pick)
     return tuple(cat[v] for v in out_pick)
+
+
+def brute_max_suffix(provision):
+    """The largest r such that, at every source index I, the last r target
+    coordinates are the last r source coordinates and the leading target
+    coordinates are the same for every I with the same leading source
+    coordinates."""
+    sources = literal_traversal(provision.source_shape)
+    k, rank = len(provision.source_shape), provision.target_rank
+    for r in range(min(k, rank), 0, -1):
+        lead = {}
+        for src in sources:
+            tgt = transform(provision, src)
+            if tgt[rank - r :] != src[k - r :]:
+                break
+            if lead.setdefault(src[: k - r], tgt[: rank - r]) != tgt[: rank - r]:
+                break
+        else:
+            return r
+    return 0
+
+
+def brute_pass_through(provision):
+    """Every (source dim i, target coordinate j) with T(I)[j] == I[i] at
+    every source index I."""
+    sources = literal_traversal(provision.source_shape)
+    return frozenset(
+        (i, j)
+        for i in range(len(provision.source_shape))
+        for j in range(provision.target_rank)
+        if all(transform(provision, src)[j] == src[i] for src in sources)
+    )
+
+
+def brute_collisions(provision):
+    """``(groups, uncovered)``: every target reached from two or more
+    sources, in row-major target order, with its sources in row-major
+    order, and the count of targets no source reaches."""
+    hits: dict[tuple, list[tuple]] = {}
+    for src in literal_traversal(provision.source_shape):
+        hits.setdefault(transform(provision, src), []).append(src)
+    groups = tuple((tgt, tuple(srcs)) for tgt, srcs in sorted(hits.items())
+                   if len(srcs) >= 2)
+    return groups, len(literal_traversal(provision.target_shape)) - len(hits)

@@ -22,10 +22,10 @@ from scatterkit import (
     detect_collisions,
     scatter_nd_update,
     scatter_x,
-    shape_size,
     slicing_impossibility,
     torch_scatter,
 )
+from scatterkit.core import shape_size
 from scatterkit import fixtures as fx
 from scatterkit.serialize import tensor_to_json
 

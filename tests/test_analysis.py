@@ -22,10 +22,10 @@ from scatterkit import (
     compose_provision,
     detect_collisions,
     scatter_x,
-    shape_size,
     slicing_impossibility,
     validate_provision,
 )
+from scatterkit.core import shape_size
 from scatterkit import fixtures as fx
 from scatterkit.serialize import dump_document
 

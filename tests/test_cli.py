@@ -653,6 +653,32 @@ def test_stdout_single_document(fixture_dir):
     json.loads(proc.stdout)  # the whole stream is one document
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze"], "the following arguments are required: --provision"),
+        (["torch-scatter", "--self", "s", "--dim", "abc", "--index", "i", "--src", "x"],
+         "argument --dim: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+        (["analyse"], "argument command: invalid choice: 'analyse'"),
+    ],
+    ids=["missing_option", "bad_int", "no_command", "bad_command"],
+)
+def test_usage_errors_print_one_document(argv, message):
+    # argparse's usage line stays on stderr; stdout holds the one document
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    doc = stdout_doc(proc)
+    assert doc["exit_code"] == 2 and doc["error"].startswith(message), doc
+    assert proc.stderr.startswith("usage: scatterkit")
+
+
+def test_help_still_exits_0():
+    proc = run_cli("analyze", "-h")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: scatterkit analyze")
+
+
 def test_main_in_one_process_matches_fresh_runs(fixture_dir, tmp_path, capsys):
     # main reuses one parser per process; no option of an earlier call may
     # reach a later one: the second tf-scatter neither writes --out nor

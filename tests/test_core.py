@@ -11,35 +11,34 @@ from hypothesis import strategies as st
 import scatterkit
 from scatterkit import (
     ArgumentError,
+    PickRangeError,
     ProvisionTensor,
     XTransformerSpec,
-    as_index_tensor,
     scatter_nd_update,
-    shape_size,
     tf_transformer,
     torch_scatter,
 )
-from scatterkit.core import flat_offsets
+from scatterkit.core import as_index_tensor, flat_offsets, shape_size
 
 from oracles import literal_traversal
 
 # the table, the factored spec, the scatter entry points and the analyzer,
-# with the errors, reports and coercions they take and return
+# with the errors and reports they take and return
 SURFACE = [
     "ArgumentError", "CollisionError", "CollisionPolicy", "CollisionReport",
     "FormatError", "PickRangeError", "ProvisionTensor", "SLICEABLE",
     "ScatterReport", "SliceabilityReport", "TRIVIAL_ONLY", "ValidationError",
-    "WEAKLY_SLICEABLE_ONLY", "XTransformerSpec", "as_data_tensor",
-    "as_index_tensor", "compose_provision", "detect_collisions",
-    "scatter_nd_update", "scatter_x", "shape_size", "slicing_impossibility",
-    "tf_transformer", "torch_scatter", "validate_provision",
+    "WEAKLY_SLICEABLE_ONLY", "XTransformerSpec", "compose_provision",
+    "detect_collisions", "scatter_nd_update", "scatter_x",
+    "slicing_impossibility", "tf_transformer", "torch_scatter",
+    "validate_provision",
 ]
 REMOVED = ["trivial_spec", "representation_overlap", "as_pick", "identity_pick",
            "scatter", "max_sliceable_suffix", "pass_through_map", "weak_decomposition"]
 
 
 def test_the_public_surface_is_what_runs():
-    assert len(SURFACE) == 25
+    assert len(SURFACE) == 22
     assert sorted(scatterkit.__all__) == SURFACE
     assert all(hasattr(scatterkit, name) for name in SURFACE)
     modules = [scatterkit] + [
@@ -51,9 +50,11 @@ def test_the_public_surface_is_what_runs():
         for name in REMOVED:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(ProvisionTensor, "source_size")
-    # the extent check the table and the spec run stays, off the surface
-    assert not hasattr(scatterkit, "as_shape")
-    assert callable(importlib.import_module("scatterkit.core").as_shape)
+    # the extent check and the coercions the entry points run stay, off
+    # the surface
+    for name in ("as_shape", "as_data_tensor", "as_index_tensor", "shape_size"):
+        assert not hasattr(scatterkit, name), name
+        assert callable(getattr(importlib.import_module("scatterkit.core"), name))
     # a map scatters through scatter_x alone; the class the tracing wraps
     # stays in the engine, off the surface
     assert not hasattr(scatterkit, "Scattering")
@@ -193,3 +194,38 @@ def test_entry_points_refuse_indices_that_are_no_real_numbers():
     # bools index as 0 and 1
     result, _ = torch_scatter(np.zeros(3), 0, [True, False], [5.0, 6.0])
     assert result.tolist() == [6.0, 5.0, 0.0]
+
+
+BIG = 10**5000  # past Python's 4300-digit int-to-str limit
+ONE = ProvisionTensor([[0], [1]], (2,))
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: XTransformerSpec(ONE, (BIG,), (), (0,), (2,), (2,)),
+         PickRangeError, "pick value <16610-bit int> out of range for source index"),
+        (lambda: XTransformerSpec(ONE, (0,), (BIG,), (0,), (2,), (2,)),
+         PickRangeError, "pick value <16610-bit int> out of range for source index"),
+        (lambda: XTransformerSpec(ONE, (0,), (), (BIG,), (2,), (2,)),
+         PickRangeError, "pick value <16610-bit int> out of range for concatenated index"),
+        (lambda: ProvisionTensor([[0]], (-BIG,)),
+         ArgumentError, "shape extents must lie in [0, 2**63), got (-<16610-bit int>,)"),
+        (lambda: tf_transformer([[0]], (BIG,)),
+         ArgumentError, "shape extents must lie in [0, 2**63), got (<16610-bit int>,)"),
+        (lambda: torch_scatter(np.zeros(2), BIG, [0], [1.0]),
+         ArgumentError, "dim <16610-bit int> out of range for rank 1"),
+    ],
+    ids=["inner_pick", "pass_pick", "out_pick", "table_shape", "tf_shape", "torch_dim"],
+)
+def test_a_value_past_the_digit_limit_is_refused_by_the_package_error(call, error, text):
+    # the message names the value by its sign and bit length, so formatting
+    # it raises no plain ValueError in place of the package error
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
+def test_a_refused_shape_reads_as_its_tuple():
+    for shape in [(-3,), (2**63, 4)]:
+        with pytest.raises(ArgumentError, match=re.escape(f"got {shape}")):
+            ProvisionTensor(np.zeros((1, len(shape)), np.int64), shape)

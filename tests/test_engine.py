@@ -19,7 +19,6 @@ from scatterkit import (
     detect_collisions,
     scatter_nd_update,
     scatter_x,
-    shape_size,
     tf_transformer,
     torch_scatter,
     validate_provision,
@@ -27,6 +26,7 @@ from scatterkit import (
 import scatterkit
 from scatterkit import analysis, core, engine, transform
 from scatterkit import fixtures as fx
+from scatterkit.core import shape_size
 from scatterkit.transform import _coordinates, _lower
 
 from generators import (

@@ -17,6 +17,7 @@ from scatterkit import (
 )
 from scatterkit import ProvisionTensor
 from scatterkit import fixtures as fx
+from scatterkit import serialize
 from scatterkit.core import (
     _refuse_rounded_ints,
     as_data_tensor,
@@ -291,6 +292,24 @@ def test_streamed_tensors_are_the_whole_documents_bytes():
         assert dump_document(result) == whole_document({**result, "result": doc})
         cases += 1
     assert cases >= 520
+
+
+def test_each_written_tensor_is_checked_once(monkeypatch):
+    # the tensor header takes its dtype tag from the check iter_document
+    # made, so each tensor's values are scanned once
+    floats, ints = np.arange(6.0).reshape(2, 3), np.arange(4, dtype=np.int64)
+    doc = {"report": {"writes": 2}, "result": floats, "table": ints}
+    want = whole_document({**doc, "result": tensor_to_json(floats),
+                           "table": tensor_to_json(ints)})
+    checked, check = [], serialize._wire_dtype
+
+    def counting(arr):
+        checked.append(arr)
+        return check(arr)
+
+    monkeypatch.setattr(serialize, "_wire_dtype", counting)
+    assert dump_document(doc) == want
+    assert [id(arr) for arr in checked] == [id(floats), id(ints)]
 
 
 @pytest.mark.parametrize("arr", [
