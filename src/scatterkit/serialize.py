@@ -20,15 +20,17 @@ holds more than about 75 KB under tracemalloc, and writing a file of
 as one string took 71 MB.
 
 The CLI reads every document with :func:`_read_document`, ``_BLOCK``
-characters of its file at a time.  Where an object gives "dtype" and
-"shape" before "data", as every document scatterkit writes does, the data
-list is parsed one slice of at most ``_BLOCK`` characters at a time by the
-C decoder of ``json.loads``, and each slice goes straight into an array of
-its own; so reading holds the array, the block and one slice of Python
-numbers, and a file of 2**20 float64 entries peaks at about 8.1 MB, where
-``json.load`` peaked at 51.7 MB.  A list before its "dtype" or "shape" is
-read whole, and a document the reader cannot follow, such as a malformed
-one, is read again by ``json.load``, whose error the CLI reports.
+characters of its file at a time.  A file that opens with the writer's
+tensor header, ``{"dtype": …, "shape": […], "data": [`` in that order
+with any JSON whitespace, or with a spec's ``{"inner":`` before it, has
+its data list parsed one slice of at most ``_BLOCK`` characters at a time
+by the C decoder of ``json.loads``, and each slice goes straight into an
+array of its own; so reading holds the array, the block and one slice of
+Python numbers, and a file of 2**20 float64 entries peaks at about 8.1 MB,
+where ``json.load`` peaked at 51.7 MB.  After the list, a tensor may hold
+only its closing brace, and the rest of a spec is read whole.  Any other
+file, such as one with keys in another order or a malformed one, is read
+again by ``json.load``, whose error the CLI reports.
 :func:`tensor_from_json` checks a list from a dict with the same
 :class:`_Entries` as the reader, so both give the same array or refusal.
 """
@@ -38,6 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import stat
 import tempfile
 
@@ -53,8 +56,6 @@ from .transform import ProvisionTensor, XTransformerSpec
 _SEPARATORS = (",", ":")
 _SLICE = 512  # JSON values per json.dumps call when a document is written
 _BLOCK = 2**14  # characters per read, and the most one parsed slice spans
-_DECODER = json.JSONDecoder()
-_WHITESPACE = json.decoder.WHITESPACE
 
 
 def _wire_dtype(arr: np.ndarray) -> str:
@@ -67,14 +68,6 @@ def _wire_dtype(arr: np.ndarray) -> str:
     if arr.dtype == np.int64:
         return "i64"
     raise FormatError(f"unsupported dtype {arr.dtype}; use float64 or int64")
-
-
-def tensor_to_json(arr) -> dict:
-    """``arr`` as a tensor document of plain JSON data, one Python number
-    per entry; :func:`iter_document` writes an ndarray without one."""
-    arr = np.asarray(arr)
-    dtype = _wire_dtype(arr)
-    return {"dtype": dtype, "shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
 
 def _require(doc, key, what):
@@ -214,7 +207,7 @@ def _read_document(path):
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode):
             try:
-                return _Reader(fh, st.st_size).document()
+                return _stream(fh, st.st_size)
             except (_Unread, UnicodeDecodeError):
                 fh.seek(0)
         try:
@@ -227,126 +220,85 @@ class _Unread(Exception):
     """The reader cannot follow the document, which is then read whole."""
 
 
-class _Reader:
-    """A JSON document read ``_BLOCK`` characters at a time: the top-level
-    object and the objects it holds key by key, a "data" list after a
-    tensor header a slice at a time, and every other value whole."""
+_WS = r"[ \t\n\r]*"  # JSON's whitespace; \s would take more than json.load does
+# the writer's tensor header, and json.dump's of the same dict, up to the
+# data list's "["; a spec's "inner" may open it
+_HEADER = re.compile(
+    rf'{_WS}\{{{_WS}(?P<inner>"inner"{_WS}:{_WS}\{{{_WS})?'
+    rf'"dtype"{_WS}:{_WS}"(?P<dtype>f64|i64)"{_WS},{_WS}'
+    rf'"shape"{_WS}:{_WS}(?P<shape>\[[^\]]*\]){_WS},{_WS}"data"{_WS}:{_WS}\['
+)
+_CLOSE = re.compile(rf"{_WS}\}}{_WS}")
 
-    def __init__(self, fh, size):
-        self.fh = fh
-        self.room = (size + 1) // 2  # n entries and their commas take 2n - 1 characters
-        self.buf, self.pos, self.eof = "", 0, False
 
-    def document(self):
-        doc = self._object(nested=True) if self._next() == "{" else self._value()
-        if self._next():  # json.load's "Extra data"
-            raise _Unread
-        return doc
+def _stream(fh, size):
+    # the document of a file that opens with a tensor header; else _Unread
+    buf = fh.read(_BLOCK)
+    header = _HEADER.match(buf)
+    if header is None:
+        raise _Unread
+    dtype = header["dtype"]
+    try:
+        shape = _check_header(dtype, json.loads(header["shape"]))
+    except (FormatError, ValueError):  # json.load gives the same refusal
+        raise _Unread from None
+    # n entries and their commas take 2n - 1 characters
+    entries = _Entries(dtype, shape, room=(size + 1) // 2)
+    rest = _data(fh, buf, header.end(), entries)
+    tensor = {"dtype": dtype, "shape": shape, "data": entries}
+    close = _CLOSE.match(rest)  # the tensor's "}"; after a tensor, nothing
+    if close is None or header["inner"] is None and close.end() < len(rest):
+        raise _Unread
+    if header["inner"] is None:
+        return tensor
+    try:
+        doc = json.loads('{"inner":0' + rest[close.end() :], object_pairs_hook=_one_inner)
+    except ValueError:
+        raise _Unread from None
+    doc["inner"] = tensor
+    return doc
 
-    def _fill(self, width) -> None:
-        # width characters after pos, or all that is left of the file
-        while not self.eof and len(self.buf) - self.pos < width:
-            block = self.fh.read(max(width - (len(self.buf) - self.pos), _BLOCK))
-            self.eof = not block
-            self.buf = self.buf[self.pos :] + block
-            self.pos = 0
 
-    def _next(self) -> str:
-        """The next character that is not whitespace; "" at the end."""
-        while True:
-            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
-            if self.pos < len(self.buf) or self.eof:
-                return self.buf[self.pos : self.pos + 1]
-            self._fill(_BLOCK)
+def _one_inner(pairs):
+    # json.load keeps the last of a key given twice: a later "inner" would
+    # stand in place of the streamed one
+    if sum(key == "inner" for key, _ in pairs) > 1:
+        raise _Unread
+    return dict(pairs)
 
-    def _value(self):
-        width = _BLOCK
-        while True:
-            self._fill(width)
-            try:
-                value, end = _DECODER.raw_decode(self.buf, self.pos)
-            except ValueError:  # cut short by the buffer, or no JSON
-                if self.eof:
-                    raise _Unread from None
-            else:
-                # a number the buffer cuts short reads as less: "1e" of "1e5" as 1
-                if self.eof or len(self.buf) - end > 2:
-                    self.pos = end
-                    return value
-            width = 2 * (len(self.buf) - self.pos)
 
-    def _object(self, nested):
-        # at "{"; while nested, an object value is read key by key too
-        self.pos += 1
-        doc = {}
-        c = self._next()
-        if c == "}":
-            self.pos += 1
-            return doc
-        while True:
-            if c != '"':
+def _data(fh, buf, pos, entries):
+    # hands entries the list opening at buf[pos], and returns the file's
+    # text after it; each slice runs up to the last "," or the first "]"
+    # within the next width characters, and json.loads reads it as a list;
+    # the slice holds no "]", so no nested list, and a cut inside a string
+    # leaves that string open: it parses only where the cut is the list's
+    # own comma or close
+    width, first, eof = _BLOCK, True, False
+    while True:
+        while not eof and len(buf) - pos < width:
+            block = fh.read(max(width - (len(buf) - pos), _BLOCK))
+            eof = not block
+            buf, pos = buf[pos:] + block, 0
+        end = min(len(buf), pos + width)
+        close = buf.find("]", pos, end)
+        cut = close if close >= 0 else buf.rfind(",", pos, end)
+        if cut < 0:  # one entry, or whitespace, wider than the window
+            if eof and end == len(buf):
                 raise _Unread
-            key = self._value()
-            if self._next() != ":":
-                raise _Unread
-            self.pos += 1
-            c = self._next()
-            if key in ("dtype", "shape") and isinstance(doc.get("data"), _Entries):
-                raise _Unread  # the entries were checked under the earlier value
-            if key == "data" and c == "[" and (entries := self._entries(doc)) is not None:
-                doc[key] = self._data(entries)
-            elif c == "{" and nested:
-                doc[key] = self._object(nested=False)
-            else:
-                doc[key] = self._value()
-            c = self._next()
-            if c == "}":
-                self.pos += 1
-                return doc
-            if c != ",":
-                raise _Unread
-            self.pos += 1
-            c = self._next()
-
-    def _entries(self, doc):
-        # the entries for a list after a valid header, else None: read whole
-        if "dtype" not in doc or "shape" not in doc:
-            return None
+            width *= 2
+            continue
         try:
-            shape = _check_header(doc["dtype"], doc["shape"])
-        except FormatError:
-            return None
-        return _Entries(doc["dtype"], shape, self.room)
-
-    def _data(self, entries):
-        # at "[": each slice runs up to the last "," or the first "]" within
-        # the next width characters, and json.loads reads it as a list; the
-        # slice holds no "]", so no nested list, and a cut inside a string
-        # leaves that string open: it parses only where the cut is the
-        # list's own comma or close
-        self.pos += 1
-        width, first = _BLOCK, True
-        while True:
-            self._fill(width)
-            end = min(len(self.buf), self.pos + width)
-            close = self.buf.find("]", self.pos, end)
-            cut = close if close >= 0 else self.buf.rfind(",", self.pos, end)
-            if cut < 0:  # one entry, or whitespace, wider than the window
-                if self.eof and end == len(self.buf):
-                    raise _Unread
-                width *= 2
-                continue
-            try:
-                values = json.loads("[" + self.buf[self.pos : cut] + "]")
-            except ValueError:
-                raise _Unread from None
-            if not values and not (first and close >= 0):  # "[,", ",," or ",]"
-                raise _Unread
-            entries.add(values)
-            self.pos = cut + 1
-            if close >= 0:
-                return entries
-            width, first = _BLOCK, False
+            values = json.loads("[" + buf[pos:cut] + "]")
+        except ValueError:
+            raise _Unread from None
+        if not values and not (first and close >= 0):  # "[,", ",," or ",]"
+            raise _Unread
+        entries.add(values)
+        pos = cut + 1
+        if close >= 0:
+            return buf[pos:] + fh.read()
+        width, first = _BLOCK, False
 
 
 def inferred_target_shape(table: np.ndarray) -> tuple[int, ...]:
@@ -372,8 +324,9 @@ def provision_from_json(doc, target_shape=None) -> ProvisionTensor:
 
 
 def spec_to_json(spec: XTransformerSpec) -> dict:
+    """``spec`` as a document for :func:`iter_document`; its table stays an ndarray."""
     return {
-        "inner": tensor_to_json(spec.inner.table),
+        "inner": spec.inner.table,
         "inner_pick": list(spec.inner_pick),
         "pass_pick": list(spec.pass_pick),
         "out_pick": list(spec.out_pick),
@@ -406,6 +359,7 @@ def scatter_report_to_json(report: ScatterReport) -> dict:
 def analysis_to_json(
     sliceability: SliceabilityReport, collisions: CollisionReport
 ) -> dict:
+    """The reports as a document for :func:`iter_document`, tables as ndarrays."""
     return {
         "max_suffix": sliceability.max_suffix,
         "verdict": sliceability.verdict,
@@ -421,9 +375,7 @@ def analysis_to_json(
         "canonical": spec_to_json(sliceability.canonical),
         "overlap": sorted(sliceability.overlap),
         "suffix_inner": (
-            tensor_to_json(sliceability.suffix_inner.table)
-            if sliceability.suffix_inner is not None
-            else None
+            sliceability.suffix_inner.table if sliceability.suffix_inner is not None else None
         ),
     }
 

@@ -27,7 +27,7 @@ from scatterkit import (
 )
 from scatterkit.core import shape_size
 from scatterkit import fixtures as fx
-from scatterkit.serialize import tensor_to_json
+from scatterkit.serialize import dump_document
 
 from generators import (
     element_view,
@@ -348,9 +348,9 @@ def test_criterion_8_cli_black_box(tmp_path):
 
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
-        json.dumps(
+        dump_document(
             {
-                "inner": tensor_to_json(fx.diag_inner().table),
+                "inner": fx.diag_inner().table,
                 "inner_pick": [0],
                 "pass_pick": [],
                 "out_pick": [0],
@@ -363,11 +363,11 @@ def test_criterion_8_cli_black_box(tmp_path):
     assert mismatched.returncode == 2
 
     dup = tmp_path / "dup.json"
-    dup.write_text(json.dumps(tensor_to_json(np.array([[0], [0]], dtype=np.int64))))
+    dup.write_text(dump_document(np.array([[0], [0]], dtype=np.int64)))
     upd = tmp_path / "upd.json"
-    upd.write_text(json.dumps(tensor_to_json(np.array([1.0, 2.0]))))
+    upd.write_text(dump_document(np.array([1.0, 2.0])))
     bg = tmp_path / "bg.json"
-    bg.write_text(json.dumps(tensor_to_json(np.zeros(1))))
+    bg.write_text(dump_document(np.zeros(1)))
     collided = run_cli(
         "scatter", "--provision", dup, "--updates", upd,
         "--background", bg, "--policy", "error",

@@ -13,7 +13,7 @@ import pytest
 
 from scatterkit import cli, engine
 from scatterkit import fixtures as fx
-from scatterkit.serialize import dump_document, spec_to_json, tensor_to_json
+from scatterkit.serialize import dump_document, spec_to_json
 from scatterkit.transform import XTransformerSpec
 
 
@@ -84,7 +84,7 @@ def test_scatter_result_inline_without_out(fixture_dir):
     )
     assert proc.returncode == 0
     doc = stdout_doc(proc)
-    assert doc["result"] == tensor_to_json(fx.embed_expected())
+    assert doc["result"] == json.loads(dump_document(fx.embed_expected()))
 
 
 def test_scatter_in_place(fixture_dir):
@@ -97,16 +97,15 @@ def test_scatter_in_place(fixture_dir):
         "--in-place",
     )
     assert proc.returncode == 0
-    assert json.loads(background.read_text()) == tensor_to_json(fx.embed_expected())
+    expected = json.loads(dump_document(fx.embed_expected()))
+    assert json.loads(background.read_text()) == expected
 
 
 def test_scatter_in_place_preserves_input_on_failure(fixture_dir, tmp_path):
-    dup = write_doc(
-        tmp_path / "dup.json", tensor_to_json(np.array([[0], [0]], dtype=np.int64))
-    )
-    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.array([1.0, 2.0])))
+    dup = write_doc(tmp_path / "dup.json", np.array([[0], [0]], dtype=np.int64))
+    updates = write_doc(tmp_path / "u.json", np.array([1.0, 2.0]))
     background = tmp_path / "bg.json"
-    original = dump_document(tensor_to_json(np.zeros(1)))
+    original = dump_document(np.zeros(1))
     background.write_text(original)
     proc = run_cli(
         "scatter",
@@ -140,11 +139,9 @@ class HalfWriter:
 
 
 def test_failed_out_write_leaves_the_existing_file_whole(tmp_path, monkeypatch, capsys):
-    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((3, 2))))
-    indices = write_doc(
-        tmp_path / "idx.json", tensor_to_json(np.array([[2]], dtype=np.int64))
-    )
-    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.ones((1, 2))))
+    ts = write_doc(tmp_path / "ts.json", np.zeros((3, 2)))
+    indices = write_doc(tmp_path / "idx.json", np.array([[2]], dtype=np.int64))
+    updates = write_doc(tmp_path / "u.json", np.ones((1, 2)))
     out = tmp_path / "out.json"
     out.write_bytes(b"an earlier result\n")
     before = sorted(os.listdir(tmp_path))
@@ -194,7 +191,7 @@ def test_out_writes_through_a_symlink(fixture_dir, tmp_path):
                    "--out", link)
     assert proc.returncode == 0, proc.stderr
     assert link.is_symlink()
-    assert json.loads(target.read_text()) == tensor_to_json(fx.embed_expected())
+    assert json.loads(target.read_text()) == json.loads(dump_document(fx.embed_expected()))
 
 
 def test_scatter_missing_file_exits_1(fixture_dir):
@@ -222,11 +219,9 @@ def test_scatter_malformed_json_exits_1(fixture_dir, tmp_path):
 
 
 def test_scatter_collision_error_exits_3(tmp_path):
-    dup = write_doc(
-        tmp_path / "dup.json", tensor_to_json(np.array([[0], [0]], dtype=np.int64))
-    )
-    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.array([10.0, 20.0])))
-    background = write_doc(tmp_path / "bg.json", tensor_to_json(np.zeros(1)))
+    dup = write_doc(tmp_path / "dup.json", np.array([[0], [0]], dtype=np.int64))
+    updates = write_doc(tmp_path / "u.json", np.array([10.0, 20.0]))
+    background = write_doc(tmp_path / "bg.json", np.zeros(1))
     proc = run_cli(
         "scatter", "--provision", dup, "--updates", updates,
         "--background", background, "--policy", "error",
@@ -270,10 +265,10 @@ def test_integer_data_float64_would_round_exits_2(tmp_path):
     # an i64 update of 2**53 + 1 is refused, not scattered as 2**53
     big = write_doc(tmp_path / "big.json",
                     {"dtype": "i64", "shape": [1], "data": [2**53 + 1]})
-    zeros = write_doc(tmp_path / "zeros.json", tensor_to_json(np.zeros(2)))
+    zeros = write_doc(tmp_path / "zeros.json", np.zeros(2))
     table = write_doc(tmp_path / "table.json",
-                      tensor_to_json(np.zeros((1, 1), dtype=np.int64)))
-    index = write_doc(tmp_path / "index.json", tensor_to_json(np.zeros(1, np.int64)))
+                      np.zeros((1, 1), dtype=np.int64))
+    index = write_doc(tmp_path / "index.json", np.zeros(1, np.int64))
     for args in (
         ["scatter", "--provision", table, "--updates", big, "--background", zeros],
         ["tf-scatter", "--tensor", zeros, "--indices", table, "--updates", big],
@@ -297,13 +292,9 @@ def test_integer_data_float64_would_round_exits_2(tmp_path):
 
 
 def test_tf_scatter_command(fixture_dir, tmp_path):
-    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((3, 2))))
-    indices = write_doc(
-        tmp_path / "idx.json", tensor_to_json(np.array([[0], [2]], dtype=np.int64))
-    )
-    updates = write_doc(
-        tmp_path / "u.json", tensor_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    )
+    ts = write_doc(tmp_path / "ts.json", np.zeros((3, 2)))
+    indices = write_doc(tmp_path / "idx.json", np.array([[0], [2]], dtype=np.int64))
+    updates = write_doc(tmp_path / "u.json", np.array([[1.0, 2.0], [3.0, 4.0]]))
     proc = run_cli("tf-scatter", "--tensor", ts, "--indices", indices, "--updates", updates)
     assert proc.returncode == 0
     doc = stdout_doc(proc)
@@ -311,11 +302,9 @@ def test_tf_scatter_command(fixture_dir, tmp_path):
 
 
 def test_tf_scatter_out_of_bounds_exits_2(tmp_path):
-    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((4, 3))))
-    indices = write_doc(
-        tmp_path / "idx.json", tensor_to_json(np.array([[1], [5]], dtype=np.int64))
-    )
-    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.zeros((2, 3))))
+    ts = write_doc(tmp_path / "ts.json", np.zeros((4, 3)))
+    indices = write_doc(tmp_path / "idx.json", np.array([[1], [5]], dtype=np.int64))
+    updates = write_doc(tmp_path / "u.json", np.zeros((2, 3)))
     proc = run_cli("tf-scatter", "--tensor", ts, "--indices", indices, "--updates", updates)
     assert proc.returncode == 2
     assert stdout_doc(proc)["error"] == (
@@ -325,11 +314,9 @@ def test_tf_scatter_out_of_bounds_exits_2(tmp_path):
 
 
 def test_tf_scatter_shape_mismatch_exits_2(tmp_path):
-    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((4, 3))))
-    indices = write_doc(
-        tmp_path / "idx.json", tensor_to_json(np.array([[1]], dtype=np.int64))
-    )
-    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.zeros((2, 3))))
+    ts = write_doc(tmp_path / "ts.json", np.zeros((4, 3)))
+    indices = write_doc(tmp_path / "idx.json", np.array([[1]], dtype=np.int64))
+    updates = write_doc(tmp_path / "u.json", np.zeros((2, 3)))
     proc = run_cli("tf-scatter", "--tensor", ts, "--indices", indices, "--updates", updates)
     assert proc.returncode == 2
     assert stdout_doc(proc)["error"] == (
@@ -339,14 +326,12 @@ def test_tf_scatter_shape_mismatch_exits_2(tmp_path):
 
 
 def test_torch_scatter_command(tmp_path):
-    self_t = write_doc(tmp_path / "self.json", tensor_to_json(np.zeros((2, 2))))
+    self_t = write_doc(tmp_path / "self.json", np.zeros((2, 2)))
     index = write_doc(
         tmp_path / "idx.json",
-        tensor_to_json(np.array([[0, 1], [1, 0]], dtype=np.int64)),
+        np.array([[0, 1], [1, 0]], dtype=np.int64),
     )
-    src = write_doc(
-        tmp_path / "src.json", tensor_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    )
+    src = write_doc(tmp_path / "src.json", np.array([[1.0, 2.0], [3.0, 4.0]]))
     proc = run_cli(
         "torch-scatter", "--self", self_t, "--dim", 0, "--index", index, "--src", src
     )
@@ -355,11 +340,9 @@ def test_torch_scatter_command(tmp_path):
 
 
 def test_torch_scatter_bad_dim_exits_2(tmp_path):
-    self_t = write_doc(tmp_path / "self.json", tensor_to_json(np.zeros((2, 2))))
-    index = write_doc(
-        tmp_path / "idx.json", tensor_to_json(np.zeros((2, 2), dtype=np.int64))
-    )
-    src = write_doc(tmp_path / "src.json", tensor_to_json(np.zeros((2, 2))))
+    self_t = write_doc(tmp_path / "self.json", np.zeros((2, 2)))
+    index = write_doc(tmp_path / "idx.json", np.zeros((2, 2), dtype=np.int64))
+    src = write_doc(tmp_path / "src.json", np.zeros((2, 2)))
     proc = run_cli(
         "torch-scatter", "--self", self_t, "--dim", 5, "--index", index, "--src", src
     )
@@ -400,7 +383,7 @@ def test_analyze_invalid_provision_exits_2(fixture_dir):
 
 def test_analyze_offset_overflow_exits_2(tmp_path):
     table = np.array([[0, 0], [2**61, 0]], dtype=np.int64)
-    prov = write_doc(tmp_path / "wide.json", tensor_to_json(table))
+    prov = write_doc(tmp_path / "wide.json", table)
     proc = run_cli(
         "analyze", "--provision", prov, "--target-shape", f"{2**62},8"
     )
@@ -409,7 +392,7 @@ def test_analyze_offset_overflow_exits_2(tmp_path):
 
 
 def test_analyze_empty_table_of_a_huge_target(tmp_path):
-    prov = write_doc(tmp_path / "empty.json", tensor_to_json(np.zeros((0, 2), np.int64)))
+    prov = write_doc(tmp_path / "empty.json", np.zeros((0, 2), np.int64))
     proc = run_cli(
         "analyze", "--provision", prov, "--target-shape", f"{2**62},8"
     )
@@ -439,10 +422,8 @@ def test_out_of_range_numbers_exit_with_one_document(tmp_path, case):
     code, doc, target_shape = OUT_OF_RANGE[case]
     path = write_doc(tmp_path / "doc.json", doc)
     if case == "f64_entry":
-        provision = write_doc(
-            tmp_path / "p.json", tensor_to_json(np.zeros((1, 1), np.int64))
-        )
-        background = write_doc(tmp_path / "b.json", tensor_to_json(np.zeros(1)))
+        provision = write_doc(tmp_path / "p.json", np.zeros((1, 1), np.int64))
+        background = write_doc(tmp_path / "b.json", np.zeros(1))
         args = ["scatter", "--provision", provision, "--updates", path,
                 "--background", background]
     else:
@@ -465,17 +446,15 @@ def strict_doc(proc):
 
 @pytest.mark.parametrize("case", ["update_1e400", "sum_overflow"])
 def test_non_finite_numbers_exit_1_with_strict_json(tmp_path, case):
-    dup = write_doc(
-        tmp_path / "dup.json", tensor_to_json(np.array([[0], [0]], dtype=np.int64))
-    )
+    dup = write_doc(tmp_path / "dup.json", np.array([[0], [0]], dtype=np.int64))
     updates = tmp_path / "u.json"
     if case == "update_1e400":
         # json reads 1e400 as inf, which no tensor document may hold
         updates.write_text('{"dtype":"f64","shape":[2],"data":[1e400,0.0]}\n')
     else:
         # two finite updates whose sum overflows to inf
-        write_doc(updates, tensor_to_json(np.array([1e308, 1e308])))
-    background = write_doc(tmp_path / "bg.json", tensor_to_json(np.zeros(1)))
+        write_doc(updates, np.array([1e308, 1e308]))
+    background = write_doc(tmp_path / "bg.json", np.zeros(1))
     args = ["scatter", "--provision", dup, "--updates", updates,
             "--background", background, "--policy", "sum"]
     proc = run_cli(*args)
@@ -490,11 +469,9 @@ def test_non_finite_numbers_exit_1_with_strict_json(tmp_path, case):
 def test_a_refused_result_leaves_existing_files_as_they_were(tmp_path):
     # the result is refused before a byte of it is written: one error
     # document on stdout, and neither --out nor --in-place touches its file
-    dup = write_doc(
-        tmp_path / "dup.json", tensor_to_json(np.array([[0], [0]], dtype=np.int64))
-    )
-    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.array([1e308, 1e308])))
-    background = write_doc(tmp_path / "bg.json", tensor_to_json(np.zeros(1)))
+    dup = write_doc(tmp_path / "dup.json", np.array([[0], [0]], dtype=np.int64))
+    updates = write_doc(tmp_path / "u.json", np.array([1e308, 1e308]))
+    background = write_doc(tmp_path / "bg.json", np.zeros(1))
     out = tmp_path / "out.json"
     out.write_bytes(b'{"an earlier":"result"}\n')
     files = {path: path.read_bytes() for path in tmp_path.iterdir()}
@@ -518,8 +495,8 @@ def test_every_command_refuses_a_bad_provision_with_exit_2(tmp_path, table):
     # one loader reads each provision: scatter's and analyze's, and the
     # inner table of compose's spec
     bad = write_doc(tmp_path / "bad.json", table)
-    updates = write_doc(tmp_path / "u.json", tensor_to_json(np.zeros(2)))
-    background = write_doc(tmp_path / "bg.json", tensor_to_json(np.zeros(2)))
+    updates = write_doc(tmp_path / "u.json", np.zeros(2))
+    background = write_doc(tmp_path / "bg.json", np.zeros(2))
     spec = write_doc(tmp_path / "spec.json", {
         "inner": table, "inner_pick": [0], "pass_pick": [], "out_pick": [0],
         "source_shape": [2], "target_shape": [2],
@@ -539,7 +516,7 @@ def test_only_argument_errors_exit_2(fixture_dir, tmp_path, monkeypatch, capsys)
     # an ArgumentError, so it exits 2; any other IndexError is a fault of the
     # package and propagates rather than pass for a refusal
     spec_path = write_doc(tmp_path / "escape.json", {
-        "inner": tensor_to_json(np.array([[0], [1]], dtype=np.int64)),
+        "inner": np.array([[0], [1]], dtype=np.int64),
         "inner_pick": [0], "pass_pick": [1], "out_pick": [0, 1],
         "source_shape": [3, 0], "target_shape": [4, 0],
     })
@@ -578,8 +555,8 @@ def test_a_file_json_cannot_read_exits_1_with_one_document(tmp_path, case):
     table = '{"dtype": "i64", "shape": [2, 1], "data": [0, 0]}'
     spec = ('{"inner": ' + table + ', "inner_pick": [0], "pass_pick": [],'
             ' "out_pick": [0], "source_shape": [2], "target_shape": [1]}')
-    good = write_doc(tmp_path / "good.json", tensor_to_json(np.zeros(1)))
-    indices = write_doc(tmp_path / "i.json", tensor_to_json(np.zeros((1, 1), np.int64)))
+    good = write_doc(tmp_path / "good.json", np.zeros(1))
+    indices = write_doc(tmp_path / "i.json", np.zeros((1, 1), np.int64))
     tensor, provision, spec_path = (tmp_path / f"{name}.json"
                                     for name in ("tensor", "provision", "spec"))
     tensor.write_bytes(UNREADABLE[case](table.replace("i64", "f64")))
@@ -621,7 +598,7 @@ def test_compose_diag_spec(tmp_path, fixture_dir):
 
 def test_compose_trivial_spec(tmp_path):
     spec_doc = {
-        "inner": tensor_to_json(fx.diag_inner().table),
+        "inner": fx.diag_inner().table,
         "inner_pick": [0],
         "pass_pick": [],
         "out_pick": [0, 1],
@@ -636,7 +613,7 @@ def test_compose_trivial_spec(tmp_path):
 
 def test_compose_pick_length_mismatch_exits_2(tmp_path):
     spec_doc = {
-        "inner": tensor_to_json(fx.diag_inner().table),
+        "inner": fx.diag_inner().table,
         "inner_pick": [0],
         "pass_pick": [],
         "out_pick": [0],
@@ -683,13 +660,9 @@ def test_main_in_one_process_matches_fresh_runs(fixture_dir, tmp_path, capsys):
     # main reuses one parser per process; no option of an earlier call may
     # reach a later one: the second tf-scatter neither writes --out nor
     # keeps --policy first
-    ts = write_doc(tmp_path / "ts.json", tensor_to_json(np.zeros((3, 2))))
-    indices = write_doc(
-        tmp_path / "idx.json", tensor_to_json(np.array([[0], [0]], dtype=np.int64))
-    )
-    updates = write_doc(
-        tmp_path / "u.json", tensor_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    )
+    ts = write_doc(tmp_path / "ts.json", np.zeros((3, 2)))
+    indices = write_doc(tmp_path / "idx.json", np.array([[0], [0]], dtype=np.int64))
+    updates = write_doc(tmp_path / "u.json", np.array([[1.0, 2.0], [3.0, 4.0]]))
     tf = ["tf-scatter", "--tensor", ts, "--indices", indices, "--updates", updates]
     calls = [
         tf + ["--policy", "first", "--out", tmp_path / "out.json"],

@@ -14,6 +14,7 @@ from scatterkit import (
     FormatError,
     detect_collisions,
     slicing_impossibility,
+    tf_transformer,
 )
 from scatterkit import ProvisionTensor
 from scatterkit import fixtures as fx
@@ -29,7 +30,6 @@ from scatterkit.serialize import (
     _SLICE,
     _Entries,
     _read_document,
-    _Reader,
     analysis_to_json,
     dump_document,
     inferred_target_shape,
@@ -39,7 +39,6 @@ from scatterkit.serialize import (
     spec_from_json,
     spec_to_json,
     tensor_from_json,
-    tensor_to_json,
     write_document,
 )
 from scatterkit.engine import ScatterReport
@@ -47,8 +46,15 @@ from scatterkit.engine import ScatterReport
 from generators import random_spec
 
 
+def plain_tensor(arr):
+    """``arr`` as a tensor document of plain JSON data, one Python number per
+    entry: the reference the streamed encoder is checked against."""
+    dtype = "f64" if arr.dtype == np.float64 else "i64"
+    return {"dtype": dtype, "shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+
+
 def round_trip(arr):
-    return tensor_from_json(json.loads(json.dumps(tensor_to_json(arr))))
+    return tensor_from_json(json.loads(dump_document(arr)))
 
 
 def test_tensor_round_trip_f64():
@@ -178,7 +184,7 @@ def test_a_loaded_table_is_held_once():
 def test_tensor_to_json_refuses_non_finite(value):
     # JSON has no NaN or infinity
     with pytest.raises(FormatError):
-        tensor_to_json(np.array([0.0, value]))
+        dump_document(np.array([0.0, value]))
 
 
 def test_inferred_target_shape():
@@ -189,20 +195,20 @@ def test_inferred_target_shape():
 
 
 def test_provision_from_json_infers_target():
-    doc = tensor_to_json(fx.parity_provision().table)
+    doc = json.loads(dump_document(fx.parity_provision().table))
     prov = provision_from_json(doc)
     assert prov.target_shape == (4, 2, 2, 2)
     prov2 = provision_from_json(doc, target_shape=(5, 2, 2, 2))
     assert prov2.target_shape == (5, 2, 2, 2)
     with pytest.raises(ArgumentError):
-        provision_from_json(tensor_to_json(np.zeros((2, 2))))
+        provision_from_json(json.loads(dump_document(np.zeros((2, 2)))))
 
 
 def test_spec_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(30):
         spec = random_spec(rng)
-        back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+        back = spec_from_json(json.loads(dump_document(spec_to_json(spec))))
         assert np.array_equal(back.inner.table, spec.inner.table)
         assert back.inner_pick == spec.inner_pick
         assert back.pass_pick == spec.pass_pick
@@ -229,24 +235,25 @@ def test_analysis_doc_golden():
     assert doc["uncovered"] == 8
     assert doc["collisions"]["count"] == 0
     assert doc["overlap"] == []
-    assert doc["suffix_inner"]["data"] == [0, 0, 1, 1]
     assert doc["pass_through"] == [[0, 0], [0, 1], [1, 2], [2, 3]]
-    json.dumps(doc)  # document must be serializable as-is
+    # the tables are ndarrays, written as tensor documents
+    assert json.loads(dump_document(doc))["suffix_inner"]["data"] == [0, 0, 1, 1]
 
 
 def test_dump_document_stable():
-    doc = tensor_to_json(fx.embed_updates())
+    doc = fx.embed_updates()
     assert dump_document(doc) == dump_document(doc)
     assert dump_document(doc).endswith("\n")
-    small = tensor_to_json(np.array([[1.5, -0.0]]))
+    small = np.array([[1.5, -0.0]])
     assert dump_document(small) == (
         '{"dtype":"f64","shape":[1,2],"data":[1.5,-0.0]}\n'
     )
 
 
 def whole_document(doc) -> str:
-    """The text of a document as one json.dumps call writes it."""
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """The text of a document as one json.dumps call writes it, an ndarray
+    as its plain tensor document."""
+    return json.dumps(doc, separators=(",", ":"), default=plain_tensor) + "\n"
 
 
 def streamed_cases(rng):
@@ -281,7 +288,7 @@ def streamed_cases(rng):
 def test_streamed_tensors_are_the_whole_documents_bytes():
     cases = 0
     for arr in streamed_cases(np.random.default_rng(26)):
-        doc = tensor_to_json(arr)
+        doc = plain_tensor(arr)
         want = whole_document(doc)
         pieces = list(iter_document(arr))
         assert "".join(pieces) == want == dump_document(doc), arr.shape
@@ -299,8 +306,7 @@ def test_each_written_tensor_is_checked_once(monkeypatch):
     # made, so each tensor's values are scanned once
     floats, ints = np.arange(6.0).reshape(2, 3), np.arange(4, dtype=np.int64)
     doc = {"report": {"writes": 2}, "result": floats, "table": ints}
-    want = whole_document({**doc, "result": tensor_to_json(floats),
-                           "table": tensor_to_json(ints)})
+    want = whole_document(doc)
     checked, check = [], serialize._wire_dtype
 
     def counting(arr):
@@ -410,6 +416,27 @@ def test_a_table_read_from_a_file_is_held_once(tmp_path):
     assert peak < 9 * 2**20, peak
     assert provision.table.base is None and not provision.table.flags.writeable
     assert provision.table[-1].tolist() == [2 * n - 2, 2 * n - 1]
+
+
+def test_a_spec_read_from_a_file_holds_one_slice(tmp_path):
+    # a spec opens with its inner table's header, so the table is read a
+    # slice at a time as a tensor file's is: 2**19 index rows (a 4 MiB
+    # table) peak at about 4.3 MB, where json.load peaked at 22.5 MB
+    n = 2**19
+    indices = np.random.default_rng(5).integers(0, n, size=(n, 1))
+    spec = tf_transformer(indices, (n, 2))
+    path = tmp_path / "spec.json"
+    path.write_text(dump_document(spec_to_json(spec)))
+    tracemalloc.start()
+    try:
+        loaded = spec_from_json(_read_document(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+    assert loaded.inner.table.tobytes() == indices.tobytes()
+    assert loaded.source_shape == spec.source_shape
+    assert loaded.target_shape == spec.target_shape
 
 
 def whole_list_reference(doc):
@@ -557,11 +584,10 @@ def test_the_reader_agrees_with_json_load_on_valid_documents(case):
         path = write_text(directory, text)
         got = the_three_loads_agree(path)
         assert got[:2] == (("<f8" if dtype == "f64" else "<i8"), tuple(shape)), got
-        if order.index("data") == 2 and extra in ([], ["note"]):
-            # a header before the data: the list is read a slice at a time
-            with open(path, encoding="utf-8") as fh:
-                doc = _Reader(fh, os.path.getsize(path)).document()
-            assert isinstance(doc["data"], _Entries)
+        opens = text.index("[", text.index('"data"'))
+        if order == ["dtype", "shape", "data"] and not extra and opens < _BLOCK:
+            # the writer's header: the list is read a slice at a time
+            assert isinstance(_read_document(path)["data"], _Entries)
 
 
 BAD_ENTRIES = ['"x"', "true", "false", "null", "NaN", "Infinity", "-Infinity",
@@ -629,3 +655,108 @@ def test_the_reader_agrees_with_json_load_on_broken_documents(case, fault):
 ])
 def test_the_reader_agrees_with_json_load_on_edge_documents(tmp_path, text):
     the_three_loads_agree(write_text(tmp_path, text))
+
+
+def test_the_files_the_writers_make_are_read_a_slice_at_a_time(tmp_path):
+    # the writer's compact text, json.dump's default separators (the form
+    # of the benchmark's input files and of hand-written documents) and a
+    # spec, whose "inner" opens it, each open with the tensor header
+    table = np.arange(12, dtype=np.int64).reshape(6, 2) % 4
+    spec = tf_transformer(table[:, :1], (4, 5))
+    write_document(tmp_path / "written.json", table)
+    (tmp_path / "dumped.json").write_text(json.dumps(plain_tensor(table)))
+    (tmp_path / "spec.json").write_text(dump_document(spec_to_json(spec)))
+    (tmp_path / "dumped_spec.json").write_text(
+        json.dumps({**spec_to_json(spec), "inner": plain_tensor(spec.inner.table)})
+    )
+    for name in ("written", "dumped"):
+        doc = _read_document(tmp_path / f"{name}.json")
+        assert isinstance(doc["data"], _Entries), name
+        assert tensor_from_json(doc).tobytes() == table.tobytes()
+    for name in ("spec", "dumped_spec"):
+        doc = _read_document(tmp_path / f"{name}.json")
+        assert isinstance(doc["inner"]["data"], _Entries), name
+        assert list(doc) == list(spec_to_json(spec))
+        assert spec_from_json(doc).inner.table.tobytes() == spec.inner.table.tobytes()
+
+
+def spec_outcome(load, path):
+    try:
+        spec = spec_from_json(load(path))
+    except (FormatError, ArgumentError) as exc:
+        return type(exc).__name__, str(exc)
+    table = spec.inner.table
+    return (table.dtype.str, table.shape, table.tobytes(), spec.inner.target_shape,
+            spec.inner_pick, spec.pass_pick, spec.out_pick, spec.source_shape,
+            spec.target_shape)
+
+
+def the_spec_loads_agree(path):
+    """The reader and json.load give one spec, or one refusal."""
+    assert spec_outcome(_read_document, path) == spec_outcome(load_whole, path)
+
+
+INNER = '{"dtype": "i64", "shape": [2, 1], "data": [1, 0]}'
+PICKS = ('"inner_pick": [0], "pass_pick": [1], "out_pick": [0, 1], '
+         '"source_shape": [2, 3], "target_shape": [2, 3]')
+NBSP_INNER = INNER.replace(", ", ",\xa0", 1)  # whitespace to a regex \s, not to JSON
+
+
+@pytest.mark.parametrize("text", [
+    f'{{"inner": {INNER}, {PICKS}}}',
+    f'{{"inner": {INNER}, {PICKS}, "inner": {INNER.replace("[1, 0]", "[0, 1]")}}}',
+    f'{{"inner": {INNER}, {PICKS}, "inner": 0}}',
+    f'{{"inner": {INNER},}}',
+    f'{{"inner": {INNER}, {PICKS},}}',
+    f'{{"inner": {INNER}}}',
+    f'{{"inner": {INNER} {PICKS}}}',
+    f'{{"inner": {INNER}, {PICKS}}}}}',
+    f'{{"inner": {INNER}, {PICKS}'[:-12],
+    f'{{"inner": {INNER}, {PICKS}, "note": {{"inner": 1, "inner": {INNER}}}}}',
+    f'{{"inner": {INNER}, {PICKS}, "note": NaN}}',
+    f'{{"inner": {INNER}, "inner_pick": [5], {PICKS}}}',
+    f'{{"inner": {INNER}, {PICKS}, "inner_pick": [5]}}',
+    f'{{"inner": {INNER[:-1]}, "note": 1}}, {PICKS}}}',
+    f'{{"inner": {INNER.replace("i64", "f64")}, {PICKS}}}',
+    f'{{"inner": {INNER.replace("[1, 0]", "[1]")}, {PICKS}}}',
+    f'{{{PICKS}, "inner": {{"shape": [2, 1], "dtype": "i64", "data": [1, 0]}}}}',
+    f'{{"inner" : {INNER} , {PICKS} }}\n\n',
+    f'{{"inner":\x0b{INNER}, {PICKS}}}',
+    f'{{"inner": {NBSP_INNER}, {PICKS}}}',
+], ids=["canonical", "inner_twice", "inner_then_0", "comma_after_inner",
+        "comma_after_last", "inner_alone", "missing_comma", "extra_brace",
+        "truncated", "nested_inner_twice", "nan_in_extra_key", "inner_pick_twice",
+        "inner_pick_last", "key_after_data", "f64_inner", "short_data",
+        "inner_last_shape_first", "spaced", "vertical_tab", "no_break_space"])
+def test_the_reader_agrees_with_json_load_on_spec_documents(tmp_path, text):
+    the_spec_loads_agree(write_text(tmp_path, text))
+
+
+@st.composite
+def spec_documents(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = random_spec(rng)
+    order = list(draw(st.permutations(list(spec_to_json(spec)))))
+    inner_order = list(draw(st.permutations(["dtype", "shape", "data"])))
+    return rng, spec, order, inner_order
+
+
+@given(spec_documents())
+@settings(max_examples=60, deadline=None)
+def test_the_reader_agrees_with_json_load_on_spec_layouts(case):
+    rng, spec, order, inner_order = case
+    table = spec.inner.table
+    inner = document_text(rng, "i64", list(table.shape),
+                          [str(v) for v in table.reshape(-1).tolist()], inner_order, [])
+    values = {key: json.dumps(value, separators=(ws(rng) + "," + ws(rng), ":"))
+              for key, value in spec_to_json(spec).items() if key != "inner"}
+    values["inner"] = inner
+    members = [f'"{key}"{ws(rng)}:{ws(rng)}{values[key]}' for key in order]
+    text = ws(rng) + "{" + ws(rng) + ("," + ws(rng)).join(members) + ws(rng) + "}" + ws(rng)
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_text(directory, text)
+        the_spec_loads_agree(path)
+        opens = text.index("[", text.index('"data"'))
+        header = order[0] == "inner" and inner_order == ["dtype", "shape", "data"]
+        if header and opens < _BLOCK:
+            assert isinstance(_read_document(path)["inner"]["data"], _Entries)
