@@ -53,27 +53,28 @@ so on targets of 16-32 KB it takes 2.2-3.3x at every width, and it skips
 only the reached rows, so with 90% of the rows unreached it takes
 1.07-1.27x on targets of 256 KB-1 MB.
 
-Rows that need a float temporary, the moved rows of ``sum`` and ``prod``
-folded from the identity when every row moves and the gathered winners
-otherwise, pass in row order through one reused buffer of
-``_MOVE_CHUNK`` elements (256 KB), filled with ``out=``.  So besides the
-result and row-sized index work, these rows hold ``max(_MOVE_CHUNK, b)``
-elements at a time, not a second copy of every row (updates read through
-strides are made contiguous once when any row loses, a copy each ``take``
-would make anyway), and the caller's updates are neither written nor aliased.
-``last`` and ``first`` still move every row in one assignment when most
-rows win, and the winners of the colliding keys, no more rows than lose,
-are gathered whole.  ``sum`` and ``prod`` then fold the losing rows on
-flat element offsets, walking them in row order ``_FOLD_CHUNK`` elements
-at a time.  ``ufunc.at`` applies its operands in order and the chunks run
-in order, so every target cell still takes its contributions in row
-order and the result is bit-identical to sequential accumulation.  The
-two chunks differ in size because their costs do: a move chunk costs a
-Python step and an assignment, so at 4096 elements a chunk 512 rows of
-1024 take 128 steps and ``sum`` runs about a quarter slower, while a
-fold chunk holds about four chunk-sized temporaries (the gathered rows,
-their transposed copy and the offsets), so at 2^15 elements the peak of
-a fold over 2^14 colliding rows of 4 doubles.
+Every gathered row, and under ``sum`` and ``prod`` every row folded from
+the identity when every row moves, passes in row order through one reused
+buffer of ``_MOVE_CHUNK`` elements (256 KB), filled with ``out=``; only
+``last`` and ``first`` skip it, moving every row in one assignment when
+most rows win.  So besides the result and row-sized index work, moved
+rows hold ``max(_MOVE_CHUNK, b)`` elements at a time (updates read
+through strides are made contiguous once when any row loses, a copy each
+``take`` would make anyway), and the caller's updates are neither written
+nor aliased.  Row indices die at their last read: the row positions once
+each row is checked against its key's winner, and the losing rows'
+indices, which only the fold reads, before the result is allocated.
+``sum`` and ``prod`` then fold the losing rows on flat element offsets,
+walking them in row order ``_FOLD_CHUNK`` elements at a time.
+``ufunc.at`` applies its operands in order and the chunks run in order,
+so every target cell still takes its contributions in row order and the
+result is bit-identical to sequential accumulation.  The two chunks
+differ in size because their costs do: a move chunk costs a Python step
+and an assignment, so at 4096 elements a chunk 512 rows of 1024 take 128
+steps and ``sum`` runs about a quarter slower, while a fold chunk holds
+about four chunk-sized temporaries (the gathered rows, their transposed
+copy and the offsets), so at 2^15 elements the peak of a fold over 2^14
+colliding rows of 4 doubles.
 
 Every entry point keys the kernel through one lowering,
 :func:`scatterkit.transform._lower`, which finds the copied suffix of a
@@ -206,25 +207,29 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     # the target rows no key reaches, for a masked copy of the background
     fill = source_trail == target_trail
     unreached = win == unset if fill and block >= _MASKED_COPY_BLOCK else None
+    fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
     if error:  # every row won its key, or the loop raised
-        rest = fix = np.empty(0, dtype=np.intp)
-        colliding, most_win = 0, True
+        del pos, win
+        picked, losing, colliding, most_win = (), 0, 0, True
     else:
         win = win[keys]
         chosen = win == pos
+        del pos
         rest = np.flatnonzero(~chosen)  # every row but its key's winner, in row order
         # a key collides when a rest row names its winner; intp indices
         # scatter faster than int32 ones
         mark = np.zeros(n, dtype=bool)
         mark[win[rest].astype(np.intp)] = True
-        colliding = int(np.count_nonzero(mark))
-        most_win = 2 * len(rest) <= n
-        fix = np.flatnonzero(mark) if most_win else None
-        chosen = None if most_win else np.flatnonzero(chosen)
-        del mark
-    del pos, win  # freed before out is allocated
-    distinct = n - len(rest)
-    if len(rest):  # every take below copies strided updates whole: copy once
+        colliding, losing = int(np.count_nonzero(mark)), len(rest)
+        most_win = 2 * losing <= n
+        # the rows the move buffer gathers: the colliding keys' winners when
+        # most rows win, else every winner; only the fold reads rest
+        picked = np.flatnonzero(mark if most_win else chosen)
+        del win, mark, chosen
+        if fold is None:
+            del rest
+    distinct = n - losing
+    if losing:  # every take below copies strided updates whole: copy once
         updates = np.ascontiguousarray(updates)
     updates = updates.reshape((n,) + source_trail)
     # a row that fills the target trail and is contiguous moves as one
@@ -245,29 +250,23 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
         np.copyto(void_rows(out, t), void_rows(background, t), where=unreached)
     else:
         out = background.copy()
-    fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
     out_rows = void_rows(out, t) if whole else out.reshape((t,) + target_trail)
 
     def as_rows(values):  # rows in the form out_rows is indexed with
         return void_rows(values, len(values)) if whole else values
 
-    if most_win and fold is None:
-        # every row moves in one assignment straight from the updates
-        out_rows[(keys,) + region] = as_rows(updates)
-    else:
-        # rows that need a float temporary, identity-folded ones when every
-        # row moves and gathered winners otherwise, pass through one buffer
-        # of _MOVE_CHUNK elements in row order; the winners' keys are distinct
-        m = n if most_win else len(chosen)
+    def move(sel):  # every row if sel is None, else the rows sel picks
+        # in row order through one buffer of _MOVE_CHUNK elements, freed on return
+        m = n if sel is None else len(sel)
         step = max(1, _MOVE_CHUNK // block)
         buf = np.empty((min(m, step),) + source_trail)
         for start in range(0, m, step):
             part = buf[: min(step, m - start)]
-            if most_win:
+            if sel is None:
                 at = slice(start, start + len(part))
                 rows = updates[at]
             else:
-                at = chosen[start : start + len(part)]
+                at = sel[start : start + len(part)]
                 rows = updates.take(at, axis=0, out=part, mode="clip")
             if fold is not None:
                 # start from the identity, so a lone -0.0 sums to 0.0 as
@@ -275,16 +274,17 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
                 # caller's updates
                 rows = fold(rows, fold.identity, out=part)
             out_rows[(keys[at],) + region] = as_rows(rows)
-        del buf, part, rows  # freed before the fix and the fold gather rows
-    if most_win and len(fix):
-        # the winners of the colliding keys, whose keys are distinct, land
-        # over whatever the move left on those keys
-        values = updates.take(fix, axis=0)  # for rows of b > 1, faster than [fix]
-        if fold is not None:
-            fold(values, fold.identity, out=values)
-        out_rows[(keys[fix],) + region] = as_rows(values)
-        del values  # freed before the fold gathers the rest rows
-    if fold is not None and len(rest):
+
+    if most_win and fold is None:
+        # every row moves in one assignment straight from the updates
+        out_rows[(keys,) + region] = as_rows(updates)
+    elif most_win:
+        move(None)
+    if len(picked):
+        # the picked rows' keys are distinct, so each key ends on its
+        # winner whatever order NumPy wrote the rows moved before in
+        move(picked)
+    if fold is not None and losing:
         # the rest rows fold in row order, _FOLD_CHUNK elements at a time,
         # on flat element offsets: off holds those of the source-trail grid
         # inside the target trail.  Each cell still takes its contributions

@@ -199,8 +199,8 @@ def _read_document(path):
     except that a data list the reader streamed is an :class:`_Entries`.
 
     Raises FormatError, naming the path, where ``json.load`` refuses the
-    file: it is no JSON, no UTF-8, or holds an integer literal longer than
-    Python's digit limit.  A file that is not a regular one, such as a
+    file: it is no JSON, no UTF-8, holds an integer literal longer than
+    Python's digit limit, or nests deeper than Python's recursion limit.  A file that is not a regular one, such as a
     pipe, is read whole.
     """
     with open(path, encoding="utf-8") as fh:
@@ -212,7 +212,7 @@ def _read_document(path):
                 fh.seek(0)
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -240,7 +240,7 @@ def _stream(fh, size):
     dtype = header["dtype"]
     try:
         shape = _check_header(dtype, json.loads(header["shape"]))
-    except (FormatError, ValueError):  # json.load gives the same refusal
+    except (FormatError, ValueError, RecursionError):  # json.load refuses it too
         raise _Unread from None
     # n entries and their commas take 2n - 1 characters
     entries = _Entries(dtype, shape, room=(size + 1) // 2)
@@ -253,7 +253,7 @@ def _stream(fh, size):
         return tensor
     try:
         doc = json.loads('{"inner":0' + rest[close.end() :], object_pairs_hook=_one_inner)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise _Unread from None
     doc["inner"] = tensor
     return doc
@@ -290,7 +290,7 @@ def _data(fh, buf, pos, entries):
             continue
         try:
             values = json.loads("[" + buf[pos:cut] + "]")
-        except ValueError:
+        except (ValueError, RecursionError):
             raise _Unread from None
         if not values and not (first and close >= 0):  # "[,", ",," or ",]"
             raise _Unread

@@ -574,6 +574,33 @@ def test_a_file_json_cannot_read_exits_1_with_one_document(tmp_path, case):
         assert doc["exit_code"] == 1 and doc["error"].startswith(str(args[2])), doc
 
 
+DEEP_TABLE = '{"dtype": "i64", "shape": [2, 1], "data": [0, 0]}'
+DEEP = {
+    # each nests past Python's recursion limit, which json.loads meets as a
+    # RecursionError: in the whole file, in the streamed header's shape, in
+    # a streamed data slice or in the rest of a spec
+    "brackets": ("analyze", "[" * 100_000 + "]" * 100_000),
+    "shape": ("analyze", DEEP_TABLE.replace("[2, 1]", "[" * 3000 + "]" * 3000)),
+    "open_shape": ("analyze", DEEP_TABLE.replace("[2, 1]", "[" * 3000 + "]")),
+    "data": ("analyze", DEEP_TABLE.replace("[0, 0]", "[" * 5000 + "0" + "]" * 5000)),
+    "spec_key": ("compose", '{"inner": ' + DEEP_TABLE + ', "inner_pick": [0],'
+                 ' "pass_pick": [], "out_pick": [0], "source_shape": [2],'
+                 ' "target_shape": [1], "extra": ' + "[" * 5000 + "]" * 5000 + "}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP))
+def test_deeply_nested_json_exits_1_with_one_document(tmp_path, case):
+    command, text = DEEP[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(text)
+    proc = run_cli(command, "--spec" if command == "compose" else "--provision", path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc = stdout_doc(proc)  # the whole stream is one document
+    assert doc["exit_code"] == 1 and doc["error"].startswith(str(path)), doc
+
+
 def test_compose_diag_spec(tmp_path, fixture_dir):
     spec = XTransformerSpec(
         inner=fx.diag_inner(),

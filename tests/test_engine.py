@@ -799,6 +799,38 @@ def test_winners_gather_streams_rows_through_one_buffer():
         assert peak < ts.nbytes + updates.nbytes // 8, (policy, peak)
 
 
+def test_colliding_wide_rows_gather_their_winners_one_buffer_at_a_time():
+    # a torch index constant along its last axis copies rows of 64 floats:
+    # 16384 rows into 128 x 128 keys, 6063 of them losing, so most rows win,
+    # every row moves and the colliding keys' winners are placed again over
+    # them a move chunk at a time, not gathered whole beside the 8 MB result
+    rng = np.random.default_rng(0)
+    index = np.repeat(rng.integers(0, 128, (128, 128, 1)), 64, axis=2)
+    self_t = np.zeros((128, 128, 64))
+    src = rng.standard_normal((128, 128, 64))
+    losing = 128 * 128 - sum(len(np.unique(column)) for column in index[..., 0].T)
+    assert losing == 6063 and 2 * losing <= 128 * 128
+    for policy in ("last", "first", "sum", "prod"):
+        result, report = torch_scatter(self_t, 0, index, src, policy)
+        assert report.fast_path_used
+        peak = peak_bytes(lambda: torch_scatter(self_t, 0, index, src, policy))
+        assert peak < result.nbytes + 2**20, (policy, peak)
+
+
+def test_last_and_first_hold_no_losing_row_index():
+    # 2^14 index rows of 4 floats into 4096 rows, about 4x collisions, the
+    # tf_narrow_dup benchmark's shape: last and first read only how many
+    # rows lose, so the losing rows' indices and the row positions are
+    # freed before the result is allocated
+    rng = np.random.default_rng(43)
+    ts = rng.standard_normal((4096, 4))
+    indices = rng.integers(0, 4096, size=(1 << 14, 1))
+    updates = rng.standard_normal((1 << 14, 4))
+    for policy in ("last", "first"):
+        peak = peak_bytes(lambda: scatter_nd_update(ts, indices, updates, policy))
+        assert peak < 0.37 * 2**20, (policy, peak)
+
+
 def move_buffer_cases(rng, chunk):
     """Scatters whose moved rows fill several move chunks of ``chunk``
     elements, on both sides of the kernel's split: when most rows win,
