@@ -18,10 +18,13 @@ moves with one assignment straight from the updates, and the winners of
 the colliding keys are assigned again over it; their keys are distinct, so
 each key ends on its winner whatever order NumPy wrote its rows in, and
 with no losing row that second step is empty.  Otherwise only the winners
-are gathered and assigned, again on distinct keys.  When a row fills the
-target trail and is contiguous, both assignments move it as one opaque
-``(np.void, 8 * b)`` item, a block copy of its bytes; a narrower or
-strided row moves through its region of the target row.
+are gathered and assigned, again on distinct keys, except under ``sum``
+and ``prod`` with rows of at most ``_COLUMN_WIDTH`` elements, which start
+every reached row from the identity and fold every row into it column by
+column (see below).  When a row fills the target trail and is
+contiguous, every assignment moves it as one opaque ``(np.void, 8 * b)``
+item, a block copy of its bytes; a narrower or strided row moves through
+its region of the target row.
 
 Under ``error`` the winner array is built over row prefixes that double
 from ``_ERROR_PREFIX`` (2^11) rows, each step's rows checked against it
@@ -63,18 +66,44 @@ through strides are made contiguous once when any row loses, a copy each
 ``take`` would make anyway), and the caller's updates are neither written
 nor aliased.  Row indices die at their last read: the row positions once
 each row is checked against its key's winner, and the losing rows'
-indices, which only the fold reads, before the result is allocated.
-``sum`` and ``prod`` then fold the losing rows on flat element offsets,
-walking them in row order ``_FOLD_CHUNK`` elements at a time.
-``ufunc.at`` applies its operands in order and the chunks run in order,
-so every target cell still takes its contributions in row order and the
-result is bit-identical to sequential accumulation.  The two chunks
-differ in size because their costs do: a move chunk costs a Python step
-and an assignment, so at 4096 elements a chunk 512 rows of 1024 take 128
-steps and ``sum`` runs about a quarter slower, while a fold chunk holds
-about four chunk-sized temporaries (the gathered rows, their transposed
-copy and the offsets), so at 2^15 elements the peak of a fold over 2^14
-colliding rows of 4 doubles.
+indices, which only the flat fold below reads, before the result is
+allocated.
+
+``sum`` and ``prod`` fold in one of two ways.  When most rows lose and a
+row holds at most ``_COLUMN_WIDTH`` (16) elements, they build neither the
+winners' nor the losing rows' indices, only keep the row mask of each
+key's first row.  Every row folds in row order, ``_MOVE_CHUNK // b`` rows
+at a time: the keys whose first row falls in the chunk are set to the
+fold's identity (their keys are distinct), and then one ``ufunc.at`` per
+trail element ``e`` folds the chunk into the strided column
+``flat[o::tb]`` of the target (``o`` is ``e``'s offset in the target
+trail), from views of the keys and of ``updates[:, e]``.  So the target
+rows a chunk reaches stay in cache from its identity writes across its
+``b`` passes; one identity write keyed by every row instead costs about
+as much as the whole fold once the target outgrows the L2 cache (21 of
+44 ms with 2^20 rows of 4 into 2^18 keys).  Otherwise the losing rows
+fold on flat element offsets, walked in row order ``_FOLD_CHUNK``
+elements at a time, after the winners' identity-folded move.  Either way
+each cell takes the identity, then its rows' values in row order:
+``ufunc.at`` applies its operands in order and the chunks run in order, so
+the result is bit-identical to sequential accumulation from zero or one,
+``-0.0`` included.  The column fold's bounds come from timing whole
+``sum`` and ``prod`` calls against the flat fold's (medians of alternating
+in-process pairs, 2-vCPU VM, NumPy 2.4.6): with 2^14 rows into 4096 keys
+the column fold takes 0.91x the time at ``b = 1``, 0.86x at 2, 0.78x at
+4, 0.75x at 8 and 0.86-0.89x at 16; across processes 0.98x with 2^20
+rows of 1 and 0.87x with rows of 4 into 2^18 keys, and 0.94x (0.86-1.09)
+with 2^18 rows of 16 into 2^16 keys.  Forced onto wider rows it takes
+1.09x at ``b = 32``, 1.4x at 64, 3.5x at 256 and 5.8-7.1x with rows of
+1024 into 16 or 2 keys, and 1.5x on ``torch_collide``'s shape, where most
+rows win.  The
+flat fold's two chunks differ in size because their costs do: a move
+chunk costs a Python step and an assignment, so at 4096 elements a chunk
+512 rows of 1024 take 128 steps and ``sum`` runs about a quarter slower,
+while a fold chunk holds about four chunk-sized temporaries (the gathered
+rows, their transposed copy and the offsets), so a fold chunk of 2^15
+elements would double the peak of a flat fold over 2^14 colliding rows
+of 4.
 
 Every entry point keys the kernel through one lowering,
 :func:`scatterkit.transform._lower`, which finds the copied suffix of a
@@ -109,7 +138,7 @@ _ERROR_PREFIX = 1 << 11
 # elements of losing rows that a sum or prod fold gathers at a time
 _FOLD_CHUNK = 1 << 12
 # elements of the buffer that identity-folded rows and gathered winners
-# move through
+# move through, and of the rows a column fold takes at a time
 _MOVE_CHUNK = 1 << 15
 # a masked copy of the unreached background rows pays for itself only
 # with rows of at least _MASKED_COPY_BLOCK elements, and when the reached
@@ -117,6 +146,10 @@ _MOVE_CHUNK = 1 << 15
 # the module docstring
 _MASKED_COPY_BLOCK = 64
 _MASKED_COPY_REACHED = 1 << 16
+# rows of at most _COLUMN_WIDTH elements, most of them losing, fold column
+# by column under sum and prod: 0.75-0.94x the flat fold's time up to 16
+# elements, 1.09x at 32 and 1.4x at 64; see the module docstring
+_COLUMN_WIDTH = 16
 
 
 class CollisionPolicy(enum.Enum):
@@ -210,7 +243,7 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
     fold = {CollisionPolicy.SUM: np.add, CollisionPolicy.PROD: np.multiply}.get(policy)
     if error:  # every row won its key, or the loop raised
         del pos, win
-        picked, losing, colliding, most_win = (), 0, 0, True
+        picked, losing, colliding, most_win, columns = (), 0, 0, True, False
     else:
         win = win[keys]
         chosen = win == pos
@@ -222,11 +255,16 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
         mark[win[rest].astype(np.intp)] = True
         colliding, losing = int(np.count_nonzero(mark)), len(rest)
         most_win = 2 * losing <= n
+        # narrow rows of sum and prod, most of them losing, fold column by
+        # column from the identity: they need no row list, only the mask of
+        # each key's first row
+        columns = fold is not None and not most_win and block <= _COLUMN_WIDTH
+        first = chosen if columns else None
         # the rows the move buffer gathers: the colliding keys' winners when
-        # most rows win, else every winner; only the fold reads rest
-        picked = np.flatnonzero(mark if most_win else chosen)
+        # most rows win, else every winner; only the flat fold reads rest
+        picked = () if columns else np.flatnonzero(mark if most_win else chosen)
         del win, mark, chosen
-        if fold is None:
+        if fold is None or columns:
             del rest
     distinct = n - losing
     if losing:  # every take below copies strided updates whole: copy once
@@ -285,19 +323,37 @@ def _scatter_rows(keys, lead_shape, updates, background, policy):
         # winner whatever order NumPy wrote the rows moved before in
         move(picked)
     if fold is not None and losing:
-        # the rest rows fold in row order, _FOLD_CHUNK elements at a time,
-        # on flat element offsets: off holds those of the source-trail grid
-        # inside the target trail.  Each cell still takes its contributions
-        # in row order, so the result is that of sequential accumulation
+        # off holds the flat offsets of the source-trail grid inside the
+        # target trail.  Each cell takes its contributions in row order, so
+        # the result is that of sequential accumulation
         flat = out.reshape(-1)
         tb = shape_size(target_trail)
         grid = np.indices(source_trail, sparse=True)
-        off = flat_offsets(grid, target_trail).reshape(-1, 1)
-        step = max(1, _FOLD_CHUNK // block)
-        for start in range(0, len(rest), step):
-            part = rest[start : start + step]
-            rows = updates.take(part, axis=0).reshape(len(part), block)
-            fold.at(flat, (off + keys[part] * tb).reshape(-1), rows.T.reshape(-1))
+        off = flat_offsets(grid, target_trail).reshape(-1)
+        if columns:
+            # every row folds, a move chunk of rows at a time, so the target
+            # rows a chunk reaches stay in cache from its identity writes
+            # across its block passes: the keys whose first row is in the
+            # chunk start from the identity (float64: the identity of
+            # np.multiply is the int 1), then one ufunc.at per trail element
+            # folds into its strided column of the target, from views of
+            # the keys and the updates
+            identity = as_rows(np.full((1,) + source_trail, float(fold.identity)))
+            cols = updates.reshape(n, block)
+            step = _MOVE_CHUNK // block
+            for start in range(0, n, step):
+                at = keys[start : start + step]
+                out_rows[(at[first[start : start + step]],) + region] = identity
+                for e, o in enumerate(off.tolist()):
+                    fold.at(flat[o::tb], at, cols[start : start + step, e])
+        else:
+            # the rest rows fold _FOLD_CHUNK elements at a time
+            off = off.reshape(-1, 1)
+            step = max(1, _FOLD_CHUNK // block)
+            for start in range(0, len(rest), step):
+                part = rest[start : start + step]
+                rows = updates.take(part, axis=0).reshape(len(part), block)
+                fold.at(flat, (off + keys[part] * tb).reshape(-1), rows.T.reshape(-1))
     writes = (distinct if policy is CollisionPolicy.FIRST_WINS else n) * block
     uncovered = background.size - distinct * block
     return out, ScatterReport(writes, colliding * block, uncovered, fast)

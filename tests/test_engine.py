@@ -831,6 +831,138 @@ def test_last_and_first_hold_no_losing_row_index():
         assert peak < 0.37 * 2**20, (policy, peak)
 
 
+def test_sum_and_prod_hold_no_losing_row_index():
+    # the same shape: most rows of 4 lose, so sum and prod fold every row
+    # column by column from the identity and build neither the winners' nor
+    # the losing rows' indices (0.406 MiB while the losing rows' indices
+    # were alive as the winners moved)
+    rng = np.random.default_rng(43)
+    ts = rng.standard_normal((4096, 4))
+    indices = rng.integers(0, 4096, size=(1 << 14, 1))
+    updates = rng.standard_normal((1 << 14, 4))
+    for policy in ("sum", "prod"):
+        peak = peak_bytes(lambda: scatter_nd_update(ts, indices, updates, policy))
+        assert peak < 0.36 * 2**20, (policy, peak)
+
+
+def spy_fold_at(monkeypatch):
+    """Route the kernel's sum and prod folds through a recorder: returns a
+    list that gets, for each ``ufunc.at`` call of the fold, the size of the
+    array it folds into and the number of values it folds."""
+    calls = []
+
+    class Fold:
+        def __init__(self, ufunc):
+            self.ufunc, self.identity = ufunc, ufunc.identity
+
+        def __call__(self, *args, **kwargs):
+            return self.ufunc(*args, **kwargs)
+
+        def at(self, target, index, values):
+            calls.append((target.size, np.size(values)))
+            return self.ufunc.at(target, index, values)
+
+    class Numpy:
+        add, multiply = Fold(np.add), Fold(np.multiply)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(engine, "np", Numpy())
+    return calls
+
+
+def column_fold_cases(rng, chunk):
+    """Colliding scatters on both sides of the column fold's bounds: rows of
+    1, 2, 4 and 16 elements, which sum and prod fold column by column when
+    most rows lose, and of 17 and 32, which they never do, each with most
+    rows losing and with most winning, as whole rows of scatter_nd_update
+    and as torch rows read through strides from a src one wider; and rows
+    of 2 x 3 in a 4 x 5 target trail through scatter_x.  The first row of
+    every other key is -0.0, and so is every row of every third key, which
+    sum must place as 0.0; the other keys' products show the identity's
+    bits.  The rows of a key fall in several column chunks of
+    ``chunk // b`` rows, and every background holds -0.0 and NaN payloads.
+    Each case comes with its keys, its block b and its count of target
+    rows."""
+
+    def draw(trail, most_win):
+        n = 120
+        t = 4 * n if most_win else n // 4
+        keys = rng.integers(0, t, size=n)
+        _, first = np.unique(keys, return_index=True)
+        losing = n - len(first)
+        assert losing and (2 * losing <= n) == most_win
+        step = max(1, chunk // shape_size(trail))
+        assert len(set(zip(keys, np.arange(n) // step))) > len(first)
+        values = rng.uniform(0.5, 1.5, size=(n,) + trail)
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+        values[first[::2]] = -0.0
+        values[np.isin(keys, keys[first[1::3]])] = -0.0
+        return keys, values, t
+
+    for most_win in (False, True):
+        for width in (1, 2, 4, 16, 17, 32):
+            trail = () if width == 1 else (width,)
+            keys, updates, t = draw(trail, most_win)
+            ts = nan_background(rng, (t,) + trail)
+            indices = keys[:, None]
+            yield (("tf", width, most_win), keys, width, t, tf_table(indices, ts.shape),
+                   ts, updates, lambda p: scatter_nd_update(ts, indices, updates, p))
+
+            keys, corner, t = draw((width,), most_win)
+            self_t = nan_background(rng, (t, width))
+            index = np.broadcast_to(keys[:, None], corner.shape)
+            src = rng.standard_normal((len(keys) + 1, width + 1))
+            src[: len(keys), :width] = corner
+            assert not src[: len(keys), :width].flags.c_contiguous
+            yield (("torch", width, most_win), keys, width, t, torch_table(index, 0),
+                   self_t, corner, lambda p: torch_scatter(self_t, 0, index, src, p))
+
+        keys, updates, t = draw((2, 3), most_win)
+        background = nan_background(rng, (t, 4, 5))
+        grid = np.broadcast_arrays(keys[:, None, None], *np.indices((2, 3), sparse=True))
+        table = np.stack(grid, axis=-1)
+        provision = ProvisionTensor(table, background.shape)
+        yield (("region", 6, most_win), keys, 6, t, table, background, updates,
+               lambda p: scatter_x(background, updates, provision, p))
+
+
+def test_column_fold_matches_oracles(monkeypatch):
+    # sum and prod fold rows of at most _COLUMN_WIDTH elements column by
+    # column from the identity when most rows lose, every row in row order,
+    # and fold only the losing rows on flat offsets otherwise; on both sides
+    # of both bounds, results, counters and the reported collision target
+    # equal the row-major traversal's, bit for bit.  A small move chunk
+    # splits each key's rows over several column chunks
+    chunk = 1 << 5
+    monkeypatch.setattr(engine, "_MOVE_CHUNK", chunk)
+    calls = spy_fold_at(monkeypatch)
+    rng = np.random.default_rng(59)
+    seen = set()
+    for case, keys, block, t, table, background, updates, call in (
+            column_fold_cases(rng, chunk)):
+        n = len(keys)
+        losing = n - len(np.unique(keys))
+        columns = 2 * losing > n and block <= engine._COLUMN_WIDTH
+        for policy in ALL_POLICIES:
+            calls.clear()
+            check_against_oracles(call, table, background, updates, policy, case)
+            if policy not in (CollisionPolicy.SUM, CollisionPolicy.PROD):
+                assert calls == [], (case, policy)
+            elif columns:
+                # one call per element of a row in each chunk, into a
+                # strided column of the target's t rows, over every row
+                assert {size for size, _ in calls} == {t}, (case, calls)
+                assert len(calls) == block * -(-n // (chunk // block)), (case, calls)
+                assert sum(m for _, m in calls) == n * block, (case, calls)
+            else:
+                assert sum(m for _, m in calls) == losing * block, (case, calls)
+        seen.add((case[0], columns))
+    assert seen == {(kind, columns) for kind in ("tf", "torch", "region")
+                    for columns in (False, True)}, seen
+
+
 def move_buffer_cases(rng, chunk):
     """Scatters whose moved rows fill several move chunks of ``chunk``
     elements, on both sides of the kernel's split: when most rows win,
@@ -904,7 +1036,9 @@ def move_buffer_cases(rng, chunk):
 def test_move_buffer_matches_oracles(monkeypatch):
     # the rows that need a float temporary, identity-folded under sum and
     # prod when most rows win and the gathered winners otherwise, move
-    # through one buffer a chunk at a time; results, counters and the
+    # through one buffer a chunk at a time (where most rows lose, sum and
+    # prod gather winners only for rows wider than _COLUMN_WIDTH, and fold
+    # narrower ones column by column); results, counters and the
     # reported collision target equal the row-major traversal's, bit for
     # bit.  A small chunk keeps the oracles' element walk short
     chunk = 1 << 6
@@ -928,15 +1062,20 @@ def test_move_buffer_matches_oracles(monkeypatch):
 
 
 def flat_fold_cases(rng):
-    """Colliding scatters whose losing rows fill several of the fold's
+    """Colliding scatters whose losing rows fill several of the flat fold's
     element chunks: rows of one element (most rows losing, and most
-    winning), of three, and one row wider than a chunk; a table whose
-    copied suffix is narrower than the target trail; and torch srcs one
-    wider than their index along each copied axis, whose rows are either
-    strided or contiguous along their last axis alone.  Values near 1 keep
-    sums and products sensitive to their order; -0.0 fills half of key 0's
-    rows and the one row of a key hit once.  Each case comes with its keys
-    and its block b."""
+    winning), of three (most losing, and most winning), of 17 (most
+    losing), and one row wider than a chunk; tables whose copied suffix is
+    narrower than the target trail, rows of 2 x 3 (most losing, and most
+    winning) and of 3 x 6 (most losing); and torch srcs one wider than
+    their index along each copied axis, whose rows are either strided or
+    contiguous along their last axis alone: rows of 2 x 3, of 3 (most
+    losing, and most winning), of 17 and of 2 x 9.  Sum and prod take the
+    flat fold where most rows win or rows hold more than
+    ``_COLUMN_WIDTH`` elements, and fold column by column otherwise.
+    Values near 1 keep sums and products sensitive to their order; -0.0
+    fills half of key 0's rows and the one row of a key hit once.  Each
+    case comes with its keys and its block b."""
 
     def draw(n, cells, trail):
         keys = rng.integers(0, cells - 1, size=n)
@@ -947,60 +1086,97 @@ def flat_fold_cases(rng):
         values[keys == cells - 1] = -0.0
         return keys, values
 
-    for n, cells, trail in ((9000, 5, ()), (9000, 6000, ()), (3000, 8, (3,)),
-                            (5, 3, (4097,))):
+    def tf(n, cells, trail):
         keys, updates = draw(n, cells, trail)
         ts = rng.standard_normal((cells,) + trail)
         indices = keys[:, None]
-        yield (("tf", len(trail)), keys, shape_size(trail), tf_table(indices, ts.shape),
-               ts, updates, lambda p: scatter_nd_update(ts, indices, updates, p))
+        block = shape_size(trail)
+        return (("tf", block, cells), keys, block, tf_table(indices, ts.shape),
+                ts, updates, lambda p: scatter_nd_update(ts, indices, updates, p))
 
-    # rows of 2 x 3 into a 4 x 5 target trail: the fold's offsets skip the
-    # target elements no row reaches
-    keys, updates = draw(2000, 6, (2, 3))
-    background = rng.standard_normal((6, 4, 5))
-    grid = np.broadcast_arrays(keys[:, None, None], *np.indices((2, 3), sparse=True))
-    table = np.stack(grid, axis=-1)
-    provision = ProvisionTensor(table, background.shape)
-    yield ("region",), keys, 6, table, background, updates, (
-        lambda p: scatter_x(background, updates, provision, p))
+    def region(n, cells, trail, target_trail):
+        # rows narrower than the target trail: the fold's offsets skip the
+        # target elements no row reaches
+        keys, updates = draw(n, cells, trail)
+        background = rng.standard_normal((cells,) + target_trail)
+        grid = np.broadcast_arrays(keys[:, None, None], *np.indices(trail, sparse=True))
+        table = np.stack(grid, axis=-1)
+        provision = ProvisionTensor(table, background.shape)
+        block = shape_size(trail)
+        return (("region", block, cells), keys, block, table, background, updates,
+                lambda p: scatter_x(background, updates, provision, p))
 
-    # rows of 2 x 3 read through strides move through their region; rows of
-    # 3 whose last axis alone is contiguous still move as void items
-    for trail, wide, contiguous in (((2, 3), (3, 4), False), ((3,), (5,), True)):
-        keys, corner = draw(1500, 6, trail)
-        self_t = rng.standard_normal((6,) + trail)
+    def torch(n, cells, trail, wide):
+        # rows of 2 x 3 and 2 x 9 read through strides move through their
+        # region; rows of 3 and 17 whose last axis alone is contiguous
+        # still move as void items
+        keys, corner = draw(n, cells, trail)
+        self_t = rng.standard_normal((cells,) + trail)
         index = np.broadcast_to(keys.reshape((-1,) + (1,) * len(trail)), corner.shape)
-        src = rng.standard_normal((1501,) + wide)
-        view = src[(slice(0, 1500),) + tuple(slice(0, e) for e in trail)]
+        src = rng.standard_normal((n + 1,) + wide)
+        view = src[(slice(0, n),) + tuple(slice(0, e) for e in trail)]
         view[...] = corner
-        assert view[:1].flags.c_contiguous == contiguous
+        assert view[:1].flags.c_contiguous == (len(trail) == 1)
         assert not view.flags.c_contiguous
-        table = torch_table(index, 0)
-        yield ("torch", contiguous), keys, shape_size(trail), table, self_t, corner, (
-            lambda p: torch_scatter(self_t, 0, index, src, p))
+        block = shape_size(trail)
+        return (("torch", block, cells), keys, block, torch_table(index, 0), self_t,
+                corner, lambda p: torch_scatter(self_t, 0, index, src, p))
+
+    yield tf(9000, 5, ())
+    yield tf(9000, 6000, ())
+    yield tf(3000, 8, (3,))
+    yield tf(5, 3, (4097,))
+    yield region(2000, 6, (2, 3), (4, 5))
+    yield torch(1500, 6, (2, 3), (3, 4))
+    yield torch(1500, 6, (3,), (5,))
+    # narrow rows where most rows win and rows wider than _COLUMN_WIDTH where
+    # most rows lose, which sum and prod fold on flat offsets
+    yield tf(4500, 3000, (3,))
+    yield tf(1200, 8, (17,))
+    yield region(1500, 1000, (2, 3), (4, 5))
+    yield region(600, 6, (3, 6), (4, 7))
+    yield torch(4500, 3000, (3,), (5,))
+    yield torch(600, 6, (17,), (18,))
+    yield torch(600, 6, (2, 9), (3, 10))
 
 
-def test_flat_fold_matches_oracles():
-    # sum and prod fold the losing rows a fixed number of elements at a
-    # time, on flat element offsets; across chunk boundaries each cell still
-    # takes its contributions in row order, so results, counters and the
-    # reported collision target equal the row-major traversal's, bit for bit
+def test_flat_fold_matches_oracles(monkeypatch):
+    # where most rows win or rows are wider than _COLUMN_WIDTH, sum and
+    # prod fold the losing rows a fixed number of elements at a time, on
+    # flat element offsets; across chunk boundaries each cell still takes
+    # its contributions in row order, so results, counters and the
+    # reported collision target equal the row-major traversal's, bit for
+    # bit.  The other cases fold every row column by column
+    calls = spy_fold_at(monkeypatch)
     rng = np.random.default_rng(43)
     seen = set()
     for case, keys, block, table, background, updates, call in flat_fold_cases(rng):
-        for policy in ALL_POLICIES:
-            check_against_oracles(call, table, background, updates, policy, case)
         # the losing rows under sum and prod: all but each key's first
         _, first = np.unique(keys, return_index=True)
         losing = np.setdiff1d(np.arange(len(keys)), first)
+        most_win = 2 * len(losing) <= len(keys)
+        flat = most_win or block > engine._COLUMN_WIDTH
+        for policy in ALL_POLICIES:
+            calls.clear()
+            check_against_oracles(call, table, background, updates, policy, case)
+            if policy in (CollisionPolicy.SUM, CollisionPolicy.PROD):
+                folded = sum(m for _, m in calls)
+                assert folded == (len(losing) if flat else len(keys)) * block, case
         chunk = np.arange(len(losing)) // max(1, engine._FOLD_CHUNK // block)
         # some key folds rows in two chunks: a boundary falls inside its group
         split = len(set(zip(keys[losing], chunk))) > len(set(keys[losing]))
-        seen.add((case, chunk[-1] >= 1, split))
-    assert {(spans, split) for _, spans, split in seen} == {(True, True)}, seen
-    assert {case for case, _, _ in seen} == {
-        ("tf", 0), ("tf", 1), ("region",), ("torch", False), ("torch", True)}
+        seen.add((case, flat, most_win, chunk[-1] >= 1, split))
+    assert {(spans, split) for *_, spans, split in seen} == {(True, True)}, seen
+    assert {case for case, *_ in seen} == {
+        ("tf", 1, 5), ("tf", 1, 6000), ("tf", 3, 8), ("tf", 3, 3000), ("tf", 17, 8),
+        ("tf", 4097, 3), ("region", 6, 6), ("region", 6, 1000), ("region", 18, 6),
+        ("torch", 6, 6), ("torch", 3, 6), ("torch", 3, 3000), ("torch", 17, 6),
+        ("torch", 18, 6)}
+    # each entry point takes the flat fold both with narrow rows where most
+    # rows win and with rows wider than _COLUMN_WIDTH where most rows lose
+    assert {(case[0], most_win) for case, flat, most_win, _, _ in seen if flat} == {
+        (entry, most_win) for entry in ("tf", "region", "torch")
+        for most_win in (False, True)}, seen
 
 
 def test_strided_src_where_most_rows_win_matches_oracles(monkeypatch):
@@ -1026,8 +1202,8 @@ def test_strided_src_where_most_rows_win_matches_oracles(monkeypatch):
 
 def test_colliding_fold_gathers_a_chunk_not_every_losing_row():
     # 2^14 rows of 4 floats into 4096 rows, about 4x collisions, so most
-    # rows lose: sum and prod gather the losing rows and their offsets one
-    # chunk at a time, not all of them at once
+    # rows lose: sum and prod fold every row column by column from views of
+    # the updates and the keys, gathering no rows and no offsets at all
     rng = np.random.default_rng(47)
     ts = rng.standard_normal((4096, 4))
     indices = rng.integers(0, 4096, size=(1 << 14, 1))
