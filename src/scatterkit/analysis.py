@@ -54,7 +54,8 @@ class CollisionReport:
     in each group, so group g is the ``sizes[g]`` rows of ``sources`` that
     follow the rows of groups 0 to g - 1.  A rank-0 shape gives rows of no
     columns.  ``groups`` builds the same classes as index tuples, and only
-    when it is read.
+    when it is read.  A document may hold the report itself, as the list
+    of its groups: ``serialize`` writes that list from the three arrays.
     """
 
     targets: np.ndarray
@@ -69,14 +70,9 @@ class CollisionReport:
     @property
     def groups(self) -> tuple[tuple[Index, tuple[Index, ...]], ...]:
         """``(target, sources)`` per group, as tuples of ints."""
-        return tuple((tuple(target), tuple(map(tuple, sources)))
-                     for target, sources in self._group_lists())
-
-    def _group_lists(self):
-        # (target, sources) per group as lists of ints, as a document holds them
-        sources = iter(self.sources.tolist())
-        for target, size in zip(self.targets.tolist(), self.sizes.tolist()):
-            yield target, list(islice(sources, size))
+        sources = map(tuple, self.sources.tolist())
+        return tuple((tuple(target), tuple(islice(sources, size)))
+                     for target, size in zip(self.targets.tolist(), self.sizes.tolist()))
 
 
 def _read_in_bounds(transformer):

@@ -8,16 +8,21 @@ entry point::
 Factored transformers carry their inner table inline as a tensor document.
 
 Documents are written by :func:`iter_document`, which yields the text of
-:func:`dump_document` in pieces by one layout rule.  A value of at most
-about ``_SLICE`` JSON values is one call of the C encoder of
-``json.dumps``; a heavier dict is laid out key by key, and a heavier list
-in runs of about ``_SLICE`` values, such as an analysis's collision
-groups.  An ndarray, which a document may hold as the whole document or as
-the value of a key, weighs more than a run, so it is written as a tensor
-document ``_SLICE`` entries at a time.  No single ``json.dumps`` call then
-holds more than about 75 KB under tracemalloc, and writing a file of
-2**20 float64 entries peaks at about 0.08 MB, where building the document
-as one string took 71 MB.
+:func:`dump_document` in pieces.  A document may hold two heavy values,
+as the whole document or as the value of a key.  An ndarray is written as
+a tensor document ``_SLICE`` entries at a time.  A
+:class:`CollisionReport` is written as the list of its groups,
+``{"target": [...], "sources": [[...], ...]}`` each, straight from its
+arrays: each run of groups of about ``_SLICE`` values in all is one
+``json.dumps`` call, and a group heavier than a run is written alone, its
+sources about ``_SLICE`` values at a time.  A dict that holds a heavy
+value is laid out key by key, and any other value, such as a shape, a
+pick or a report's counts, is one call of the C encoder of
+``json.dumps``.  No single call then holds more than about 75 KB under
+tracemalloc; writing a file of 2**20 float64 entries peaks at about
+0.08 MB, where building the document as one string took 71 MB, and
+building and writing an analysis of 2**14 groups holds 0.08 MB beyond
+its reports, where a dict and two lists per group held 10 MB.
 
 The CLI reads every document with :func:`_read_document`, ``_BLOCK``
 characters of its file at a time.  A file that opens with the writer's
@@ -200,8 +205,8 @@ def _read_document(path):
 
     Raises FormatError, naming the path, where ``json.load`` refuses the
     file: it is no JSON, no UTF-8, holds an integer literal longer than
-    Python's digit limit, or nests deeper than Python's recursion limit.  A file that is not a regular one, such as a
-    pipe, is read whole.
+    Python's digit limit, or nests deeper than Python's recursion limit.
+    A file that is not a regular one, such as a pipe, is read whole.
     """
     with open(path, encoding="utf-8") as fh:
         st = os.fstat(fh.fileno())
@@ -359,24 +364,17 @@ def scatter_report_to_json(report: ScatterReport) -> dict:
 def analysis_to_json(
     sliceability: SliceabilityReport, collisions: CollisionReport
 ) -> dict:
-    """The reports as a document for :func:`iter_document`, tables as ndarrays."""
+    """The reports as a document for :func:`iter_document`: tables stay
+    ndarrays, and the groups are the :class:`CollisionReport` itself."""
     return {
         "max_suffix": sliceability.max_suffix,
         "verdict": sliceability.verdict,
         "pass_through": [list(p) for p in sorted(sliceability.pass_through)],
-        "collisions": {
-            "count": collisions.collision_count,
-            "groups": [
-                {"target": target, "sources": sources}
-                for target, sources in collisions._group_lists()  # lists, not tuples
-            ],
-        },
+        "collisions": {"count": collisions.collision_count, "groups": collisions},
         "uncovered": collisions.uncovered_count,
         "canonical": spec_to_json(sliceability.canonical),
         "overlap": sorted(sliceability.overlap),
-        "suffix_inner": (
-            sliceability.suffix_inner.table if sliceability.suffix_inner is not None else None
-        ),
+        "suffix_inner": getattr(sliceability.suffix_inner, "table", None),  # None: no suffix
     }
 
 
@@ -384,29 +382,31 @@ def iter_document(doc):
     """The text of ``dump_document(doc)``, as an iterator of pieces.
 
     ``doc`` is JSON data with string keys in which an ndarray may stand for
-    a tensor document, as the whole document or as the value of a key.
-    Every such tensor is checked here, once, before the first piece is
-    made, so a refused tensor raises FormatError before anything is
-    written.  Tensor entries and every other long list are encoded a run
-    of about ``_SLICE`` values at a time.
+    a tensor document, and a :class:`CollisionReport` for the list of its
+    groups, as the whole document or as the value of a key.  Every such
+    tensor is checked here, once, before the first piece is made, so a
+    refused tensor raises FormatError before anything is written.  Tensor
+    entries and groups are encoded a run of about ``_SLICE`` values at a
+    time.
     """
-    for arr in _tensors(doc):
-        _wire_dtype(arr)
+    for value in _heavy(doc):
+        if isinstance(value, np.ndarray):
+            _wire_dtype(value)
     return itertools.chain(_pieces(doc), ("\n",))
 
 
-def _tensors(doc):
-    # the ndarrays that doc is or holds as the value of a key
-    if isinstance(doc, np.ndarray):
+def _heavy(doc):
+    # the ndarrays and reports that doc is or holds as the value of a key
+    if isinstance(doc, (np.ndarray, CollisionReport)):
         yield doc
     elif isinstance(doc, dict):
         for value in doc.values():
-            yield from _tensors(value)
+            yield from _heavy(value)
 
 
 def _pieces(doc):
     """The text of ``doc``, no json.dumps call holding much more than
-    ``_SLICE`` of its values: the one layout rule of the module docstring."""
+    ``_SLICE`` of its values: the layout rule of the module docstring."""
     if isinstance(doc, np.ndarray):  # checked by iter_document: f64 or i64
         shape = json.dumps(list(doc.shape), separators=_SEPARATORS)
         tag = "f64" if doc.dtype == np.float64 else "i64"
@@ -414,65 +414,56 @@ def _pieces(doc):
         # C-order entries whatever the layout
         yield from _runs(doc.size, lambda start, stop: doc.flat[start:stop].tolist())
         yield "]}"
-    elif _weight(doc) <= _SLICE:
-        yield json.dumps(doc, separators=_SEPARATORS)
-    elif isinstance(doc, dict):
+    elif isinstance(doc, CollisionReport):
+        yield from itertools.chain(("[",), _groups(doc), ("]",))
+    elif isinstance(doc, dict) and next(_heavy(doc), None) is not None:
         yield "{"
         for n, (key, value) in enumerate(doc.items()):
             yield ("," if n else "") + json.dumps(key) + ":"
             yield from _pieces(value)
         yield "}"
-    elif not isinstance(doc[0], (dict, list)):  # a list of numbers or strings
-        yield "["
-        yield from _runs(len(doc), lambda start, stop: doc[start:stop])
-        yield "]"
-    else:  # a list of containers, in runs of about _SLICE values
-        yield "["
-        start = 0
-        while start < len(doc):
-            stop, weight = start, 0
-            while stop < len(doc) and weight + (w := _weight(doc[stop])) <= _SLICE:
-                stop, weight = stop + 1, weight + w
-            if start:
-                yield ","
-            if stop == start:  # one entry heavier than a run: laid out alone
-                yield from _pieces(doc[start])
-                start += 1
-            else:
-                yield json.dumps(doc[start:stop], separators=_SEPARATORS)[1:-1]
-                start = stop
-        yield "]"
+    else:
+        yield json.dumps(doc, separators=_SEPARATORS)
 
 
-def _runs(count, entries):
-    # the text of count list entries, without brackets, _SLICE per json.dumps
-    for start in range(0, count, _SLICE):
+def _runs(count, entries, step=_SLICE):
+    # the text of count list entries, without brackets, step per json.dumps
+    for start in range(0, count, step):
         if start:
             yield ","
-        run = entries(start, start + _SLICE)
+        run = entries(start, start + step)
         yield json.dumps(run, separators=_SEPARATORS)[1:-1]
 
 
-def _weight(doc, cap=_SLICE) -> int:
-    """About how many JSON values ``doc`` holds; an ndarray weighs more
-    than a run, so json.dumps never sees one.  Every entry of a list of
-    numbers or lists counts as its first does, which is exact for the lists
-    documents hold (tensor entries, index rows of one length); a list of
-    dicts, such as collision groups, is counted dict by dict until the
-    count passes cap."""
-    if isinstance(doc, dict):
-        return 1 + sum(map(_weight, doc.values()))
-    if not isinstance(doc, list) or not doc:
-        return _SLICE + 1 if isinstance(doc, np.ndarray) else 1
-    first = doc[0]
-    if not isinstance(first, dict):
-        return 1 + len(doc) * (_weight(first) if isinstance(first, list) else 1)
-    weight = 1
-    for entry in doc:
-        weight += _weight(entry)
-        if weight > cap:
-            break
-    return weight
+def _groups(report):
+    # the text of report's groups, without brackets: each run of groups of
+    # about _SLICE values in all is one json.dumps of dicts built from
+    # slices of its arrays, and a heavier group is written alone
+    targets, sources, sizes = report.targets, report.sources, report.sizes
+    row_weight = 1 + sources.shape[1]  # a source row and its brackets
+    weights = itertools.chain.from_iterable(  # each group's, _SLICE at a time
+        (3 + targets.shape[1] + row_weight * sizes[at : at + _SLICE]).tolist()
+        for at in range(0, len(sizes), _SLICE))
+    start = row = total = 0  # the run's first group and source row, its weight
+    # a last weight past _SLICE ends the last run
+    for stop, weight in enumerate(itertools.chain(weights, [_SLICE + 1])):
+        if stop == start or total + weight <= _SLICE:
+            total += weight
+            continue
+        count = int(sizes[start:stop].sum())
+        rows, row = sources[row : row + count], row + count
+        sep = "," if start else ""
+        if total > _SLICE:  # one group, its sources in runs
+            target = json.dumps(targets[start].tolist(), separators=_SEPARATORS)
+            yield f'{sep}{{"target":{target},"sources":['
+            yield from _runs(count, lambda a, b: rows[a:b].tolist(), _SLICE // row_weight)
+            yield "]}"
+        else:
+            members = iter(rows.tolist())
+            run = [{"target": target, "sources": list(itertools.islice(members, size))}
+                   for target, size in zip(targets[start:stop].tolist(), sizes[start:stop].tolist())]
+            yield sep + json.dumps(run, separators=_SEPARATORS)[1:-1]
+        start, total = stop, weight
 
 
 def dump_document(doc) -> str:

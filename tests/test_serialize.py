@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from scatterkit import (
     ArgumentError,
+    CollisionReport,
     FormatError,
     detect_collisions,
     slicing_impossibility,
@@ -48,7 +49,11 @@ from generators import random_spec
 
 def plain_tensor(arr):
     """``arr`` as a tensor document of plain JSON data, one Python number per
-    entry: the reference the streamed encoder is checked against."""
+    entry, or a collision report as its list of groups laid out from the
+    public ``groups``: the reference the streamed encoder is checked
+    against."""
+    if isinstance(arr, CollisionReport):
+        return [{"target": target, "sources": sources} for target, sources in arr.groups]
     dtype = "f64" if arr.dtype == np.float64 else "i64"
     return {"dtype": dtype, "shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
@@ -369,10 +374,88 @@ def test_a_long_analysis_is_dumped_a_slice_at_a_time():
     assert sum(pieces) == len(whole_document(doc)) and max(pieces) <= 32 * _SLICE
 
 
+def test_an_analysis_document_holds_no_group_objects():
+    # the document holds the collision report itself, and its groups are
+    # laid out from the report's arrays a run at a time: building and
+    # writing the 2**14-group document holds 0.08 MB beyond the two reports,
+    # where a dict and two lists per group held 10 MB
+    n = 2**15
+    table = np.stack([np.arange(n) // 2, np.zeros(n, np.int64)], axis=1)
+    provision = ProvisionTensor(table, (n // 2, 1))
+    collisions = detect_collisions(provision)
+    sliceability = slicing_impossibility(provision)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        written = sum(map(len, iter_document(analysis_to_json(sliceability, collisions))))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert written == len(whole_document(analysis_to_json(sliceability, collisions)))
+
+
+@st.composite
+def grouped_tables(draw):
+    """A provision table and the sizes of its preimage classes in flat
+    target order: rank-0 sources or targets, no collisions, classes around
+    the size at which a group outweighs a run, and one class heavier than a
+    run placed first, in the middle or last."""
+    source_rank, target_rank = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    boundary = _SLICE // (1 + source_rank)
+    near = [1, 2, 3, boundary - 3, boundary - 2, boundary - 1, boundary, boundary + 1]
+    sizes = draw(st.lists(st.sampled_from(near), max_size=6))
+    heavy = 2 * boundary + draw(st.integers(1, boundary))
+    at = draw(st.sampled_from([None, 0, len(sizes) // 2, len(sizes)]))
+    if at is not None:
+        sizes.insert(at, heavy)
+    if source_rank == 0:  # one source
+        sizes = [1]
+    n = sum(sizes)
+    # a rank-2 source of odd size gets one more source, alone on its target
+    source_shape = [(), (n,), ((n + 1) // 2, 2)][source_rank]
+    if shape_size(source_shape) > n:
+        sizes.append(1)
+    if target_rank == 0:  # one target cell, and every source hits it
+        sizes = [sum(sizes)] if sizes else []
+    cells = len(sizes) + draw(st.integers(0, 3))  # some targets unreached
+    target_shape = [(), (cells,), ((cells + 2) // 3, 3)][target_rank]
+    # group g lands on flat target g; its sources are spread at random
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    coords = np.unravel_index(labels, target_shape) if target_rank else ()
+    table = np.stack(coords, axis=-1) if target_rank else np.zeros((len(labels), 0), np.int64)
+    table = table.astype(np.int64).reshape(*source_shape, target_rank)
+    return ProvisionTensor(table, target_shape), sizes
+
+
+@given(grouped_tables())
+@settings(max_examples=60, deadline=None)
+def test_collision_groups_are_written_as_the_reference_lays_them_out(case):
+    provision, sizes = case
+    collisions = detect_collisions(provision)
+    assert collisions.sizes.tolist() == [size for size in sizes if size >= 2]
+    doc = analysis_to_json(slicing_impossibility(provision), collisions)
+    pieces = list(iter_document(doc))
+    assert "".join(pieces) == dump_document(doc) == whole_document(doc)
+    assert max(map(len, pieces)) <= 32 * _SLICE
+
+
+def one_large_group():
+    # the analysis of a table whose target (1,) 4000 rank-2 sources hit,
+    # then a group of two at (2,)
+    table = np.zeros((4000, 2, 1), np.int64)
+    table[:, 0] = 1
+    table[:, 1, 0] = np.r_[2, 2, np.arange(3, 4001)]
+    provision = ProvisionTensor(table, (4001,))
+    collisions = detect_collisions(provision)
+    assert collisions.sizes.tolist() == [4000, 2]
+    return analysis_to_json(slicing_impossibility(provision), collisions)
+
+
 @pytest.mark.parametrize("doc", [
-    # one group of 4000 sources is laid out by itself, its sources in slices
-    {"groups": [{"target": [1], "sources": [[i, 0] for i in range(4000)]},
-                {"target": [2], "sources": [[0, 1], [1, 1]]}]},
+    # the group of 4000 sources is laid out by itself, its sources in slices
+    one_large_group(),
     {"nested": {"long": list(range(3000)), "short": [1.5, None, "x", True]}},
     [[], {}, [[]], "a" * 10, list(range(2 * _SLICE + 1))],
     {"mixed": [1, [2, 3], {"a": [4] * 700}], "empty": [], "none": None},
